@@ -85,6 +85,7 @@ def summarize_run(report: RunReport) -> dict:
         "l2_norm_final": float(report.l2_series[-1]) if n_rec else None,
         "min_value_final": float(report.min_series[-1]) if n_rec else None,
         "warnings": list(report.warnings),
+        "history_rows": report.history_rows,
     }
     if report.status.time is not None:
         summary["halt_time"] = report.status.time

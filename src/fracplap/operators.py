@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,14 @@ class KernelGrid:
     @property
     def dim(self) -> int:
         return self.values.ndim
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft of the kernel with its origin moved to index 0, computed once."""
+        shifted = self.values
+        for ax in range(self.dim):
+            shifted = np.roll(shifted, -(self.domain.n // 2), axis=ax)
+        return np.fft.rfftn(shifted)
 
 
 def _centered_coords(domain: DomainSpec, dim: int):
@@ -141,11 +150,7 @@ def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
     """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim via FFT."""
     _check_same_grid(field.domain, kernel.domain, field.values.shape,
                      kernel.values.shape)
-    n = field.domain.n
-    shifted = kernel.values
-    for ax in range(field.dim):
-        shifted = np.roll(shifted, -(n // 2), axis=ax)
-    spec = np.fft.rfftn(field.values) * np.fft.rfftn(shifted)
+    spec = np.fft.rfftn(field.values) * kernel.spectrum
     out = np.fft.irfftn(spec, s=field.values.shape,
                         axes=tuple(range(field.dim)))
     out *= field.domain.h ** field.dim

@@ -113,6 +113,7 @@ def test_not_json_at_all():
 def test_solver_time_consistency():
     assert err_path({**MINIMAL, "solver": {"dt": 1.0, "t_final": 0.5}}) \
         .startswith("/solver")
+    assert err_path({**MINIMAL, "solver": {"dt": 0.3, "t_final": 1.0}}) == "/solver"
     assert err_path({**MINIMAL, "solver": {"scheme": "magic"}}) \
         == "/solver/scheme"
     m = parse({**MINIMAL, "solver": {"dt": 0.5, "t_final": 0.5,

@@ -5,7 +5,9 @@ import pytest
 
 from fracplap.errors import EvaluationRangeError, GridMismatchError, HypothesisError
 from fracplap.fractional import (
+    SOE_TOL,
     HistoryBuffer,
+    SoeHistory,
     alikhanov_check,
     bernoulli_decay_bound,
     caputo_series,
@@ -18,6 +20,7 @@ from fracplap.fractional import (
     memory_coefficients,
     memory_term,
     mittag_leffler,
+    soe_kernel,
 )
 
 
@@ -154,6 +157,67 @@ def test_memory_term_of_constant_history_is_the_constant():
         hist.append(np.full(3, 0.4))
     w = l1_weights(0.5, 0.1, len(hist))
     assert np.allclose(memory_term(hist, w), 0.4, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# sum-of-exponentials history against the dense reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [10, 1000, 20000])
+def test_soe_kernel_size_and_relative_error(alpha, n):
+    nodes, weights = soe_kernel(alpha, n)
+    assert nodes.size <= 64
+    assert np.all(nodes > 0) and np.all(weights > 0)
+    # every integer plus a log grid 100x finer than the one the rank is chosen on
+    tau = np.unique(np.concatenate([np.arange(1.0, n + 1.0),
+                                    np.geomspace(1.0, n, 100000)]))
+    err = max(float(np.max(np.abs(np.exp(-np.outer(chunk, nodes)) @ weights
+                                  * chunk ** alpha - 1.0)))
+              for chunk in np.array_split(tau, 20))
+    assert err <= SOE_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_soe_memory_term_matches_dense(alpha):
+    n_steps = 2000
+    rng = np.random.default_rng(5)
+    states = np.cumsum(rng.standard_normal((n_steps, 6)), axis=0)
+    w = l1_weights(alpha, 0.01, n_steps)
+    dense = HistoryBuffer(states[0], 0.01)
+    soe = SoeHistory(states[0], w)
+    variation = 0.0
+    for k in range(1, n_steps):
+        dense.append(states[k])
+        soe.append(states[k])
+        variation += float(np.max(np.abs(states[k] - states[k - 1])))
+        if k % 199 == 0 or k == n_steps - 1:
+            gap = np.max(np.abs(memory_term(soe, w) - memory_term(dense, w)))
+            assert gap <= 1e-10 * variation
+    assert np.array_equal(soe.last(), dense.last())
+    assert len(soe) == soe.matrix().shape[0] <= 65
+
+
+def test_soe_memory_term_of_constant_history_is_exact():
+    w = l1_weights(0.5, 0.1, 50)
+    hist = SoeHistory(np.full((4, 4), 0.4), w)
+    for _ in range(49):
+        assert np.array_equal(memory_term(hist, w), np.full((4, 4), 0.4))
+        hist.append(np.full((4, 4), 0.4))
+
+
+def test_soe_history_guards():
+    w = l1_weights(0.5, 0.1, 2)
+    hist = SoeHistory(np.zeros(4), w)
+    with pytest.raises(GridMismatchError):
+        hist.append(np.zeros(5))
+    with pytest.raises(HypothesisError):
+        memory_term(hist, l1_weights(0.6, 0.1, 2))
+    hist.append(np.ones(4))
+    memory_term(hist, w)
+    hist.append(np.ones(4))
+    with pytest.raises(HypothesisError):
+        memory_term(hist, w)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ def test_solver_config_defaults():
     assert cfg.scheme == SCHEME_LAGGED_IMPLICIT
     assert cfg.eps_reg == 1e-6
     assert cfg.snapshot_times == ()
+    # 0.3 / 0.1 = 2.9999999999999996: a whole number of steps up to rounding
+    assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
 
 
 @pytest.mark.parametrize("kw", [
@@ -52,6 +54,8 @@ def test_solver_config_defaults():
     dict(dt=0.01, t_final=1.0, blowup_threshold=0.0),
     dict(dt=0.01, t_final=1.0, scheme="trapezoid"),
     dict(dt=0.01, t_final=1.0, record_every=0),
+    dict(dt=0.3, t_final=1.0),
+    dict(dt=0.01, t_final=1.005),
 ])
 def test_solver_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -107,6 +111,21 @@ def test_run_from_rest_stays_at_rest():
     assert np.all(report.l2_series == 0.0)
     assert np.all(np.diff(report.times) > 0)
     assert math.isclose(report.times[-1], 0.5, rel_tol=1e-12)
+
+
+def test_history_rows_do_not_grow_with_step_count():
+    # the dense history held steps + 1 rows; the sum-of-exponentials one
+    # holds K + 1, with K growing only like log N
+    domain = DomainSpec(half_width=4.0, n=8)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.5)
+    u0 = Field(np.cos(np.pi * domain.axis_coords() / 4.0) + 1.0, domain)
+    rows = []
+    for t_final in (1.0, 100.0):
+        report = run(u0, params, SolverConfig(dt=0.01, t_final=t_final,
+                                              record_every=10 ** 9))
+        assert report.status.completed
+        rows.append(report.history_rows)
+    assert 0 < rows[0] <= rows[1] <= 65
 
 
 def test_run_holds_equilibria_for_many_steps():

@@ -113,6 +113,15 @@ def test_convolution_matches_direct_sum_2d():
     assert np.allclose(out.values, direct, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_spectrum_is_computed_once_and_bit_exact(dim):
+    d = DomainSpec(half_width=2.0, n=16)
+    kern = discretize_kernel("gaussian", 0.3, 1e-6, d, dim=dim)
+    shifted = np.roll(kern.values, -(d.n // 2), axis=tuple(range(dim)))
+    assert np.array_equal(kern.spectrum, np.fft.rfftn(shifted))
+    assert kern.spectrum is kern.spectrum
+
+
 def test_convolution_grid_guard():
     from fracplap.errors import GridMismatchError
 
