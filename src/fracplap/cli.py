@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
@@ -198,8 +199,11 @@ def _cmd_sweep(args) -> int:
             report = _execute_manifest(manifest, out_dir)
             status = report.status.kind
             sup = report.sup_series[-1] if len(report.sup_series) else float("nan")
-        except FracplapError as exc:
-            status, sup = f"error: {exc}", float("nan")
+        except Exception as exc:   # one failed variant must not lose the table
+            if not isinstance(exc, FracplapError):
+                print(f"variant {run_id} raised:\n{traceback.format_exc()}",
+                      file=sys.stderr, end="")
+            status, sup = f"error: {type(exc).__name__}: {exc}", float("nan")
         return run_id, combo, status, sup
 
     workers = _worker_count(len(manifests))

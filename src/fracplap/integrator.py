@@ -6,6 +6,9 @@ Each step solves the L1 discretization
 
 either fully explicitly (RHS at u^{n-1}) or with the diffusion taken
 implicitly at frozen (lagged) diffusivity and the reaction explicit.
+The frozen system is solved directly in 1D (cyclic tridiagonal:
+one LAPACK tridiagonal solve plus a Sherman-Morrison correction) and
+by FFT-preconditioned conjugate gradients in 2D.
 The memory term is a convex combination of all past states.  The march
 keeps it in sum-of-exponentials form (``SoeHistory``): the last state
 plus K exponentially weighted sums of increments (K = 18-48 for 1 to
@@ -67,7 +70,12 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
-        object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
+        snaps = tuple(float(t) for t in self.snapshot_times)
+        outside = [t for t in snaps if not 0.0 <= t <= self.t_final]
+        if outside:
+            raise ValueError(
+                f"snapshot_times must lie in [0, t_final = {self.t_final}], got {outside}")
+        object.__setattr__(self, "snapshot_times", snaps)
 
 
 @dataclass(frozen=True)
@@ -133,18 +141,49 @@ def _explicit_diffusion(values: np.ndarray, params: ModelParameters,
 
 
 # --------------------------------------------------------------------------
-# preconditioned conjugate gradients for the frozen-diffusivity solve
+# frozen-diffusivity solves: direct in 1D, preconditioned CG in 2D
 # --------------------------------------------------------------------------
 
-def _laplacian_symbol(domain: DomainSpec, dim: int) -> np.ndarray:
-    """Nonnegative symbol of -Laplacian (3/5-point stencil) on the rfft grid."""
+def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
+    """Nonnegative symbol of the 5-point -Laplacian on the 2D rfft grid."""
     n = domain.n
-    h = domain.h
-    full = (2.0 * np.sin(np.pi * np.arange(n) / n) / h) ** 2
-    half = full[:n // 2 + 1]
-    if dim == 1:
-        return half
-    return full[:, None] + half[None, :]
+    full = (2.0 * np.sin(np.pi * np.arange(n) / n) / domain.h) ** 2
+    return full[:, None] + full[None, :n // 2 + 1]
+
+
+def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
+                              b: np.ndarray) -> np.ndarray:
+    """Solve (shift I - D(a)) x = b exactly for the 1D periodic operator.
+
+    ``a`` holds the face coefficients over h^2, face i joining cells i
+    and i+1.  The matrix is symmetric cyclic tridiagonal: diagonal
+    shift + a + roll(a, 1), off-diagonal -a[:-1], corners c = -a[-1].
+    Sherman-Morrison (Temperton, J. Comput. Phys. 19, 1975) with
+    gamma = -d_0 writes it as T + u v^T, u = gamma e_0 + c e_{n-1},
+    v = e_0 + (c / gamma) e_{n-1}, where the tridiagonal T differs only
+    in its two corner diagonal entries (and stays SPD).  One dgtsv call
+    solves T y = b and T z = u together; x = y - (v.y) / (1 + v.z) z.
+    """
+    from scipy.linalg.lapack import dgtsv
+    diag = shift + a            # + roll(a, 1), by slices: np.roll costs ~10 us
+    diag[1:] += a[:-1]
+    diag[0] += a[-1]
+    off = -a[:-1]
+    corner = -a[-1]
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= corner * corner / gamma
+    rhs = np.zeros((b.size, 2))
+    rhs[:, 0] = b
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = corner
+    _, _, _, yz, info = dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise SolverConvergenceError(
+            f"frozen-diffusivity tridiagonal solve failed (LAPACK dgtsv info = {info})")
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = corner / gamma
+    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
 
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
@@ -191,9 +230,12 @@ def step(history: SoeHistory, weights: L1Weights, params: ModelParameters,
     gamma u implicitly (free, and it keeps the temporal order at
     2 - alpha instead of dropping to 1), and solves the SPD system
     ((scale + gamma) I - div(a grad)) u^n
-        = scale memory + growth(u^{n-1}) + layer_load
-    by preconditioned conjugate gradients (constant-coefficient FFT
-    preconditioner, absolute residual 1e-10, at most 10 N iterations).
+        = scale memory + growth(u^{n-1}) + layer_load.
+    In 1D the matrix is cyclic tridiagonal and
+    ``_cyclic_tridiagonal_solve`` solves it directly in O(N); in 2D
+    preconditioned conjugate gradients solve it (constant-coefficient
+    FFT preconditioner, residual 1e-10 max(1, |b|), at most 10 N
+    iterations).
     ``layer_load`` is the starting correction s_n R(u^0) supplied by
     ``run``: solutions leave t = 0 like t^alpha, which caps the
     uncorrected history quadrature at first order globally, and the
@@ -221,15 +263,17 @@ def step(history: SoeHistory, weights: L1Weights, params: ModelParameters,
     if layer_load is not None:
         b = b + layer_load
 
+    if u_prev.ndim == 1:
+        return _cyclic_tridiagonal_solve(coeffs[0] / domain.h ** 2, shift, b)
+
     def apply_a(x: np.ndarray) -> np.ndarray:
         return shift * x - diffusion_apply(coeffs, x, domain)
 
     abar = float(np.mean([np.mean(c) for c in coeffs]))
-    symbol = shift + abar * _laplacian_symbol(domain, u_prev.ndim)
+    symbol = shift + abar * _laplacian_symbol(domain)
 
     def precond(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape,
-                             axes=tuple(range(r.ndim)))
+        return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape, axes=(0, 1))
 
     tol_abs = _CG_TOL * max(1.0, float(np.linalg.norm(b.ravel())))
     x, _ = _pcg(apply_a, b, u_prev, precond, tol_abs, maxiter=10 * u_prev.size)
@@ -246,7 +290,9 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
 
     Records (t, sup, L2, L1, min) every ``record_every`` steps plus the
     initial and final states; snapshots are stored at t = 0 and at the
-    steps nearest each requested snapshot time.  The march halts early
+    steps nearest each requested snapshot time.  A requested time whose
+    step another requested time already holds adds a warning, not a
+    second snapshot.  The march halts early
     with a ``blowup`` or ``nonfinite`` status when detect_blowup fires.
     Negative excursions below -1e-8 are reported in ``warnings``; the
     state itself is never clamped.
@@ -295,10 +341,18 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
                 layer2_weights = (dt ** params.alpha
                                   * layer_correction_weights(params.alpha, n_steps, layer=2))
 
-    snapshot_steps = sorted({min(n_steps, max(0, int(round(t / dt))))
-                             for t in config.snapshot_times})
+    warnings = []
+    taken = {}
+    for t in config.snapshot_times:
+        s = int(round(t / dt))
+        if s in taken:
+            warnings.append(
+                f"snapshot time {t:.6g} falls on step {s} (t = {s * dt:.6g}), "
+                f"already taken by snapshot time {taken[s]:.6g}; one snapshot is kept")
+        else:
+            taken[s] = t
     snapshots: List[Tuple[float, Field]] = [(0.0, Field(u0.values.copy(), domain))]
-    snapshot_steps = [s for s in snapshot_steps if s > 0]
+    snapshot_steps = sorted(s for s in taken if s > 0)
 
     rows = []
 
@@ -339,7 +393,6 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         if n % config.record_every == 0 or n == n_steps:
             record(t_n, u)
 
-    warnings = []
     if worst_negative < _NEGATIVE_WARN:
         warnings.append(
             f"state dipped to {worst_negative:.6g} at t = {worst_negative_t:.6g}; "

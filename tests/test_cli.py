@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fracplap import cli
 from fracplap.cli import (
     EXIT_CONFIG,
     EXIT_FAILED,
@@ -139,6 +140,17 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "/model/alpha" in err
 
 
+def test_simulate_rejects_snapshot_time_past_horizon(tmp_path, capsys):
+    cfg = write_manifest(tmp_path, overrides={
+        "solver": {"dt": 0.01, "t_final": 0.2, "snapshot_times": [0.1, 5.0]}})
+    code = main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "/solver" in err and "snapshot_times" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json")])
     assert code == EXIT_CONFIG
@@ -201,6 +213,33 @@ def test_sweep_without_overrides_runs_base_once(tmp_path, capsys, monkeypatch):
     assert "(no overrides)" in out
     table = (base / "sweep.csv").read_text().strip().splitlines()
     assert len(table) == 2
+
+
+def test_sweep_keeps_table_when_one_variant_raises(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+    real = cli._execute_manifest
+
+    def flaky(manifest, out_dir):
+        if manifest.model.gamma == 0.15:
+            raise OSError(28, "No space left on device")
+        return real(manifest, out_dir)
+
+    monkeypatch.setattr(cli, "_execute_manifest", flaky)
+    manifest = json.loads(write_manifest(tmp_path).read_text())
+    manifest["sweep"] = {"/model/gamma": [0.15, 0.1875]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(manifest))
+    base = tmp_path / "grid"
+    code = main(["sweep", "--config", str(cfg), "--output-dir", str(base)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAILED
+    assert "Traceback" in captured.err and "OSError" in captured.err
+    rows = [ln.split(",") for ln in
+            (base / "sweep.csv").read_text().strip().splitlines()[1:]]
+    status = {row[1]: row[2] for row in rows}
+    assert status == {"0.15": "error: OSError: [Errno 28] No space left on device",
+                      "0.1875": "completed"}
+    assert "error: OSError" in captured.out
 
 
 def test_sweep_rejects_empty_ranges(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fracplap import integrator
 from fracplap.errors import GridMismatchError, HypothesisError
 from fracplap.fractional import HistoryBuffer, l1_weights, mittag_leffler
 from fracplap.integrator import (
@@ -22,7 +24,7 @@ from fracplap.model import (
     ModelParameters,
     equilibrium_roots,
 )
-from fracplap.operators import discretize_kernel
+from fracplap.operators import diffusion_apply, discretize_kernel, face_diffusivity
 
 ALLEE = ModelParameters(alpha=0.5, p=1.5, mu=1.0, k=1.0, gamma=3.0 / 16.0)
 
@@ -44,6 +46,8 @@ def test_solver_config_defaults():
     assert cfg.snapshot_times == ()
     # 0.3 / 0.1 = 2.9999999999999996: a whole number of steps up to rounding
     assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
+    assert SolverConfig(dt=0.1, t_final=1.0,
+                        snapshot_times=(0.0, 1.0)).snapshot_times == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("kw", [
@@ -56,6 +60,9 @@ def test_solver_config_defaults():
     dict(dt=0.01, t_final=1.0, record_every=0),
     dict(dt=0.3, t_final=1.0),
     dict(dt=0.01, t_final=1.005),
+    dict(dt=0.1, t_final=1.0, snapshot_times=(-0.1,)),
+    dict(dt=0.1, t_final=1.0, snapshot_times=(0.5, 1.01)),
+    dict(dt=0.1, t_final=1.0, snapshot_times=(float("nan"),)),
 ])
 def test_solver_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -96,6 +103,74 @@ def test_explicit_step_linear_death_closed_form():
     w = l1_weights(0.5, cfg.dt, 1)
     u1 = step(hist, w, params, domain, cfg)
     assert np.all(u1 == 1.0 - 1.0 / w.scale)
+
+
+# ---------------------------------------------------------------------------
+# frozen-diffusivity solve (1D, direct)
+# ---------------------------------------------------------------------------
+
+def _face_coefficients(n, p):
+    """Face coefficients of a Gaussian bump on n cells of (-4, 4); random
+    positive ones for p = None.  The solve needs only h, so odd n is fine."""
+    grid = SimpleNamespace(h=8.0 / n)
+    if p is None:
+        return grid, np.random.default_rng(n).uniform(0.05, 20.0, n)
+    x = -4.0 + grid.h * np.arange(n)
+    return grid, face_diffusivity(0.2 + 0.5 * np.exp(-x ** 2), grid, p, 1e-6)[0]
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, None])
+@pytest.mark.parametrize("n", [3, 4, 16, 257])
+def test_cyclic_tridiagonal_solve_matches_dense_oracle(n, p):
+    grid, a = _face_coefficients(n, p)
+    shift = 11.5
+    b = np.random.default_rng(7 * n).standard_normal(n)
+    x = integrator._cyclic_tridiagonal_solve(a / grid.h ** 2, shift, b)
+    dense = np.column_stack([shift * e - diffusion_apply([a], e, grid)
+                             for e in np.eye(n)])
+    # normwise backward error: rounding in the residual itself is of
+    # order eps |A| |x|, which the p = 1.2 coefficients (a/h^2 ~ 1e7)
+    # make far larger than eps |b|
+    residual = shift * x - diffusion_apply([a], x, grid) - b
+    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b))
+    assert np.max(np.abs(residual)) <= 1e-12 * scale
+    x_dense = np.linalg.solve(dense, b)
+    assert np.max(np.abs(x - x_dense)) <= 1e-9 * np.max(np.abs(x_dense))
+
+
+def test_1d_lagged_march_never_calls_pcg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("1D frozen-diffusivity solve went through PCG")
+
+    monkeypatch.setattr(integrator, "_pcg", forbidden)
+    domain, kern = allee_setup(n=16)
+    cfg = SolverConfig(dt=0.01, t_final=0.2, scheme=SCHEME_LAGGED_IMPLICIT)
+    u0 = Field(0.3 + 0.1 * np.cos(np.pi * domain.axis_coords() / 4.0), domain)
+    report = run(u0, ALLEE, cfg, kernel=kern)
+    assert report.status.completed and report.steps == 20
+
+
+def test_1d_direct_march_matches_pcg_march_at_degenerate_p():
+    """p = 1.2, n = 256: the system PCG needed ~245 iterations a step for.
+    The frozen numbers are the final state of the same march solved by
+    FFT-preconditioned CG to a residual of 1e-10 |b|, the 2D solver:
+    sup, L2, L1, min and every 32nd value."""
+    domain = DomainSpec(half_width=4.0, n=256)
+    params = ModelParameters(alpha=0.5, p=1.2, mu=1.0, k=0.0, gamma=0.1)
+    cfg = SolverConfig(dt=0.01, t_final=2.0, record_every=10 ** 9)
+    u0 = Field(0.2 + 0.5 * np.exp(-domain.axis_coords() ** 2), domain)
+    report = run(u0, params, cfg)
+    assert report.status.completed and report.steps == 200
+    final = report.final
+    pcg_sup = 0.7232776137804796
+    pcg_norms = [pcg_sup, 2.04569989287646, 5.786113065729721, 0.7232565659359443]
+    pcg_values = [0.7232565659359443, 0.7232569693898527, 0.7232596168929012,
+                  0.7232730343212892, 0.7232776137804796, 0.7232730343212892,
+                  0.7232596168929013, 0.7232569693898526]
+    got = [final.sup_norm(), final.l2_norm(), final.l1_norm(), final.min_value()]
+    got += list(final.values[::32])
+    gap = np.max(np.abs(np.array(got) - np.array(pcg_norms + pcg_values)))
+    assert gap <= 1e-7 * pcg_sup
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +294,18 @@ def test_snapshot_times_are_honored():
     for _, snap in report.snapshots:
         assert isinstance(snap, Field)
         assert snap.values.shape == domain.shape(1)
+    assert report.warnings == []
+
+
+def test_colliding_snapshot_times_are_warned_about():
+    domain, kern = allee_setup(n=16)
+    cfg = SolverConfig(dt=0.1, t_final=1.0, record_every=10 ** 9,
+                       snapshot_times=(0.29, 0.31, 0.5, 1.0))
+    report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
+    times = [t for t, _ in report.snapshots]
+    assert times == pytest.approx([0.0, 0.3, 0.5, 1.0], abs=1e-12)
+    assert len(report.warnings) == 1
+    assert "0.31" in report.warnings[0] and "0.29" in report.warnings[0]
 
 
 def test_recording_includes_first_and_last():
