@@ -12,14 +12,12 @@ from .config import (InitialSpec, KernelSpec, RunManifest, build_initial,
 from .errors import (ConfigError, EvaluationRangeError, FracplapError,
                      GridMismatchError, HypothesisError,
                      KernelAdmissibilityError, SolverConvergenceError)
-from .fractional import (HistoryBuffer, L1Weights, alikhanov_check,
-                         bernoulli_decay_bound, caputo_series, discrete_caputo,
-                         duhamel_mode, gronwall_bound_check, l1_weights,
-                         linear_fode_solution, memory_coefficients,
-                         memory_term, mittag_leffler, power_inequality_check)
+from .fractional import (L1Weights, alikhanov_check, caputo_series,
+                         l1_weights, memory_term, mittag_leffler,
+                         power_inequality_check)
 from .integrator import (RunReport, RunStatus, SolverConfig, detect_blowup,
                          linear_spectral_reference, run, step)
-from .io import (format_series, load_series, read_snapshot, summarize_run,
+from .io import (format_series, read_snapshot, summarize_run,
                  write_report_json, write_series, write_snapshot)
 from .model import (AnalysisConstants, DomainSpec, EquilibriumRoots, Field,
                     ModelParameters, SupBound, competition_threshold,
@@ -27,8 +25,7 @@ from .model import (AnalysisConstants, DomainSpec, EquilibriumRoots, Field,
                     sup_norm_bound, validate_params)
 from .operators import (KernelGrid, box_window_integral, convolve_kernel,
                         diffusion_apply, discretize_kernel, face_diffusivity,
-                        global_mass, gradient_faces, local_l2_ball,
-                        p_laplacian, p_laplacian_power)
+                        global_mass, local_l2_ball, p_laplacian)
 from .verify import SUITES, Check, run_suite
 
 __version__ = "0.1.0"

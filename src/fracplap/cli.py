@@ -1,11 +1,13 @@
 """Command-line surface: simulate, verify, sweep, roots, mlf.
 
 Exit codes: 0 success / all checks pass, 1 failed checks or a run that
-did not complete, 2 configuration or argument errors.
+did not complete, 2 configuration or argument errors (``_exit_code``
+maps an exception to 1 or 2 for every command).
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -28,6 +30,13 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
+
+
+def _exit_code(exc: BaseException) -> int:
+    """2 for input the code cannot honour, 1 for any other failure."""
+    if isinstance(exc, (ConfigError, HypothesisError, KernelAdmissibilityError)):
+        return EXIT_CONFIG
+    return EXIT_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,12 +113,11 @@ def _cmd_simulate(args) -> int:
     out_dir = args.output_dir or manifest.output_dir
     try:
         report = _execute_manifest(manifest, out_dir)
-    except (KernelAdmissibilityError, HypothesisError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FracplapError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        code = _exit_code(exc)
+        print(f"{'error' if code == EXIT_CONFIG else 'run failed'}: {exc}",
+              file=sys.stderr)
+        return code
     sup = report.sup_series[-1] if len(report.sup_series) else float("nan")
     print(f"status: {report.status.kind}  steps: {report.steps}  "
           f"final sup-norm: {sup:.6g}  outputs: {out_dir}")
@@ -199,30 +207,32 @@ def _cmd_sweep(args) -> int:
             report = _execute_manifest(manifest, out_dir)
             status = report.status.kind
             sup = report.sup_series[-1] if len(report.sup_series) else float("nan")
+            code = EXIT_OK if report.status.completed else EXIT_FAILED
         except Exception as exc:   # one failed variant must not lose the table
             if not isinstance(exc, FracplapError):
                 print(f"variant {run_id} raised:\n{traceback.format_exc()}",
                       file=sys.stderr, end="")
             status, sup = f"error: {type(exc).__name__}: {exc}", float("nan")
-        return run_id, combo, status, sup
+            code = _exit_code(exc)
+        return run_id, combo, status, sup, code
 
     workers = _worker_count(len(manifests))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(job, manifests))
 
     table_path = os.path.join(base_dir, "sweep.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("run_id," + ",".join(paths) + ",status,final_sup_norm\n")
-        for run_id, combo, status, sup in results:
-            values = ",".join(json.dumps(v) for v in combo)
-            fh.write(f"{run_id},{values},{status},{sup:.17g}\n")
+    with open(table_path, "w", encoding="utf-8", newline="") as fh:
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(["run_id", *paths, "status", "final_sup_norm"])
+        for run_id, combo, status, sup, _ in results:
+            table.writerow([run_id, *(json.dumps(v) for v in combo), status,
+                            f"{sup:.17g}"])
 
-    ok = all(status == "completed" for _, _, status, _ in results)
-    for run_id, combo, status, _ in results:
+    for run_id, combo, status, _, _ in results:
         assignments = ", ".join(f"{p}={v}" for p, v in zip(paths, combo))
         print(f"{run_id}  {assignments or '(no overrides)'}  {status}")
     print(f"verdict table: {table_path}")
-    return EXIT_OK if ok else EXIT_FAILED
+    return max((code for *_, code in results), default=EXIT_OK)
 
 
 def _cmd_roots(args) -> int:

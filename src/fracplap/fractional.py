@@ -1,6 +1,6 @@
 """Fractional-in-time machinery: L1 discretization of the Caputo
-derivative, Mittag-Leffler evaluation, scalar fractional-ODE solutions,
-and discrete inequality checkers used by the verification harness.
+derivative, Mittag-Leffler evaluation, and the discrete inequality
+checkers used by the verification harness.
 
 The L1 scheme approximates the Caputo derivative of order alpha on a
 uniform grid t_n = n dt through the weights
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma, gammaln as _gammaln, rgamma as _rgamma
@@ -69,8 +68,8 @@ class HistoryBuffer:
     Snapshots are kept in one contiguous (capacity, size) array that
     doubles on demand; ``matrix()`` exposes the filled part without
     copying.  Memory and work grow with the step count, so the march
-    uses ``SoeHistory``; this class backs ``discrete_caputo`` and the
-    tests that check the march against the exact L1 sum.
+    uses ``SoeHistory``; this class backs the tests that check the
+    march against the exact L1 sum.
     """
 
     def __init__(self, u0: np.ndarray, dt: float):
@@ -260,32 +259,25 @@ def memory_term(history, weights: L1Weights) -> np.ndarray:
     return (history.coefficients(weights) @ history.matrix()).reshape(history.shape)
 
 
-def discrete_caputo(history: HistoryBuffer, u_candidate: np.ndarray,
-                    weights: L1Weights) -> np.ndarray:
-    """Pointwise L1 value of the Caputo derivative at step n = len(history).
-
-    Exact for states affine in t; O(dt^{2-alpha}) otherwise.
-    """
-    u_candidate = np.asarray(u_candidate, dtype=np.float64)
-    if u_candidate.shape != history.shape:
-        raise GridMismatchError(
-            f"candidate shape {u_candidate.shape} does not match history {history.shape}")
-    return weights.scale * (u_candidate - memory_term(history, weights))
-
-
 def caputo_series(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     """L1 Caputo derivative of a scalar time series at every step n >= 1.
 
     Returns an array of length len(values) - 1 holding the derivative
-    at t_1 .. t_{N-1}.
+    at t_1 .. t_{N-1}.  Beyond 512 differences the convolution with the
+    weights runs by FFT (O(N log N) instead of O(N^2)).
     """
     values = np.asarray(values, dtype=np.float64)
-    n_vals = values.shape[0]
-    if n_vals < 2:
+    n = values.shape[0] - 1
+    if n < 1:
         raise HypothesisError("need at least two samples to differentiate")
-    w = l1_weights(alpha, dt, n_vals - 1)
+    w = l1_weights(alpha, dt, n)
     diffs = np.diff(values)
-    return w.scale * np.convolve(diffs, w.b)[:n_vals - 1]
+    if n > 512:
+        from scipy.signal import fftconvolve
+        conv = fftconvolve(diffs, w.b)[:n]
+    else:
+        conv = np.convolve(diffs, w.b)[:n]
+    return w.scale * conv
 
 
 def layer_correction_weights(alpha: float, n: int, layer: int = 1) -> np.ndarray:
@@ -311,18 +303,11 @@ def layer_correction_weights(alpha: float, n: int, layer: int = 1) -> np.ndarray
         raise HypothesisError(f"need at least one step, got n={n}")
     if layer not in (1, 2):
         raise HypothesisError(f"layer must be 1 or 2, got {layer}")
-    w = l1_weights(alpha, 1.0, n)
     sigma = layer * alpha
     steps = np.arange(n + 1, dtype=np.float64)
-    phi = steps ** sigma
-    if n > 512:
-        from scipy.signal import fftconvolve
-        conv = fftconvolve(np.diff(phi), w.b)[:n]
-    else:
-        conv = np.convolve(np.diff(phi), w.b)[:n]
     g_top = _gamma(sigma + 1.0)
     exact = g_top / _gamma(sigma - alpha + 1.0) * steps[1:] ** (sigma - alpha)
-    return (w.scale * conv - exact) / g_top
+    return (caputo_series(steps ** sigma, alpha, 1.0) - exact) / g_top
 
 
 # --------------------------------------------------------------------------
@@ -514,124 +499,8 @@ def mittag_leffler(alpha: float, z: float, beta: float = 1.0) -> float:
 
 
 # --------------------------------------------------------------------------
-# scalar fractional ODE solutions
+# discrete inequality checkers
 # --------------------------------------------------------------------------
-
-def linear_fode_solution(lam: float, forcing_const: float, y0: float,
-                         alpha: float, t):
-    """Exact solution of D^alpha y = lam y + c with y(0) = y0:
-
-        y(t) = y0 E_{alpha,1}(lam t^alpha) + c t^alpha E_{alpha,alpha+1}(lam t^alpha).
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(t_arr < 0):
-        raise HypothesisError("times must be nonnegative")
-    out = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        ta = ti ** alpha
-        out[i] = (y0 * mittag_leffler(alpha, lam * ta)
-                  + forcing_const * ta * mittag_leffler(alpha, lam * ta, beta=alpha + 1.0))
-    return out if np.ndim(t) else float(out[0])
-
-
-def duhamel_mode(lam: float, y0: float, forcing: Sequence[float],
-                 alpha: float, dt: float) -> np.ndarray:
-    """Mild-solution quadrature for D^alpha y = lam y + f(t) on one mode.
-
-    ``forcing`` holds samples f_j treated as constant on [t_j, t_{j+1});
-    the kernel (t-s)^{alpha-1} E_{alpha,alpha}(lam (t-s)^alpha) is
-    integrated exactly on every subinterval through the primitive
-    G(tau) = tau^alpha E_{alpha,alpha+1}(lam tau^alpha).  Returns y at
-    t_0 .. t_N where N = len(forcing).
-    """
-    f = np.asarray(forcing, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] < 1:
-        raise HypothesisError("forcing must be a nonempty 1D sample array")
-    if dt <= 0:
-        raise HypothesisError(f"dt must be positive, got {dt}")
-    n_steps = f.shape[0]
-    tau = dt * np.arange(n_steps + 1, dtype=np.float64)
-    big_g = np.empty(n_steps + 1)
-    hom = np.empty(n_steps + 1)
-    big_g[0] = 0.0
-    hom[0] = 1.0
-    for k in range(1, n_steps + 1):
-        ta = tau[k] ** alpha
-        big_g[k] = ta * mittag_leffler(alpha, lam * ta, beta=alpha + 1.0)
-        hom[k] = mittag_leffler(alpha, lam * ta)
-    dg = np.diff(big_g)                     # dg[m-1] = G_m - G_{m-1}
-    conv = np.convolve(f, dg)
-    y = hom * y0
-    y[1:] += conv[:n_steps]
-    return y
-
-
-# --------------------------------------------------------------------------
-# integral-inequality checkers
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of comparing a series against a closed-form bound."""
-
-    passed: bool
-    bound: float
-    margin: float           # bound - max(series); negative when violated
-
-
-def gronwall_bound_check(y_series, b: float, c1: float, alpha: float,
-                         T: float) -> BoundCheck:
-    """Verify the fractional Gronwall conclusion on a sampled series:
-
-        max y <= y(0) + b T^alpha / (alpha Gamma(alpha)).
-
-    ``c1`` is the damping constant of the hypothesis; it does not
-    enter the bound but is kept so call sites state the full premise.
-    """
-    y = np.asarray(y_series, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise HypothesisError("y_series must be a nonempty 1D array")
-    if not (0.0 < alpha < 1.0) or T <= 0:
-        raise HypothesisError(f"need 0 < alpha < 1 and T > 0, got alpha={alpha}, T={T}")
-    del c1
-    bound = float(y[0]) + b * T ** alpha / (alpha * _gamma(alpha))
-    margin = bound - float(np.max(y))
-    return BoundCheck(passed=margin >= 0.0, bound=bound, margin=margin)
-
-
-@dataclass(frozen=True)
-class DecayBound:
-    """Bernoulli-type decay bound, or a failure marker when it degenerates."""
-
-    value: Optional[float]
-    failure: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
-def bernoulli_decay_bound(y0: float, k_exp: float, big_c: float, c1: float,
-                          alpha: float, T: float) -> DecayBound:
-    """Closed-form bound from the fractional Bernoulli inequality:
-
-        y(T) <= [ y0^(1-k) + (C + C1 (k-1)) T^alpha / (alpha Gamma(alpha)) ]^(1/(1-k))
-
-    for exponent 0 < k < 1.  When the bracket base becomes non-positive
-    the bound degenerates and a failure marker is returned.
-    """
-    if not (0.0 < k_exp < 1.0):
-        raise HypothesisError(f"exponent must lie in (0, 1), got {k_exp}")
-    if y0 < 0 or T <= 0 or not (0.0 < alpha < 1.0):
-        raise HypothesisError(
-            f"need y0 >= 0, T > 0, 0 < alpha < 1; got y0={y0}, T={T}, alpha={alpha}")
-    base = y0 ** (1.0 - k_exp) \
-        + (big_c + c1 * (k_exp - 1.0)) * T ** alpha / (alpha * _gamma(alpha))
-    if base <= 0.0:
-        return DecayBound(value=None,
-                          failure=f"bracket base {base:.6g} is non-positive at T={T}")
-    return DecayBound(value=base ** (1.0 / (1.0 - k_exp)))
-
 
 @dataclass(frozen=True)
 class InequalityReport:

@@ -29,7 +29,7 @@ from .fractional import (L1Weights, SoeHistory, l1_weights,
 from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
                     ModelParameters, reaction, validate_params)
 from .operators import (KernelGrid, convolve_kernel, diffusion_apply,
-                        face_diffusivity, global_mass)
+                        face_diffusivity, global_mass, p_laplacian)
 
 SCHEME_EXPLICIT = "explicit"
 SCHEME_LAGGED_IMPLICIT = "lagged_implicit"
@@ -80,7 +80,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunStatus:
-    kind: str                       # "completed" | "blowup" | "nonfinite"
+    kind: str       # "completed" | "blowup" | "nonfinite" | "solver_failed"
     time: Optional[float] = None    # halt time for abnormal kinds
 
     @property
@@ -128,16 +128,6 @@ def _coupling_value(values: np.ndarray, params: ModelParameters,
     if kernel is None:
         raise HypothesisError("kernel coupling requested but no kernel supplied")
     return convolve_kernel(Field(values, domain), kernel).values
-
-
-def _explicit_diffusion(values: np.ndarray, params: ModelParameters,
-                        domain: DomainSpec, eps_reg: float) -> np.ndarray:
-    if params.m == 1.0:
-        coeffs = face_diffusivity(values, domain, params.p, eps_reg)
-        return diffusion_apply(coeffs, values, domain)
-    v = np.where(values > 0.0, values, 0.0) ** params.m
-    coeffs = face_diffusivity(v, domain, params.p, eps_reg)
-    return diffusion_apply(coeffs, v, domain)
 
 
 # --------------------------------------------------------------------------
@@ -251,9 +241,9 @@ def step(history: SoeHistory, weights: L1Weights, params: ModelParameters,
     scale = weights.scale
 
     if config.scheme == SCHEME_EXPLICIT:
-        react = reaction(u_prev, coupling, params)
-        rhs = _explicit_diffusion(u_prev, params, domain, config.eps_reg) + react
-        return mem + rhs / scale
+        diffusion = p_laplacian(Field(u_prev, domain), params.p, config.eps_reg,
+                                params.m).values
+        return mem + (diffusion + reaction(u_prev, coupling, params)) / scale
 
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
@@ -293,7 +283,10 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     steps nearest each requested snapshot time.  A requested time whose
     step another requested time already holds adds a warning, not a
     second snapshot.  The march halts early
-    with a ``blowup`` or ``nonfinite`` status when detect_blowup fires.
+    with a ``blowup`` or ``nonfinite`` status when detect_blowup fires,
+    and with ``solver_failed`` when a step's solve raises
+    SolverConvergenceError: the report then ends at the last accepted
+    state and carries the solver's message in ``warnings``.
     Negative excursions below -1e-8 are reported in ``warnings``; the
     state itself is never clamped.
     """
@@ -326,7 +319,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     rhs00 = None
     if config.scheme == SCHEME_LAGGED_IMPLICIT:
         coupling0 = _coupling_value(u0.values, params, domain, kernel)
-        rhs0 = (_explicit_diffusion(u0.values, params, domain, config.eps_reg)
+        rhs0 = (p_laplacian(u0, params.p, config.eps_reg, params.m).values
                 + reaction(u0.values, coupling0, params))
         if np.any(rhs0 != 0.0):
             layer_weights = layer_correction_weights(params.alpha, n_steps)
@@ -336,7 +329,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
                 # that its uncorrected rate already meets the smooth cap
                 # and the extra load would only perturb stiff modes.
                 # R is exactly linear here, so R'(u0)[R(u0)] = R(R(u0)).
-                rhs00 = (_explicit_diffusion(rhs0, params, domain, config.eps_reg)
+                rhs00 = (p_laplacian(Field(rhs0, domain), params.p, config.eps_reg).values
                          + reaction(rhs0, 0.0, params))
                 layer2_weights = (dt ** params.alpha
                                   * layer_correction_weights(params.alpha, n_steps, layer=2))
@@ -371,8 +364,17 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         load = layer_weights[n - 1] * rhs0 if layer_weights is not None else None
         if layer2_weights is not None:
             load = load + layer2_weights[n - 1] * rhs00
-        u = step(history, weights, params, domain, config, kernel, layer_load=load)
         t_n = n * dt
+        try:
+            u_next = step(history, weights, params, domain, config, kernel,
+                          layer_load=load)
+        except SolverConvergenceError as exc:
+            status = RunStatus("solver_failed", time=t_n)
+            warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
+            if steps_done % config.record_every:
+                record(steps_done * dt, u)
+            break
+        u = u_next
         steps_done = n
         flag = detect_blowup(u, config.blowup_threshold)
         if flag == "nonfinite":

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Union
 
 import numpy as np
 
@@ -97,17 +96,3 @@ def write_report_json(report: RunReport, path: str) -> None:
         json.dump(summarize_run(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_series(path_or_text: Union[str, bytes]) -> dict:
-    """Parse a diagnostics CSV back into column arrays keyed by header name."""
-    text = path_or_text
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    elif "\n" not in text:
-        with open(text, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    names = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    cols = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return {name: cols[:, j].copy() for j, name in enumerate(names)}

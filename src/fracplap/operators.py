@@ -51,10 +51,14 @@ class KernelGrid:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfft of the kernel with its origin moved to index 0, computed once."""
-        shifted = self.values
-        for ax in range(self.dim):
-            shifted = np.roll(shifted, -(self.domain.n // 2), axis=ax)
-        return np.fft.rfftn(shifted)
+        return _origin_spectrum(self.values)
+
+
+def _origin_spectrum(centered: np.ndarray) -> np.ndarray:
+    """rfft of samples whose origin sits at index n//2, moved to index 0."""
+    for ax in range(centered.ndim):
+        centered = np.roll(centered, -(centered.shape[ax] // 2), axis=ax)
+    return np.fft.rfftn(centered)
 
 
 def _centered_coords(domain: DomainSpec, dim: int):
@@ -146,44 +150,39 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
             f"{b_domain} {b_shape}")
 
 
-def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
-    """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim via FFT."""
-    _check_same_grid(field.domain, kernel.domain, field.values.shape,
-                     kernel.values.shape)
-    spec = np.fft.rfftn(field.values) * kernel.spectrum
+def _periodic_convolve(field: Field, spectrum: np.ndarray) -> Field:
+    """sum_y g(x - y) u(y) h^dim for g given by its origin-first rfft."""
+    spec = np.fft.rfftn(field.values) * spectrum
     out = np.fft.irfftn(spec, s=field.values.shape,
                         axes=tuple(range(field.dim)))
     out *= field.domain.h ** field.dim
     return Field(out, field.domain)
 
 
+def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
+    """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim via FFT."""
+    _check_same_grid(field.domain, kernel.domain, field.values.shape,
+                     kernel.values.shape)
+    return _periodic_convolve(field, kernel.spectrum)
+
+
 # --------------------------------------------------------------------------
 # p-Laplacian in flux form
 # --------------------------------------------------------------------------
 
-def gradient_faces(field: Field):
-    """Forward differences on faces: g_ax[i] = (u[i+1] - u[i]) / h.
-
-    Returns one array per axis; the face at index i sits between cell i
-    and cell i+1 (periodic wrap on the last face).
-    """
-    h = field.domain.h
-    return tuple((np.roll(field.values, -1, axis=ax) - field.values) / h
-                 for ax in range(field.dim))
-
-
 def _face_gradient_norm_sq(values: np.ndarray, h: float):
     """|grad u|^2 reconstructed on the faces of each axis.
 
-    The normal component is the face difference itself; the transverse
-    component in 2D is the mean of the centered differences of the two
-    cells sharing the face (equivalently the mean of the four adjacent
-    one-sided differences).
+    The face at index i sits between cell i and cell i+1 (periodic wrap
+    on the last face).  The normal component is the face difference
+    (u[i+1] - u[i]) / h; the transverse component in 2D is the mean of
+    the centered differences of the two cells sharing the face
+    (equivalently the mean of the four adjacent one-sided differences).
     """
     dim = values.ndim
     normals = [(np.roll(values, -1, axis=ax) - values) / h for ax in range(dim)]
     if dim == 1:
-        return normals, [normals[0] ** 2]
+        return [normals[0] ** 2]
     norm_sq = []
     for ax in range(dim):
         other = 1 - ax
@@ -191,7 +190,7 @@ def _face_gradient_norm_sq(values: np.ndarray, h: float):
                     - np.roll(values, 1, axis=other)) / (2.0 * h)
         transverse = 0.5 * (centered + np.roll(centered, -1, axis=ax))
         norm_sq.append(normals[ax] ** 2 + transverse ** 2)
-    return normals, norm_sq
+    return norm_sq
 
 
 def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
@@ -214,7 +213,7 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
         grad_source = values
     else:
         grad_source = np.where(values > 0.0, values, 0.0) ** m
-    _, norm_sq = _face_gradient_norm_sq(grad_source, h)
+    norm_sq = _face_gradient_norm_sq(grad_source, h)
     coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
@@ -234,29 +233,21 @@ def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec) -> np.ndarra
     return out
 
 
-def p_laplacian(field: Field, p: float, eps_reg: float = 1e-6) -> Field:
-    """Regularized p-Laplacian div((|grad u|^2 + eps^2)^((p-2)/2) grad u).
+def p_laplacian(field: Field, p: float, eps_reg: float = 1e-6,
+                m: float = 1.0) -> Field:
+    """Regularized p-Laplacian of v = u^m in flux form,
+    div((|grad v|^2 + eps^2)^((p-2)/2) grad v).
 
-    At p = 2 the coefficient is exactly one and the operator reduces to
-    the standard centered Laplacian stencil.
+    m = 1 acts on u itself; for m > 1 negative u is clamped to zero
+    inside the power only (the field itself is never modified), and
+    m < 1 is rejected.  At p = 2 the coefficient is exactly one and the
+    operator reduces to the standard centered Laplacian stencil of v.
     """
-    coeffs = face_diffusivity(field.values, field.domain, p, eps_reg)
-    return Field(diffusion_apply(coeffs, field.values, field.domain), field.domain)
-
-
-def p_laplacian_power(field: Field, p: float, m: float,
-                      eps_reg: float = 1e-6) -> Field:
-    """p-Laplacian of the power v = u^m, flux form on v.
-
-    m = 1 falls through to ``p_laplacian`` unchanged; otherwise
-    negative u is clamped to zero inside the power only (the field
-    itself is never modified).
-    """
-    if m == 1.0:
-        return p_laplacian(field, p, eps_reg)
     if m < 1.0:
         raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
-    v = np.where(field.values > 0.0, field.values, 0.0) ** m
+    v = field.values
+    if m != 1.0:
+        v = np.where(v > 0.0, v, 0.0) ** m
     coeffs = face_diffusivity(v, field.domain, p, eps_reg)
     return Field(diffusion_apply(coeffs, v, field.domain), field.domain)
 
@@ -287,17 +278,9 @@ def box_window_integral(field: Field, delta: float) -> Field:
         raise HypothesisError(
             f"window radius must lie in (0, L/2], got {delta} with "
             f"L = {domain.half_width}")
-    x = domain.axis_coords()
-    w = _axis_trapezoid_weights(x, delta)
+    w = _axis_trapezoid_weights(domain.axis_coords(), delta)
     window = w if field.dim == 1 else np.multiply.outer(w, w)
-    n = domain.n
-    for ax in range(field.dim):
-        window = np.roll(window, -(n // 2), axis=ax)
-    spec = np.fft.rfftn(field.values) * np.fft.rfftn(window)
-    out = np.fft.irfftn(spec, s=field.values.shape,
-                        axes=tuple(range(field.dim)))
-    out *= domain.h ** field.dim
-    return Field(out, domain)
+    return _periodic_convolve(field, _origin_spectrum(window))
 
 
 def local_l2_ball(field: Field, delta: float) -> Field:

@@ -1,11 +1,13 @@
+import csv
 import json
 import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from fracplap import cli
+from fracplap import cli, integrator
 from fracplap.cli import (
     EXIT_CONFIG,
     EXIT_FAILED,
@@ -15,8 +17,9 @@ from fracplap.cli import (
     _worker_count,
     main,
 )
-from fracplap.errors import ConfigError
-from fracplap.io import load_series, read_snapshot
+from fracplap.errors import ConfigError, SolverConvergenceError
+from fracplap.io import read_snapshot, write_snapshot
+from fracplap.model import DomainSpec, Field
 
 
 def write_manifest(tmp_path, overrides=None, name="run.json"):
@@ -108,7 +111,7 @@ def test_simulate_writes_standard_outputs(tmp_path, capsys):
                  "snapshot_t0.fplp", "snapshot_t0.1.fplp"):
         assert (out_dir / name).exists(), name
 
-    cols = load_series(str(out_dir / "series.csv"))
+    cols = np.genfromtxt(out_dir / "series.csv", delimiter=",", names=True)
     assert cols["t"][0] == 0.0
     assert math.isclose(cols["t"][-1], 0.2, rel_tol=1e-12)
     final = read_snapshot(str(out_dir / "final.fplp"))
@@ -174,6 +177,83 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["status"] == "blowup"
     assert report["halt_time"] > 0
+
+
+def test_simulate_writes_partial_outputs_on_solver_failure(tmp_path, capsys,
+                                                          monkeypatch):
+    real, calls = integrator._pcg, []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise SolverConvergenceError("frozen-diffusivity solve missed residual")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "_pcg", flaky)
+    cfg = write_manifest(tmp_path, overrides={
+        "model": {"alpha": 0.5, "p": 1.8, "mu": 1.0, "k": 0.5, "gamma": 0.2,
+                  "dim": 2},
+        "domain": {"half_width": 4.0, "n": 16},
+        "kernel": {"shape": "box", "delta0": 0.5, "eta": 0.05},
+        "solver": {"dt": 0.01, "t_final": 0.2, "record_every": 2},
+    })
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(out_dir)])
+    stdout = capsys.readouterr().out
+    assert code == EXIT_FAILED
+    assert "status: solver_failed  steps: 4" in stdout
+    assert "missed residual" in stdout
+    for name in ("manifest.json", "series.csv", "final.fplp", "report.json",
+                 "snapshot_t0.fplp"):
+        assert (out_dir / name).exists(), name
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["status"] == "solver_failed" and report["steps"] == 4
+    assert math.isclose(report["halt_time"], 0.05, rel_tol=1e-12)
+    assert math.isclose(report["final_time"], 0.04, rel_tol=1e-12)
+
+
+def write_mismatched_snapshot_sweep(tmp_path):
+    """Two variants whose `file` initial data sit on a 16-point grid under
+    a 32-point manifest domain: a configuration error found at run time."""
+    snapshot = tmp_path / "u0.fplp"
+    write_snapshot(Field.constant(DomainSpec(half_width=4.0, n=16), 0.3),
+                   str(snapshot))
+    manifest = json.loads(write_manifest(tmp_path, overrides={
+        "initial": {"kind": "file", "path": str(snapshot)}}).read_text())
+    manifest["sweep"] = {"/model/gamma": [0.15, 0.1875]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(manifest))
+    return cfg
+
+
+def test_simulate_and_sweep_agree_on_the_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+    cfg = write_mismatched_snapshot_sweep(tmp_path)
+    single = json.loads(cfg.read_text())
+    del single["sweep"]
+    (tmp_path / "single.json").write_text(json.dumps(single))
+    assert main(["simulate", "--config", str(tmp_path / "single.json"),
+                 "--output-dir", str(tmp_path / "one")]) == EXIT_CONFIG
+    assert main(["sweep", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "grid")]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
+def test_sweep_table_quotes_statuses_with_commas(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+    cfg = write_mismatched_snapshot_sweep(tmp_path)
+    base = tmp_path / "grid"
+    main(["sweep", "--config", str(cfg), "--output-dir", str(base)])
+    capsys.readouterr()
+    with open(base / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["run_id", "/model/gamma", "status", "final_sup_norm"]
+    assert len(rows) == 2
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[2].startswith("error: ConfigError: /initial/path: snapshot grid "
+                                 "(L=4.0, n=16, dim=1) does not match")
+        assert row[3] == "nan"
 
 
 # ---------------------------------------------------------------------------

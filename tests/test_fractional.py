@@ -9,14 +9,9 @@ from fracplap.fractional import (
     HistoryBuffer,
     SoeHistory,
     alikhanov_check,
-    bernoulli_decay_bound,
     caputo_series,
-    discrete_caputo,
-    duhamel_mode,
-    gronwall_bound_check,
     l1_weights,
     layer_correction_weights,
-    linear_fode_solution,
     memory_coefficients,
     memory_term,
     mittag_leffler,
@@ -130,7 +125,7 @@ def test_caputo_series_needs_two_samples():
         caputo_series(np.array([1.0]), 0.5, 0.1)
 
 
-def test_discrete_caputo_matches_series_form():
+def test_dense_history_matches_series_form():
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 2.0, size=(13, 5))
     dt = 0.05
@@ -138,17 +133,10 @@ def test_discrete_caputo_matches_series_form():
     for row in vals[1:-1]:
         hist.append(row)
     w = l1_weights(0.7, dt, len(hist))
-    point = discrete_caputo(hist, vals[-1], w)
+    point = w.scale * (vals[-1] - memory_term(hist, w))
     for j in range(5):
         col = caputo_series(vals[:, j], 0.7, dt)
         assert math.isclose(point[j], col[-1], rel_tol=1e-12)
-
-
-def test_discrete_caputo_shape_guard():
-    hist = HistoryBuffer(np.zeros(4), 0.1)
-    w = l1_weights(0.5, 0.1, 1)
-    with pytest.raises(GridMismatchError):
-        discrete_caputo(hist, np.zeros(5), w)
 
 
 def test_memory_term_of_constant_history_is_the_constant():
@@ -359,135 +347,8 @@ def test_ml_range_guards():
 
 
 # ---------------------------------------------------------------------------
-# scalar mode solutions
+# inequality checkers
 # ---------------------------------------------------------------------------
-
-def test_linear_fode_constant_solution():
-    t = np.linspace(0.0, 5.0, 11)
-    y = linear_fode_solution(0.0, 0.0, 2.5, 0.6, t)
-    assert np.allclose(y, 2.5, rtol=1e-14)
-
-
-def test_linear_fode_classical_limit():
-    t = np.linspace(0.0, 3.0, 13)
-    y = linear_fode_solution(-1.0, 0.0, 1.0, 1.0, t)
-    assert np.allclose(y, np.exp(-t), rtol=1e-12)
-    y2 = linear_fode_solution(-1.0, 1.0, 0.0, 1.0, t)
-    assert np.allclose(y2, 1.0 - np.exp(-t), rtol=1e-12, atol=1e-14)
-
-
-def test_linear_fode_relaxes_to_forcing_balance():
-    # D^alpha y = -y + 1 settles at y = 1 with the algebraic tail
-    # 1 - y ~ t^-alpha / Gamma(1 - alpha)
-    y = linear_fode_solution(-1.0, 1.0, 0.0, 0.5, 100.0)
-    assert isinstance(y, float)
-    assert abs(y - 1.0) < 0.06
-    tail = (1.0 - y) * math.gamma(0.5) * 10.0
-    assert abs(tail - 1.0) < 0.01
-
-
-def test_linear_fode_rejects_negative_time():
-    with pytest.raises(HypothesisError):
-        linear_fode_solution(-1.0, 0.0, 1.0, 0.5, [0.0, -0.1])
-
-
-def test_duhamel_zero_forcing_is_homogeneous():
-    dt = 0.05
-    n = 40
-    y = duhamel_mode(-2.0, 1.5, np.zeros(n), 0.7, dt)
-    t = dt * np.arange(n + 1)
-    exact = linear_fode_solution(-2.0, 0.0, 1.5, 0.7, t)
-    assert np.allclose(y, exact, rtol=1e-12)
-
-
-def test_duhamel_exact_for_constant_forcing():
-    # piecewise-constant quadrature integrates a constant f exactly
-    dt = 0.1
-    n = 30
-    y = duhamel_mode(-1.0, 0.3, np.full(n, 0.8), 0.5, dt)
-    t = dt * np.arange(n + 1)
-    exact = linear_fode_solution(-1.0, 0.8, 0.3, 0.5, t)
-    assert np.allclose(y, exact, rtol=1e-12)
-
-
-def test_duhamel_first_order_in_forcing_resolution():
-    # f(t) = t, lam = 0, alpha = 1: exact integral is t^2/2, the
-    # left-endpoint rule is off by dt t / 2 at worst
-    def err(n):
-        dt = 1.0 / n
-        f = dt * np.arange(n)
-        y = duhamel_mode(0.0, 0.0, f, 1.0, dt)
-        return abs(y[-1] - 0.5)
-
-    assert err(200) < 1.0 / 200
-    assert err(100) / err(200) > 1.9
-
-
-def test_duhamel_guards():
-    with pytest.raises(HypothesisError):
-        duhamel_mode(-1.0, 0.0, [], 0.5, 0.1)
-    with pytest.raises(HypothesisError):
-        duhamel_mode(-1.0, 0.0, [1.0], 0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# inequality and bound checkers
-# ---------------------------------------------------------------------------
-
-def test_gronwall_check_flat_series():
-    chk = gronwall_bound_check(np.ones(5), 0.0, 1.0, 0.5, 1.0)
-    assert chk.passed
-    assert chk.bound == 1.0
-    assert chk.margin == 0.0
-
-
-def test_gronwall_check_bound_value_and_violation():
-    alpha, b, T = 0.5, 2.0, 4.0
-    bound = 1.0 + b * T ** alpha / (alpha * math.gamma(alpha))
-    ok = gronwall_bound_check([1.0, bound - 0.5], b, 1.0, alpha, T)
-    assert ok.passed
-    assert math.isclose(ok.bound, bound, rel_tol=1e-14)
-    bad = gronwall_bound_check([1.0, bound + 0.5], b, 1.0, alpha, T)
-    assert not bad.passed
-    assert bad.margin < 0
-
-
-def test_gronwall_check_guards():
-    with pytest.raises(HypothesisError):
-        gronwall_bound_check([], 1.0, 1.0, 0.5, 1.0)
-    with pytest.raises(HypothesisError):
-        gronwall_bound_check([1.0], 1.0, 1.0, 1.5, 1.0)
-    with pytest.raises(HypothesisError):
-        gronwall_bound_check([1.0], 1.0, 1.0, 0.5, 0.0)
-
-
-def test_bernoulli_decay_bound_reference_point():
-    db = bernoulli_decay_bound(1.0, 0.5, 2.0, 1.0, 0.5, 1.0)
-    assert db.ok
-    expect = (1.0 + 1.5 / (0.5 * math.sqrt(math.pi))) ** 2
-    assert math.isclose(db.value, expect, rel_tol=1e-14)
-    assert math.isclose(db.value, 7.249926476940654, rel_tol=1e-13)
-
-
-def test_bernoulli_decay_bound_small_exponent_limit():
-    # k -> 0 degenerates to the plain Gronwall affine bound
-    ta = 1.0 / (0.5 * math.gamma(0.5))
-    db = bernoulli_decay_bound(1.0, 1e-9, 2.0, 1.0, 0.5, 1.0)
-    linear = 1.0 + (2.0 - 1.0) * ta
-    assert abs(db.value - linear) / linear < 1e-6
-
-
-def test_bernoulli_decay_bound_degenerate_base():
-    db = bernoulli_decay_bound(1.0, 0.5, 0.0, 100.0, 0.5, 1.0)
-    assert not db.ok
-    assert db.value is None
-
-
-def test_bernoulli_decay_bound_exponent_guard():
-    for k in (0.0, 1.0, 1.5, -0.3):
-        with pytest.raises(HypothesisError):
-            bernoulli_decay_bound(1.0, k, 1.0, 1.0, 0.5, 1.0)
-
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_alikhanov_inequality_on_ramp(alpha):

@@ -1,0 +1,111 @@
+"""Frozen bits of the diffusion, periodic-convolution and L1-convolution
+paths.
+
+The digests were taken from the code in which each of these jobs still
+had two or three separate implementations (a p-Laplacian, a power-form
+p-Laplacian and the march's own explicit diffusion; two FFT
+convolutions; two L1 history convolutions).  The single implementation
+that replaced them must reproduce every one bit for bit.  Inputs come
+from numpy's PCG64 stream, whose uniform draws do not depend on the
+platform; the digests themselves are those of float64 arithmetic on
+x86-64 with numpy 2.x.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from fracplap import operators
+from fracplap.fractional import layer_correction_weights
+from fracplap.integrator import (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT,
+                                 SolverConfig, run)
+from fracplap.model import (COUPLING_GLOBAL_MASS, DomainSpec, Field,
+                            ModelParameters)
+
+DOMAIN = DomainSpec(half_width=4.0, n=16)
+
+
+def digest(values) -> str:
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def sample(dim: int, seed: int, lo: float = 0.2, hi: float = 1.0) -> Field:
+    rng = np.random.default_rng(seed)
+    return Field(rng.uniform(lo, hi, DOMAIN.shape(dim)), DOMAIN)
+
+
+def p_laplacian_at(field: Field, p: float, m: float) -> Field:
+    # the digests predate the m argument; a tree that still carries the
+    # separate power form is checked through it
+    power = getattr(operators, "p_laplacian_power", None)
+    if power is not None:
+        return power(field, p, m)
+    return operators.p_laplacian(field, p, m=m)
+
+
+MARCHES = {
+    (SCHEME_EXPLICIT, 1): "f76adeca26ae2c4c",
+    (SCHEME_EXPLICIT, 2): "c043f51fdaf33bd0",
+    (SCHEME_LAGGED_IMPLICIT, 1): "c007577ba65824e9",
+    (SCHEME_LAGGED_IMPLICIT, 2): "6fe2342f81f26d06",
+}
+
+
+@pytest.mark.parametrize("scheme,dim", sorted(MARCHES))
+def test_global_mass_march_bits(scheme, dim):
+    params = ModelParameters(alpha=0.6, p=1.8, mu=1.0, k=1.0, gamma=1.0,
+                             m=2.5, dim=dim, coupling_mode=COUPLING_GLOBAL_MASS)
+    config = SolverConfig(dt=1e-3, t_final=0.02, scheme=scheme)
+    report = run(sample(dim, 40 + dim), params, config)
+    assert report.status.completed
+    assert digest(report.final.values) == MARCHES[scheme, dim]
+
+
+P_LAPLACIAN = {
+    (1.0, 1): "1dcb111a6bf65927",
+    (1.0, 2): "c3e37e3a38d6101b",
+    (2.5, 1): "dc56aba19345e212",
+    (2.5, 2): "e7a36ef8dd1b8fd3",
+}
+
+
+@pytest.mark.parametrize("m,dim", sorted(P_LAPLACIAN))
+def test_p_laplacian_bits(m, dim):
+    # negative samples exercise the clamp inside the power
+    field = sample(dim, 50 + dim, lo=-0.2)
+    out = p_laplacian_at(field, 1.5, m)
+    assert digest(out.values) == P_LAPLACIAN[m, dim]
+
+
+CONVOLUTIONS = {
+    ("kernel", 1): "3fa4e352a4209a5c",
+    ("kernel", 2): "72fa427220fcc4c9",
+    ("window", 1): "1ce52579cb3378e1",
+    ("window", 2): "64ca59b50b9280ae",
+}
+
+
+@pytest.mark.parametrize("which,dim", sorted(CONVOLUTIONS))
+def test_periodic_convolution_bits(which, dim):
+    field = sample(dim, 60 + dim)
+    if which == "kernel":
+        kernel = operators.discretize_kernel("triangle", 0.5, 0.05, DOMAIN, dim=dim)
+        out = operators.convolve_kernel(field, kernel)
+    else:
+        out = operators.box_window_integral(field, 1.0)
+    assert digest(out.values) == CONVOLUTIONS[which, dim]
+
+
+LAYER_WEIGHTS = {
+    (100, 1): "56ea87a4c57a3149",
+    (100, 2): "75f506ee44398fc2",
+    (600, 1): "6e443e90d25b4146",
+    (600, 2): "67e39fb74c8a7afb",
+}
+
+
+@pytest.mark.parametrize("n,layer", sorted(LAYER_WEIGHTS))
+def test_layer_correction_weight_bits(n, layer):
+    # 100 steps take the direct convolution, 600 the FFT one
+    assert digest(layer_correction_weights(0.4, n, layer=layer)) == LAYER_WEIGHTS[n, layer]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fracplap import integrator
-from fracplap.errors import GridMismatchError, HypothesisError
+from fracplap.errors import (GridMismatchError, HypothesisError,
+                             SolverConvergenceError)
 from fracplap.fractional import HistoryBuffer, l1_weights, mittag_leffler
 from fracplap.integrator import (
     SCHEME_EXPLICIT,
@@ -362,6 +363,36 @@ def test_detect_blowup_classification():
     v[3] = math.inf
     assert detect_blowup(Field(v, domain), 1e8) == "nonfinite"
     assert detect_blowup(np.array([0.0, 5.0]), 1.0) == "blowup"
+
+
+def fail_pcg_at(monkeypatch, k):
+    """Make the k-th 2D frozen-diffusivity solve raise, as a stalled CG would."""
+    calls = []
+    real = integrator._pcg
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise SolverConvergenceError("frozen-diffusivity solve missed residual")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "_pcg", flaky)
+
+
+def test_solver_failure_keeps_the_partial_run(monkeypatch):
+    fail_pcg_at(monkeypatch, 7)
+    domain = DomainSpec(half_width=4.0, n=16)
+    kern = discretize_kernel("box", 0.5, 0.05, domain, dim=2)
+    params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.5, gamma=0.2, dim=2)
+    cfg = SolverConfig(dt=0.01, t_final=0.2, record_every=4)
+    u0 = Field(np.full((16, 16), 0.4), domain)
+    report = run(u0, params, cfg, kernel=kern)
+    assert report.status == RunStatus("solver_failed", time=0.07)
+    assert report.steps == 6
+    # the series ends at the last accepted state, t = 0.06
+    assert np.allclose(report.times, [0.0, 0.04, 0.06], rtol=0, atol=1e-15)
+    assert report.sup_series[-1] == report.final.sup_norm()
+    assert any("step 7" in w and "missed residual" in w for w in report.warnings)
 
 
 def test_run_status_flags():

@@ -10,7 +10,6 @@ from fracplap.io import (
     SERIES_HEADER,
     SNAPSHOT_MAGIC,
     format_series,
-    load_series,
     read_snapshot,
     summarize_run,
     write_report_json,
@@ -110,21 +109,12 @@ def test_series_round_trips_floats(tmp_path):
     rep.min_series[4] = -math.pi
     path = tmp_path / "series.csv"
     write_series(rep, str(path))
-    cols = load_series(str(path))
+    cols = np.genfromtxt(path, delimiter=",", names=True)
     assert np.array_equal(cols["t"], rep.times)
     assert np.array_equal(cols["sup_norm"], rep.sup_series)
     assert np.array_equal(cols["l2_norm"], rep.l2_series)
     assert np.array_equal(cols["l1_norm"], rep.l1_series)
     assert np.array_equal(cols["min_value"], rep.min_series)
-
-
-def test_load_series_accepts_text_and_bytes():
-    text = format_series(small_report(2))
-    from_text = load_series(text)
-    from_bytes = load_series(text.encode("ascii"))
-    assert set(from_text) == set(SERIES_HEADER.split(","))
-    for k in from_text:
-        assert np.array_equal(from_text[k], from_bytes[k])
 
 
 def test_format_series_is_deterministic():
