@@ -144,6 +144,11 @@ def admissible_window_radius(roots: EquilibriumRoots, mu: float, k: float,
 # decay envelope
 # --------------------------------------------------------------------------
 
+def _reached_verdict(report: RunReport) -> bool:
+    """Whether the run's history can be judged: it completed or blew up."""
+    return report.status.kind in ("completed", "blowup")
+
+
 @dataclass(frozen=True)
 class EnvelopeResult:
     """Outcome of the Mittag-Leffler decay-envelope comparison."""
@@ -162,24 +167,22 @@ def decay_envelope_check(report: RunReport, sigma: float, alpha: float,
     hypothesis unmet, hence undecided.  The literal exponential
     envelope exp(-sigma^(1/alpha) t) is evaluated as well but reported
     informationally only: the Mittag-Leffler decay is algebraic in the
-    tail, so the exponential form cannot hold at late times.
+    tail, so the exponential form cannot hold at late times.  A run that
+    halted early (neither completed nor blown up) is undecided: its
+    recorded history says nothing about the horizon.
     """
-    if sigma <= 0:
+    if sigma <= 0 or not _reached_verdict(report):
         return EnvelopeResult(status=VERDICT_UNDECIDED, worst_ratio=math.nan,
                               exponential_holds=False)
     u0_sup = float(report.sup_series[0])
     if u0_sup == 0.0:
         return EnvelopeResult(status=VERDICT_PASS, worst_ratio=0.0,
                               exponential_holds=True)
-    worst = 0.0
-    exp_ok = True
-    rate = sigma ** (1.0 / alpha)
-    for t, sup in zip(report.times, report.sup_series):
-        env = u0_sup * mittag_leffler(alpha, -sigma * float(t) ** alpha)
-        ratio = float(sup) / env
-        worst = max(worst, ratio)
-        if float(sup) > u0_sup * math.exp(-rate * float(t)) * slack:
-            exp_ok = False
+    times = np.asarray(report.times, dtype=np.float64)
+    sup = np.asarray(report.sup_series, dtype=np.float64)
+    env = u0_sup * mittag_leffler(alpha, -sigma * times ** alpha)
+    worst = float(np.max(sup / env))
+    exp_ok = bool(np.all(sup <= u0_sup * np.exp(-sigma ** (1.0 / alpha) * times) * slack))
     status = VERDICT_PASS if worst <= slack else VERDICT_FAIL
     return EnvelopeResult(status=status, worst_ratio=worst,
                           exponential_holds=exp_ok)
@@ -238,12 +241,16 @@ def boundedness_check(report: RunReport, bound: SupBound) -> BoundednessResult:
     """Compare the recorded sup-norm history against an a priori bound.
 
     A degenerate bound (failure marker) propagates as undecided rather
-    than pass or fail.
+    than pass or fail, and so does a run that halted early (neither
+    completed nor blown up).
     """
     if not bound.ok:
         return BoundednessResult(status=VERDICT_UNDECIDED, ratio=math.nan,
                                  bound=None)
     peak = float(np.max(report.sup_series))
     ratio = peak / bound.value if bound.value > 0 else math.inf
-    status = VERDICT_PASS if peak <= bound.value else VERDICT_FAIL
+    if not _reached_verdict(report):
+        status = VERDICT_UNDECIDED
+    else:
+        status = VERDICT_PASS if peak <= bound.value else VERDICT_FAIL
     return BoundednessResult(status=status, ratio=ratio, bound=bound.value)

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
@@ -127,13 +128,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    start = time.perf_counter()
     checks = run_suite(args.suite)
     failed = 0
     for check in checks:
         tag = "PASS" if check.passed else "FAIL"
         failed += not check.passed
         print(f"{tag} {args.suite}/{check.name}: {check.detail}")
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    print(f"{len(checks) - failed}/{len(checks)} checks passed "
+          f"in {time.perf_counter() - start:.2f} s")
     return EXIT_OK if failed == 0 else EXIT_FAILED
 
 

@@ -441,17 +441,7 @@ def linear_spectral_reference(u0: Field, gamma: float, alpha: float, times,
         lam = lam_axis[:, None] + lam_axis[None, :]
     spec0 = np.fft.fftn(u0.values)
     out = []
-    cache = {}
     for t in np.atleast_1d(times):
-        ta = float(t) ** alpha
-        mult = np.empty_like(lam)
-        flat_lam = lam.ravel()
-        flat_mult = mult.ravel()
-        for i, lv in enumerate(flat_lam):
-            z = (lv - gamma) * ta
-            if z not in cache:
-                cache[z] = mittag_leffler(alpha, z)
-            flat_mult[i] = cache[z]
-        evolved = np.fft.ifftn(spec0 * mult).real
-        out.append(Field(evolved, domain))
+        mult = mittag_leffler(alpha, (lam - gamma) * float(t) ** alpha)
+        out.append(Field(np.fft.ifftn(spec0 * mult).real, domain))
     return out

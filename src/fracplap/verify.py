@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy.special import gamma as _gamma
+from scipy.special import erfcx, gamma as _gamma
 
 from .analysis import (VERDICT_PASS, allee_classify, admissible_window_radius,
                        boundedness_check, decay_envelope_check,
@@ -154,6 +154,21 @@ def verify_mittag_leffler_accuracy() -> List[Check]:
         "unit-at-zero", not bad,
         "E_alpha(0) == 1 exactly for all sampled alpha" if not bad
         else f"E_alpha(0) != 1 for alpha in {bad}"))
+
+    # away from the shortcuts: 200 points of the decay range [-50, 0)
+    zs = np.linspace(-50.0, 0.0, 200, endpoint=False)
+    err = float(np.max(np.abs(mittag_leffler(0.5, zs) - erfcx(-zs))))
+    checks.append(_check(
+        "half-order-erfcx", err <= 1e-12,
+        f"max |E_0.5(z) - erfcx(-z)| = {err:.3e} on z in [-50, 0) (tolerance 1e-12)"))
+    for alpha in (0.3, 0.8):
+        shifted = zs * mittag_leffler(alpha, zs, beta=1.0 + alpha)
+        rel = float(np.max(np.abs(mittag_leffler(alpha, zs) - shifted - 1.0)
+                           / np.maximum(1.0, np.abs(shifted))))
+        checks.append(_check(
+            f"beta-recurrence-alpha-{alpha}", rel <= 1e-11,
+            f"max |E_a,1(z) - z E_a,1+a(z) - 1| = {rel:.3e} relative on z in "
+            "[-50, 0) (tolerance 1e-11)"))
     return checks
 
 

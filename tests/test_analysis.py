@@ -195,6 +195,14 @@ def test_envelope_flat_series_fails():
     assert not res.exponential_holds
 
 
+@pytest.mark.parametrize("kind", ["solver_failed", "nonfinite"])
+def test_envelope_halted_run_is_undecided(kind):
+    rep = fake_report([0.5, 0.2], status_kind=kind, status_time=1.0)
+    res = decay_envelope_check(rep, 1.0, 0.5)
+    assert res.status == VERDICT_UNDECIDED
+    assert math.isnan(res.worst_ratio)
+
+
 def test_envelope_tracks_linear_relaxation_run():
     domain = DomainSpec(half_width=1.0, n=8)
     params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=1.0)
@@ -262,3 +270,11 @@ def test_boundedness_degenerate_bound_is_undecided():
     assert res.status == VERDICT_UNDECIDED
     assert res.bound is None
     assert math.isnan(res.ratio)
+
+
+@pytest.mark.parametrize("kind", ["solver_failed", "nonfinite"])
+def test_boundedness_halted_run_is_undecided(kind):
+    rep = fake_report([0.5, 0.6], status_kind=kind, status_time=1.0)
+    res = boundedness_check(rep, SupBound(value=1.0))
+    assert res.status == VERDICT_UNDECIDED
+    assert math.isclose(res.ratio, 0.6, rel_tol=1e-14)

@@ -1,13 +1,20 @@
-"""The package exports only what the package itself uses.
+"""The package exports only what the package itself uses, and imports
+only what it declares.
 
 Every name ``fracplap/__init__.py`` imports must be referenced in the
 code of some other module of the package: a public symbol that only the
 tests call is dead weight.  References are names and attribute accesses
 in the syntax tree, so a mention in a docstring or comment does not
-count.
+count.  The third-party modules the package imports anywhere, inside
+functions too, are exactly the runtime dependencies in
+``pyproject.toml``.
 """
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import fracplap
 
@@ -37,3 +44,21 @@ def referenced_names() -> set:
 def test_every_export_is_used_inside_the_package():
     unused = sorted(exported_names() - referenced_names())
     assert unused == []
+
+
+def imported_third_party() -> set:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"fracplap"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert imported_third_party() == {re.match(r"[\w.-]+", d).group() for d in declared}

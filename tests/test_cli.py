@@ -89,7 +89,7 @@ def test_verify_caputo_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert lines
     assert all(ln.startswith("PASS caputo/") for ln in lines)
-    assert re.search(r"(\d+)/\1 checks passed", out)
+    assert re.search(r"(\d+)/\1 checks passed in \d+\.\d\d s$", out, re.M)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,9 @@ ML_NEGATIVE_AXIS = [
     (0.5, 1.0, -2.0, 0.25539567631050574387),
     (0.5, 1.0, -30.0, 0.018795888861416751497),
     (0.3, 1.0, -4.0, 0.16650174431551664971),
+    (1.5, 1.0, -20.0, 0.019595747930187505735),
+    (1.5, 2.0, -5.0, 0.20456444300647947614),
+    (1.25, 1.0, -30.0, -0.0073112585579934502641),
 ]
 
 
@@ -302,6 +305,36 @@ ML_NEGATIVE_AXIS = [
 def test_ml_negative_axis_frozen_values(alpha, beta, z, truth):
     assert math.isclose(mittag_leffler(alpha, z, beta=beta), truth,
                         rel_tol=5e-13)
+
+
+# the documented contract |error| <= 1e-12 max(1, |E|) on the positive
+# axis (at 0.019 the pole sits next to the origin), next to the origin
+# and far out on the negative axis (40+ digit references, stable under
+# a 60-digit precision increase)
+ML_CONTRACT = [
+    (0.7, 1.0, 10.0, 639295673243.01708451),
+    (0.3, 1.3, 2.0, 39742.453812591779214),
+    (0.25, 1.0, 0.019, 1.021376930836366573789),
+    (0.9, 2.0, -1e-3, 0.99945297394715034216),
+    (0.8, 1.8, -1e-6, 1.0736705745468234551),
+    (1.5, 1.0, -1e8, -2.8209479177387777322e-9),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,z,truth", ML_CONTRACT)
+def test_ml_documented_accuracy(alpha, beta, z, truth):
+    assert abs(mittag_leffler(alpha, z, beta=beta) - truth) <= 1e-12 * max(1.0, abs(truth))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("beta", [1.0, 1.7])
+def test_ml_array_matches_scalar_calls(alpha, beta):
+    zs = np.array([-30.0, 2.0, -2.5, 0.0, -1e-3, 1e-3, 0.019, -7.0, 6.5])
+    values = mittag_leffler(alpha, zs, beta=beta)
+    expected = np.array([mittag_leffler(alpha, float(z), beta=beta) for z in zs])
+    assert np.array_equal(values, expected)
+    assert np.array_equal(mittag_leffler(alpha, zs.reshape(3, 3), beta=beta),
+                          expected.reshape(3, 3))
 
 
 def test_ml_recurrence_in_beta():
