@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -108,11 +109,11 @@ def detect_blowup(field_or_values, threshold: float) -> Optional[str]:
     """Classify a state: ``"nonfinite"`` wins over ``"blowup"``; None is fine."""
     values = field_or_values.values if isinstance(field_or_values, Field) \
         else np.asarray(field_or_values)
+    if np.abs(values).max() <= threshold:       # False for a NaN peak
+        return None
     if not np.all(np.isfinite(values)):
         return "nonfinite"
-    if np.max(np.abs(values)) > threshold:
-        return "blowup"
-    return None
+    return "blowup"
 
 
 # --------------------------------------------------------------------------
@@ -134,11 +135,14 @@ def _coupling_value(values: np.ndarray, params: ModelParameters,
 # frozen-diffusivity solves: direct in 1D, preconditioned CG in 2D
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
-    """Nonnegative symbol of the 5-point -Laplacian on the 2D rfft grid."""
+    """Nonnegative symbol of the 5-point -Laplacian on the 2D rfft grid (read-only)."""
     n = domain.n
     full = (2.0 * np.sin(np.pi * np.arange(n) / n) / domain.h) ** 2
-    return full[:, None] + full[None, :n // 2 + 1]
+    symbol = full[:, None] + full[None, :n // 2 + 1]
+    symbol.flags.writeable = False
+    return symbol
 
 
 def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
@@ -163,11 +167,11 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     gamma = -diag[0]
     diag[0] -= gamma
     diag[-1] -= corner * corner / gamma
-    rhs = np.zeros((b.size, 2))
+    rhs = np.zeros((2, b.size)).T       # Fortran order: LAPACK works in place
     rhs[:, 0] = b
     rhs[0, 1] = gamma
     rhs[-1, 1] = corner
-    _, _, _, yz, info = dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+    _, _, _, yz, info = dgtsv(off, diag, off, rhs, 0, 1, 0, 1)   # overwrite d, b
     if info != 0:
         raise SolverConvergenceError(
             f"frozen-diffusivity tridiagonal solve failed (LAPACK dgtsv info = {info})")
@@ -178,10 +182,13 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
          maxiter: int):
+    """Preconditioned CG from x0, updated in place; returns (x, iterations).
+    ``apply_a`` may return a buffer of its own (never its argument): it is overwritten."""
     x = x0.copy()
     r = b - apply_a(x)
     z = precond(r)
     p = z.copy()
+    step_p = np.empty_like(x)
     rz = float(np.vdot(r, z))
     for it in range(maxiter):
         if float(np.linalg.norm(r.ravel())) <= tol_abs:
@@ -192,11 +199,13 @@ def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
             raise SolverConvergenceError(
                 f"conjugate gradients broke down (p.Ap = {pap}) after {it} iterations")
         step = rz / pap
-        x += step * p
-        r -= step * ap
+        x += np.multiply(p, step, out=step_p)
+        ap *= step
+        r -= ap
         z = precond(r)
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     if float(np.linalg.norm(r.ravel())) <= tol_abs:
         return x, maxiter
@@ -251,13 +260,16 @@ def step(history: SoeHistory, weights: L1Weights, params: ModelParameters,
     shift = scale + params.gamma
     b = scale * mem + growth
     if layer_load is not None:
-        b = b + layer_load
+        b += layer_load
 
     if u_prev.ndim == 1:
         return _cyclic_tridiagonal_solve(coeffs[0] / domain.h ** 2, shift, b)
 
+    # A x, div(a grad x) and diffusion_apply's two work arrays, once per step
+    ax, div, *work = np.empty((4,) + b.shape)
     def apply_a(x: np.ndarray) -> np.ndarray:
-        return shift * x - diffusion_apply(coeffs, x, domain)
+        diffusion_apply(coeffs, x, domain, out=div, work=work)
+        return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
 
     abar = float(np.mean([np.mean(c) for c in coeffs]))
     symbol = shift + abar * _laplacian_symbol(domain)
@@ -380,7 +392,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         if flag == "nonfinite":
             status = RunStatus("nonfinite", time=t_n)
             break
-        mn = float(np.min(u))
+        mn = float(u.min())
         if mn < worst_negative:
             worst_negative = mn
             worst_negative_t = t_n

@@ -151,10 +151,13 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
 
 
 def _periodic_convolve(field: Field, spectrum: np.ndarray) -> Field:
-    """sum_y g(x - y) u(y) h^dim for g given by its origin-first rfft."""
-    spec = np.fft.rfftn(field.values) * spectrum
-    out = np.fft.irfftn(spec, s=field.values.shape,
-                        axes=tuple(range(field.dim)))
+    """sum_y g(x - y) u(y) h^dim for g given by its origin-first rfft
+    (1D calls rfft/irfft, which rfftn/irfftn only wrap in argument handling)."""
+    values = field.values
+    if field.dim == 1:
+        out = np.fft.irfft(np.fft.rfft(values) * spectrum, values.shape[0])
+    else:
+        out = np.fft.irfftn(np.fft.rfftn(values) * spectrum, s=values.shape, axes=(0, 1))
     out *= field.domain.h ** field.dim
     return Field(out, field.domain)
 
@@ -170,6 +173,21 @@ def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
 # p-Laplacian in flux form
 # --------------------------------------------------------------------------
 
+def _periodic_diff(values: np.ndarray, axis: int, out: np.ndarray,
+                   lo: int = 0, hi: int = 1, op=np.subtract) -> np.ndarray:
+    """out[i] = op(v[i + hi], v[i + lo]) along ``axis``, periodic, -1 <= lo < hi <= 1:
+    (0, 1) is np.roll(v, -1, axis) - v, (-1, 0) is v - np.roll(v, 1, axis) and
+    (-1, 1) the centered difference.  Slices give the roll forms' bits without
+    their copies (a roll costs ~10 us at n = 16)."""
+    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    op(v[hi - lo:], v[:lo - hi], o[-lo:-hi or None])
+    if lo:      # i = 0 wraps below
+        op(v[hi:hi + 1], v[-1:], o[:1])
+    if hi:      # i = n - 1 wraps above
+        op(v[:1], v[lo - 1:lo or None], o[-1:])
+    return out
+
+
 def _face_gradient_norm_sq(values: np.ndarray, h: float):
     """|grad u|^2 reconstructed on the faces of each axis.
 
@@ -179,17 +197,17 @@ def _face_gradient_norm_sq(values: np.ndarray, h: float):
     the centered differences of the two cells sharing the face
     (equivalently the mean of the four adjacent one-sided differences).
     """
-    dim = values.ndim
-    normals = [(np.roll(values, -1, axis=ax) - values) / h for ax in range(dim)]
-    if dim == 1:
-        return [normals[0] ** 2]
-    norm_sq = []
-    for ax in range(dim):
-        other = 1 - ax
-        centered = (np.roll(values, -1, axis=other)
-                    - np.roll(values, 1, axis=other)) / (2.0 * h)
-        transverse = 0.5 * (centered + np.roll(centered, -1, axis=ax))
-        norm_sq.append(normals[ax] ** 2 + transverse ** 2)
+    norm_sq = [_periodic_diff(values, ax, np.empty_like(values)) for ax in range(values.ndim)]
+    for normal in norm_sq:
+        normal /= h
+        normal **= 2
+    if values.ndim == 1:
+        return norm_sq
+    centered, pair_sum = np.empty((2,) + values.shape)
+    for ax in range(2):
+        _periodic_diff(values, 1 - ax, centered, lo=-1)
+        centered /= 2.0 * h
+        norm_sq[ax] += (0.5 * _periodic_diff(centered, ax, pair_sum, op=np.add)) ** 2
     return norm_sq
 
 
@@ -208,28 +226,34 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     if eps_reg < 0 or (eps_reg == 0 and p < 2.0):
         raise HypothesisError(
             f"eps_reg must be positive for p < 2, got {eps_reg}")
-    h = domain.h
-    if m == 1.0:
-        grad_source = values
-    else:
-        grad_source = np.where(values > 0.0, values, 0.0) ** m
-    norm_sq = _face_gradient_norm_sq(grad_source, h)
-    coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
-        for ax in range(values.ndim):
-            face_u = 0.5 * (clamped + np.roll(clamped, -1, axis=ax))
-            coeffs[ax] = coeffs[ax] * (m * face_u ** (m - 1.0))
+        values = clamped ** m
+    norm_sq = _face_gradient_norm_sq(values, domain.h)
+    coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
+    if m != 1.0:
+        for ax, c in enumerate(coeffs):
+            face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)
+            c *= m * face_u ** (m - 1.0)
     return coeffs
 
 
-def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """div(a grad u) for frozen face coefficients a, flux form."""
+def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
+                    out=None, work=None) -> np.ndarray:
+    """div(a grad u) for frozen face coefficients a, flux form, into ``out``;
+    ``work`` holds two arrays shaped like u (both allocated when omitted).
+    The sum starts from zeros, so a -0.0 term adds up to +0.0."""
     h = domain.h
-    out = np.zeros_like(values)
+    out = np.empty_like(values) if out is None else out
+    out.fill(0.0)
+    flux, div = np.empty((2,) + values.shape) if work is None else work
     for ax in range(values.ndim):
-        flux = coeffs[ax] * (np.roll(values, -1, axis=ax) - values) / h
-        out += (flux - np.roll(flux, 1, axis=ax)) / h
+        _periodic_diff(values, ax, flux)
+        flux *= coeffs[ax]
+        flux /= h
+        _periodic_diff(flux, ax, div, lo=-1, hi=0)
+        div /= h
+        out += div
     return out
 
 

@@ -60,7 +60,7 @@ _ALLEE_KERNEL_RADIUS = 0.5
 _ALLEE_ETA = 0.2
 
 # The half-order extinction branch still carries a fat algebraic tail at
-# T=200 (terminal value ~0.04, far above the 2% default band), so the
+# T=200 (terminal value 0.061, far above the 2% default band), so the
 # verdict for alpha=0.5 uses this explicit extinction band instead.
 ALLEE_EXTINCTION_TOL = 0.08
 
@@ -498,6 +498,10 @@ SUITES: Dict[str, Callable[[], List[Check]]] = {
 
 
 def run_suite(name: str) -> List[Check]:
+    """Run one suite; the runs it shared are dropped when it returns."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name]()
+    try:
+        return SUITES[name]()
+    finally:
+        _run_cache.clear()

@@ -1,11 +1,14 @@
 """Frozen bits of the diffusion, periodic-convolution and L1-convolution
-paths.
+paths, and of kernel-coupled marches.
 
 The digests were taken from the code in which each of these jobs still
 had two or three separate implementations (a p-Laplacian, a power-form
 p-Laplacian and the march's own explicit diffusion; two FFT
 convolutions; two L1 history convolutions).  The single implementation
-that replaced them must reproduce every one bit for bit.  Inputs come
+that replaced them must reproduce every one bit for bit.  The
+kernel-march digests were taken while the operators still shifted arrays
+with np.roll and the conjugate-gradient updates still allocated; the
+slice-based, in-place step must reproduce them too.  Inputs come
 from numpy's PCG64 stream, whose uniform draws do not depend on the
 platform; the digests themselves are those of float64 arithmetic on
 x86-64 with numpy 2.x.
@@ -19,8 +22,8 @@ from fracplap import operators
 from fracplap.fractional import layer_correction_weights
 from fracplap.integrator import (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT,
                                  SolverConfig, run)
-from fracplap.model import (COUPLING_GLOBAL_MASS, DomainSpec, Field,
-                            ModelParameters)
+from fracplap.model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec,
+                            Field, ModelParameters)
 
 DOMAIN = DomainSpec(half_width=4.0, n=16)
 
@@ -60,6 +63,30 @@ def test_global_mass_march_bits(scheme, dim):
     report = run(sample(dim, 40 + dim), params, config)
     assert report.status.completed
     assert digest(report.final.values) == MARCHES[scheme, dim]
+
+
+KERNEL_MARCHES = {
+    # dim: (grid points per axis, dt, t_final, digest of the final state)
+    1: (16, 0.01, 2.0, "ace2719c1644fd53"),
+    2: (32, 0.01, 0.2, "241ec6917105576b"),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(KERNEL_MARCHES))
+def test_kernel_march_bits(dim):
+    # the Allee parameters with box-kernel coupling: 200 direct 1D solves,
+    # 20 PCG solves in 2D
+    n, dt, t_final, expected = KERNEL_MARCHES[dim]
+    domain = DomainSpec(half_width=4.0, n=n)
+    params = ModelParameters(alpha=0.8, p=1.5, mu=1.0, k=1.0, gamma=3.0 / 16.0,
+                             dim=dim, coupling_mode=COUPLING_KERNEL)
+    kernel = operators.discretize_kernel("box", 0.5, 0.2, domain, dim=dim)
+    rng = np.random.default_rng(70 + dim)
+    u0 = Field(rng.uniform(0.2, 1.0, domain.shape(dim)), domain)
+    config = SolverConfig(dt=dt, t_final=t_final, scheme=SCHEME_LAGGED_IMPLICIT)
+    report = run(u0, params, config, kernel=kernel)
+    assert report.status.completed
+    assert digest(report.final.values) == expected
 
 
 P_LAPLACIAN = {

@@ -363,6 +363,10 @@ def test_detect_blowup_classification():
     v[3] = math.inf
     assert detect_blowup(Field(v, domain), 1e8) == "nonfinite"
     assert detect_blowup(np.array([0.0, 5.0]), 1.0) == "blowup"
+    # a non-finite value wins however large the finite ones are
+    assert detect_blowup(np.array([2e8, math.nan, -3e8]), 1e8) == "nonfinite"
+    assert detect_blowup(np.array([0.0, -math.inf]), 1e8) == "nonfinite"
+    assert detect_blowup(np.array([math.nan]), 1e8) == "nonfinite"
 
 
 def fail_pcg_at(monkeypatch, k):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracplap import operators
 from fracplap.errors import HypothesisError, KernelAdmissibilityError
 from fracplap.model import DomainSpec, Field
 from fracplap.operators import (
@@ -111,6 +112,31 @@ def test_convolution_matches_direct_sum_2d():
                                        (i2 - j2 + n // 2) % n] * u[j1, j2]
             direct[i1, i2] = acc * d.h ** 2
     assert np.allclose(out.values, direct, rtol=1e-10, atol=1e-12)
+
+
+ROLL_FORMS = {
+    # (lo, hi, op): the np.roll formula the slice helper replaces
+    (0, 1, "subtract"): lambda v, ax: np.roll(v, -1, axis=ax) - v,
+    (-1, 0, "subtract"): lambda v, ax: v - np.roll(v, 1, axis=ax),
+    (-1, 1, "subtract"): lambda v, ax: np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax),
+    (0, 1, "add"): lambda v, ax: v + np.roll(v, -1, axis=ax),
+}
+
+
+@pytest.mark.parametrize("form", sorted(ROLL_FORMS))
+@pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1)])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_periodic_diff_matches_roll_forms(form, dim, axis, n):
+    lo, hi, op = form
+    rng = np.random.default_rng(n + 10 * dim + axis)
+    v = rng.uniform(-1.0, 1.0, (n,) * dim)
+    v.flat[::5] = -0.0
+    v.flat[2::7] = 0.0
+    got = operators._periodic_diff(v, axis, np.full_like(v, np.nan), lo=lo, hi=hi,
+                                   op=getattr(np, op))
+    want = ROLL_FORMS[form](v, axis)
+    # bit patterns, so that -0.0 and 0.0 count as different
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
