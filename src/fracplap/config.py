@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .integrator import (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT, SolverConfig)
+from .integrator import SolverConfig
 from .model import (AnalysisConstants, DomainSpec, Field, ModelParameters,
                     validate_params)
 from .operators import KERNEL_SHAPES
@@ -132,11 +132,11 @@ def _parse_solver(node, path: str) -> SolverConfig:
     if not isinstance(snaps, list):
         raise ConfigError(f"{path}/snapshot_times", "expected a list of times")
     snaps = tuple(_as_float(t, f"{path}/snapshot_times/{i}") for i, t in enumerate(snaps))
-    scheme = _as_str(obj.get("scheme", SCHEME_LAGGED_IMPLICIT), f"{path}/scheme")
-    if scheme not in (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT):
+    # the one march there is; manifests written by earlier versions name it
+    scheme = _as_str(obj.get("scheme", "lagged_implicit"), f"{path}/scheme")
+    if scheme != "lagged_implicit":
         raise ConfigError(f"{path}/scheme",
-                          f"expected '{SCHEME_EXPLICIT}' or '{SCHEME_LAGGED_IMPLICIT}', "
-                          f"got {scheme!r}")
+                          f"expected 'lagged_implicit' (the only scheme), got {scheme!r}")
     try:
         return SolverConfig(
             dt=_as_float(obj.get("dt", 1e-3), f"{path}/dt"),
@@ -144,7 +144,6 @@ def _parse_solver(node, path: str) -> SolverConfig:
             eps_reg=_as_float(obj.get("eps_reg", 1e-6), f"{path}/eps_reg"),
             blowup_threshold=_as_float(obj.get("blowup_threshold", 1e8),
                                        f"{path}/blowup_threshold"),
-            scheme=scheme,
             record_every=_as_int(obj.get("record_every", 10), f"{path}/record_every"),
             snapshot_times=snaps,
         )
@@ -288,7 +287,7 @@ def serialize_config(manifest: RunManifest) -> str:
                   "coupling_mode": m.coupling_mode},
         "domain": {"half_width": d.half_width, "n": d.n},
         "solver": {"dt": s.dt, "t_final": s.t_final, "eps_reg": s.eps_reg,
-                   "blowup_threshold": s.blowup_threshold, "scheme": s.scheme,
+                   "blowup_threshold": s.blowup_threshold,
                    "record_every": s.record_every,
                    "snapshot_times": list(s.snapshot_times)},
         "analysis": {"c_gn": a.c_gn, "c4": a.c4, "eta": a.eta,

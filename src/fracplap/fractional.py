@@ -11,12 +11,13 @@ uniform grid t_n = n dt through the weights
 
 It is exact on functions affine in t and carries O(dt^{2-alpha}) error
 on smooth data.  The march keeps the sum in sum-of-exponentials form
-(``SoeHistory``); the dense ``HistoryBuffer`` is the reference.
+(``L1Memory``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as _gamma, rgamma as _rgamma
@@ -42,67 +43,24 @@ class L1Weights:
     scale: float            # dt^(-alpha) / Gamma(2 - alpha)
 
 
-def l1_weights(alpha: float, dt: float, n: int) -> L1Weights:
-    """Weights b_0..b_{n-1} and the prefactor of the L1 scheme."""
+def _l1_scale(alpha: float, dt: float) -> float:
+    """Prefactor dt^(-alpha) / Gamma(2 - alpha) of the L1 scheme."""
     if not 0.0 < alpha < 1.0:
         raise HypothesisError(f"alpha must lie in (0, 1), got {alpha}")
     if dt <= 0 or not math.isfinite(dt):
         raise HypothesisError(f"dt must be positive and finite, got {dt}")
+    return dt ** (-alpha) / _gamma(2.0 - alpha)
+
+
+def l1_weights(alpha: float, dt: float, n: int) -> L1Weights:
+    """Weights b_0..b_{n-1} and the prefactor of the L1 scheme."""
+    scale = _l1_scale(alpha, dt)
     if n < 1:
         raise HypothesisError(f"need at least one weight, got n={n}")
     j = np.arange(n + 1, dtype=np.float64)
     powers = j ** (1.0 - alpha)
     b = powers[1:] - powers[:-1]
-    scale = dt ** (-alpha) / _gamma(2.0 - alpha)
     return L1Weights(alpha=alpha, dt=dt, b=b, scale=scale)
-
-
-class HistoryBuffer:
-    """Dense store of all past states u^0 .. u^{n-1}: the reference L1 history.
-
-    Snapshots are kept in one contiguous (capacity, size) array that
-    doubles on demand; ``matrix()`` exposes the filled part without
-    copying.  Memory and work grow with the step count, so the march
-    uses ``SoeHistory``; this class backs the tests that check the
-    march against the exact L1 sum.
-    """
-
-    def __init__(self, u0: np.ndarray, dt: float):
-        u0 = np.asarray(u0, dtype=np.float64)
-        self.shape = u0.shape
-        self.size = u0.size
-        self.dt = float(dt)
-        self._data = np.empty((16, self.size), dtype=np.float64)
-        self._n = 0
-        self.append(u0)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, u: np.ndarray) -> None:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != self.shape:
-            raise GridMismatchError(
-                f"snapshot shape {u.shape} does not match history shape {self.shape}")
-        if self._n == self._data.shape[0]:
-            grown = np.empty((2 * self._n, self.size), dtype=np.float64)
-            grown[:self._n] = self._data
-            self._data = grown
-        self._data[self._n] = u.ravel()
-        self._n += 1
-
-    def matrix(self) -> np.ndarray:
-        """View of shape (n, size), oldest state first."""
-        return self._data[:self._n]
-
-    def last(self) -> np.ndarray:
-        return self._data[self._n - 1].reshape(self.shape)
-
-    def snapshot(self, i: int) -> np.ndarray:
-        return self._data[:self._n][i].reshape(self.shape)
-
-    def coefficients(self, weights: L1Weights) -> np.ndarray:
-        return memory_coefficients(weights.b, self._n)
 
 
 def soe_kernel(alpha: float, n: int):
@@ -168,12 +126,16 @@ def soe_kernel(alpha: float, n: int):
     return truncate(hi)
 
 
-class SoeHistory:
-    """Sum-of-exponentials L1 history: O(K size) memory and work per step.
+class L1Memory:
+    """All the L1 state a march carries from step to step.
+
+    It owns the sum-of-exponentials kernel ``soe_kernel(alpha, N)`` and
+    its K sums, the scale dt^(-alpha) / Gamma(2-alpha), the horizon N
+    past which the kernel loses its accuracy, and the starting loads.
 
     With b_j = (1-alpha) int_j^{j+1} tau^(-alpha) dtau and tau^(-alpha)
-    replaced by ``soe_kernel(alpha, N)`` (N = len(weights.b)), the L1
-    history sum becomes
+    replaced by the kernel, the L1 history sum becomes the recurrence
+    (Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
 
         sum_{j=1}^{n-1} b_j (u^{n-j} - u^{n-j-1}) = beta . A,
         A_l <- exp(-s_l) A_l + (u^n - u^{n-1})               on append,
@@ -181,23 +143,38 @@ class SoeHistory:
 
     so the memory term is u^{n-1} - beta . A.  The rows held are u^{n-1}
     followed by the K sums A_l; a constant history has A = 0 and
-    reproduces the constant exactly.
+    reproduces the constant exactly.  Memory and work are O(K size).
+
+    ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
+    give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
+    weights of ``layer_correction_weights``.  There are no loads when g1
+    vanishes, and g2 is used only below alpha = 1/2: t^(2 alpha) is
+    singular only there, above it its uncorrected rate already meets the
+    smooth cap and the extra load would only perturb stiff modes.
     """
 
-    def __init__(self, u0: np.ndarray, weights: L1Weights):
+    def __init__(self, u0: np.ndarray, alpha: float, dt: float, horizon: int,
+                 g1: Optional[np.ndarray] = None, g2: Optional[np.ndarray] = None):
         u0 = np.asarray(u0, dtype=np.float64)
         self.shape = u0.shape
         self.size = u0.size
-        self.alpha = weights.alpha
-        self.horizon = weights.b.shape[0]
-        nodes, w = soe_kernel(weights.alpha, self.horizon)
+        self.horizon = horizon
+        self.scale = _l1_scale(alpha, dt)
+        nodes, w = soe_kernel(alpha, horizon)
         decay = np.exp(-nodes)
-        beta = w * (1.0 - weights.alpha) * decay * -np.expm1(-nodes) / nodes
+        beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
         self._decay = decay[:, None]
         self._coefficients = np.concatenate(([1.0], -beta))
         self._data = np.zeros((nodes.size + 1, self.size), dtype=np.float64)
         self._data[0] = u0.ravel()
         self._states = 1
+        self._g1 = self._g2 = None
+        if g1 is not None and np.any(g1 != 0.0):
+            self._g1 = g1
+            self._w1 = layer_correction_weights(alpha, horizon)
+            if g2 is not None and 2.0 * alpha < 1.0:
+                self._g2 = g2
+                self._w2 = dt ** alpha * layer_correction_weights(alpha, horizon, layer=2)
 
     def __len__(self) -> int:
         return self._data.shape[0]
@@ -221,37 +198,28 @@ class SoeHistory:
     def last(self) -> np.ndarray:
         return self._data[0].reshape(self.shape)
 
-    def coefficients(self, weights: L1Weights) -> np.ndarray:
-        if weights.alpha != self.alpha or weights.b.shape[0] != self.horizon:
-            raise HypothesisError(
-                f"weights (alpha={weights.alpha}, N={weights.b.shape[0]}) do not match "
-                f"the history kernel (alpha={self.alpha}, N={self.horizon})")
+    def coefficients(self) -> np.ndarray:
         if self._states > self.horizon:
             raise HypothesisError(
                 f"step index {self._states} outside the kernel horizon {self.horizon}")
         return self._coefficients
 
-
-def memory_coefficients(b: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients c with sum(c) = 1 so that the L1 value at step n is
-    scale * (u^n - c . (u^0, ..., u^{n-1})).
-
-    c[0] = b_{n-1} and c[i] = b_{n-1-i} - b_{n-i} for 1 <= i <= n-1.
-    """
-    if n < 1 or n > b.shape[0]:
-        raise HypothesisError(f"step index {n} outside the weight table of size {b.shape[0]}")
-    c = np.empty(n, dtype=np.float64)
-    c[0] = b[n - 1]
-    if n > 1:
-        c[1:] = b[n - 2::-1] - b[n - 1:0:-1]
-    return c
+    def load(self) -> Optional[np.ndarray]:
+        """Starting load of the next step, or None when there is none."""
+        if self._g1 is None:
+            return None
+        n = self._states
+        load = self._w1[n - 1] * self._g1
+        if self._g2 is not None:
+            load = load + self._w2[n - 1] * self._g2
+        return load
 
 
-def memory_term(history, weights: L1Weights) -> np.ndarray:
-    """Past part of the L1 update: the history's coefficients applied to
-    the rows it holds (the exact convex combination of past states for
-    ``HistoryBuffer``, its sum-of-exponentials form for ``SoeHistory``)."""
-    return (history.coefficients(weights) @ history.matrix()).reshape(history.shape)
+def memory_term(memory) -> np.ndarray:
+    """Past part of the L1 update: the memory's coefficients applied to
+    the rows it holds, so that the L1 value at step n is
+    scale * (u^n - memory_term)."""
+    return (memory.coefficients() @ memory.matrix()).reshape(memory.shape)
 
 
 def caputo_series(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
@@ -506,8 +474,7 @@ def alikhanov_check(v_series, alpha: float, dt: float) -> InequalityReport:
     lhs = v[1:] * dv
     rhs = 0.5 * dv2
     margins = lhs - rhs
-    scale = dt ** (-alpha) / _gamma(2.0 - alpha)
-    tol = _inequality_tolerance(scale, float(np.max(np.abs(v))) ** 2)
+    tol = _inequality_tolerance(_l1_scale(alpha, dt), float(np.max(np.abs(v))) ** 2)
     worst = float(np.min(margins)) if margins.size else 0.0
     return InequalityReport(passed=bool(np.all(margins >= -tol)),
                             margins=margins, worst=worst)
@@ -529,8 +496,7 @@ def power_inequality_check(u_series, n_exp: int, alpha: float,
     lhs = u[1:] ** (n_exp - 1) * du
     rhs = dum / n_exp
     margins = lhs - rhs
-    scale = dt ** (-alpha) / _gamma(2.0 - alpha)
-    tol = _inequality_tolerance(scale, float(np.max(u)) ** n_exp)
+    tol = _inequality_tolerance(_l1_scale(alpha, dt), float(np.max(u)) ** n_exp)
     worst = float(np.min(margins)) if margins.size else 0.0
     return InequalityReport(passed=bool(np.all(margins >= -tol)),
                             margins=margins, worst=worst)

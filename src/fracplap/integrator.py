@@ -2,17 +2,18 @@
 
 Each step solves the L1 discretization
 
-    scale * (u^n - memory(u^0..u^{n-1})) = RHS,
+    scale * (u^n - memory(u^0..u^{n-1})) = RHS + starting load,
 
-either fully explicitly (RHS at u^{n-1}) or with the diffusion taken
-implicitly at frozen (lagged) diffusivity and the reaction explicit.
-The frozen system is solved directly in 1D (cyclic tridiagonal:
-one LAPACK tridiagonal solve plus a Sherman-Morrison correction) and
-by FFT-preconditioned conjugate gradients in 2D.
-The memory term is a convex combination of all past states.  The march
-keeps it in sum-of-exponentials form (``SoeHistory``): the last state
-plus K exponentially weighted sums of increments (K = 18-48 for 1 to
-2e4 steps), so a step costs O(K size) work and memory.
+with the diffusion taken implicitly at frozen (lagged) diffusivity, the
+death term implicitly and the growth term explicitly.  The frozen
+system is solved directly in 1D (cyclic tridiagonal: one LAPACK
+tridiagonal solve plus a Sherman-Morrison correction) and by
+FFT-preconditioned conjugate gradients in 2D.
+The memory term is a convex combination of all past states.  One
+``L1Memory`` keeps it in sum-of-exponentials form, the last state plus
+K exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
+steps), so a step costs O(K size) work and memory; it also holds the
+scale and the starting loads.
 """
 from __future__ import annotations
 
@@ -25,15 +26,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
-from .fractional import (L1Weights, SoeHistory, l1_weights,
-                         layer_correction_weights, memory_term, mittag_leffler)
+from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
                     ModelParameters, reaction, validate_params)
 from .operators import (KernelGrid, convolve_kernel, diffusion_apply,
                         face_diffusivity, global_mass, p_laplacian)
-
-SCHEME_EXPLICIT = "explicit"
-SCHEME_LAGGED_IMPLICIT = "lagged_implicit"
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -48,7 +45,6 @@ class SolverConfig:
     t_final: float
     eps_reg: float = 1e-6
     blowup_threshold: float = 1e8
-    scheme: str = SCHEME_LAGGED_IMPLICIT
     record_every: int = 10
     snapshot_times: Tuple[float, ...] = ()
 
@@ -67,8 +63,6 @@ class SolverConfig:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
         if self.blowup_threshold <= 0:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
-        if self.scheme not in (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
         snaps = tuple(float(t) for t in self.snapshot_times)
@@ -214,53 +208,42 @@ def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
         f"{maxiter} iterations")
 
 
-def step(history: SoeHistory, weights: L1Weights, params: ModelParameters,
-         domain: DomainSpec, config: SolverConfig,
-         kernel: Optional[KernelGrid] = None,
-         layer_load: Optional[np.ndarray] = None) -> np.ndarray:
-    """Advance one step from the states in ``history``; returns u^n.
+def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
+         config: SolverConfig, kernel: Optional[KernelGrid] = None) -> np.ndarray:
+    """Advance one step from the state ``memory`` holds; returns u^n.
 
-    ``history`` is any L1 history: ``SoeHistory`` in the march, or the
-    dense reference ``HistoryBuffer``.
-
-    ``explicit`` solves scale (u^n - memory) = RHS(u^{n-1}) pointwise.
-    ``lagged_implicit`` freezes the diffusivity at u^{n-1}, keeps the
-    nonlinear growth term explicit, takes the diagonal death term
-    gamma u implicitly (free, and it keeps the temporal order at
-    2 - alpha instead of dropping to 1), and solves the SPD system
+    The diffusivity is frozen at u^{n-1}, the nonlinear growth term is
+    explicit, and the diagonal death term gamma u is implicit (free,
+    and it keeps the temporal order at 2 - alpha instead of dropping
+    to 1).  The step solves the SPD system
     ((scale + gamma) I - div(a grad)) u^n
-        = scale memory + growth(u^{n-1}) + layer_load.
+        = scale memory + growth(u^{n-1}) + load.
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N); in 2D
     preconditioned conjugate gradients solve it (constant-coefficient
     FFT preconditioner, residual 1e-10 max(1, |b|), at most 10 N
     iterations).
-    ``layer_load`` is the starting correction s_n R(u^0) supplied by
-    ``run``: solutions leave t = 0 like t^alpha, which caps the
-    uncorrected history quadrature at first order globally, and the
-    correction makes the march exact on that layer (see
-    ``layer_correction_weights``).  Equilibria are unaffected (the
-    load vanishes there).  For m != 1 the implicit operator uses the
-    lagged chain form div(a m u^{m-1} grad u); the explicit scheme
-    applies the flux form to u^m directly.
+    ``memory`` supplies the memory term, the scale and the load, the
+    starting correction s_n R(u^0): solutions leave t = 0 like
+    t^alpha, which caps the uncorrected history quadrature at first
+    order globally, and the correction makes the march exact on that
+    layer (see ``layer_correction_weights``).  Equilibria are
+    unaffected (the load vanishes there).  For m != 1 the operator uses
+    the lagged chain form div(a m u^{m-1} grad u).
     """
-    u_prev = history.last()
-    mem = memory_term(history, weights)
+    u_prev = memory.last()
+    mem = memory_term(memory)
     coupling = _coupling_value(u_prev, params, domain, kernel)
-    scale = weights.scale
-
-    if config.scheme == SCHEME_EXPLICIT:
-        diffusion = p_laplacian(Field(u_prev, domain), params.p, config.eps_reg,
-                                params.m).values
-        return mem + (diffusion + reaction(u_prev, coupling, params)) / scale
+    scale = memory.scale
 
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
     growth = params.mu * u_prev ** 2 * (1.0 - params.k * coupling)
     shift = scale + params.gamma
     b = scale * mem + growth
-    if layer_load is not None:
-        b += layer_load
+    load = memory.load()
+    if load is not None:
+        b += load
 
     if u_prev.ndim == 1:
         return _cyclic_tridiagonal_solve(coeffs[0] / domain.h ** 2, shift, b)
@@ -319,32 +302,18 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     t_start = time.perf_counter()
     dt = config.dt
     n_steps = max(1, int(round(config.t_final / dt)))
-    weights = l1_weights(params.alpha, dt, n_steps)
-    history = SoeHistory(u0.values, weights)
     domain = u0.domain
-
-    # starting corrections for the t^alpha (and, in the linear regime,
-    # t^{2 alpha}) layers; both loads vanish identically at rest states
-    layer_weights = None
-    rhs0 = None
-    layer2_weights = None
-    rhs00 = None
-    if config.scheme == SCHEME_LAGGED_IMPLICIT:
-        coupling0 = _coupling_value(u0.values, params, domain, kernel)
-        rhs0 = (p_laplacian(u0, params.p, config.eps_reg, params.m).values
-                + reaction(u0.values, coupling0, params))
-        if np.any(rhs0 != 0.0):
-            layer_weights = layer_correction_weights(params.alpha, n_steps)
-            linear = params.p == 2.0 and params.mu == 0.0 and params.m == 1.0
-            if linear and 2.0 * params.alpha < 1.0:
-                # t^{2 alpha} is singular only below alpha = 1/2; above
-                # that its uncorrected rate already meets the smooth cap
-                # and the extra load would only perturb stiff modes.
-                # R is exactly linear here, so R'(u0)[R(u0)] = R(R(u0)).
-                rhs00 = (p_laplacian(Field(rhs0, domain), params.p, config.eps_reg).values
-                         + reaction(rhs0, 0.0, params))
-                layer2_weights = (dt ** params.alpha
-                                  * layer_correction_weights(params.alpha, n_steps, layer=2))
+    # starting corrections for the t^alpha layer and, where R is exactly
+    # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer;
+    # both loads vanish identically at rest states
+    coupling0 = _coupling_value(u0.values, params, domain, kernel)
+    g1 = (p_laplacian(u0, params.p, config.eps_reg, params.m).values
+          + reaction(u0.values, coupling0, params))
+    g2 = None
+    if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
+        g2 = (p_laplacian(Field(g1, domain), params.p, config.eps_reg).values
+              + reaction(g1, 0.0, params))
+    memory = L1Memory(u0.values, params.alpha, dt, n_steps, g1, g2)
 
     warnings = []
     taken = {}
@@ -373,13 +342,9 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     steps_done = 0
 
     for n in range(1, n_steps + 1):
-        load = layer_weights[n - 1] * rhs0 if layer_weights is not None else None
-        if layer2_weights is not None:
-            load = load + layer2_weights[n - 1] * rhs00
         t_n = n * dt
         try:
-            u_next = step(history, weights, params, domain, config, kernel,
-                          layer_load=load)
+            u_next = step(memory, params, domain, config, kernel)
         except SolverConvergenceError as exc:
             status = RunStatus("solver_failed", time=t_n)
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
@@ -400,7 +365,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             status = RunStatus("blowup", time=t_n)
             record(t_n, u)
             break
-        history.append(u)
+        memory.append(u)
         if snapshot_steps and n == snapshot_steps[0]:
             snapshot_steps.pop(0)
             snapshots.append((t_n, Field(u.copy(), domain)))
@@ -422,7 +387,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         wall_time=time.perf_counter() - t_start,
         snapshots=snapshots,
         warnings=warnings,
-        history_rows=len(history),
+        history_rows=len(memory),
     )
 
 

@@ -62,14 +62,17 @@ def read_snapshot(path: str) -> Field:
         raise GridMismatchError(f"{path}: unsupported snapshot version {version}")
     if dim not in (1, 2):
         raise GridMismatchError(f"{path}: invalid dimension {dim}")
+    try:
+        domain = DomainSpec(half_width=half_width, n=n)
+    except ValueError as exc:
+        raise GridMismatchError(f"{path}: invalid grid header: {exc}") from exc
     count = n ** dim
     expected = _HEADER.size + 8 * count
     if len(raw) != expected:
         raise GridMismatchError(
             f"{path}: expected {expected} bytes for n={n}, dim={dim}, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size, count=count)
-    values = values.reshape((n,) * dim).astype(np.float64)
-    return Field(values, DomainSpec(half_width=half_width, n=n))
+    return Field(values.reshape((n,) * dim).astype(np.float64), domain)
 
 
 def summarize_run(report: RunReport) -> dict:

@@ -21,8 +21,7 @@ from .analysis import (VERDICT_PASS, allee_classify, admissible_window_radius,
                        lyapunov_monitor)
 from .fractional import (alikhanov_check, caputo_series, mittag_leffler,
                          power_inequality_check)
-from .integrator import (SCHEME_LAGGED_IMPLICIT, SolverConfig,
-                         linear_spectral_reference, run)
+from .integrator import SolverConfig, linear_spectral_reference, run
 from .io import format_series
 from .model import (AnalysisConstants, DomainSpec, Field, ModelParameters,
                     competition_threshold, decay_margin, equilibrium_roots,
@@ -79,7 +78,6 @@ def _allee_kernel(dim: int = 1):
 
 def _allee_config() -> SolverConfig:
     return SolverConfig(dt=0.01, t_final=200.0, record_every=100,
-                        scheme=SCHEME_LAGGED_IMPLICIT,
                         snapshot_times=tuple(float(t) for t in range(0, 201, 10)))
 
 
@@ -327,7 +325,7 @@ def verify_boundedness_contrast() -> List[Check]:
 
 def _scalar_blowup_time(alpha: float, mu: float, u0: float, dt: float,
                         t_max: float, threshold: float):
-    """Blow-up time of D^alpha u = mu u^2 under the explicit history scheme.
+    """Blow-up time of D^alpha u = mu u^2 with the reaction taken explicitly.
 
     Written against the weight recursion directly (no solver machinery)
     so it is an independent cross-check of the grid march.

@@ -1,9 +1,10 @@
 """The package exports only what the package itself uses, and imports
 only what it declares.
 
-Every name ``fracplap/__init__.py`` imports must be referenced in the
-code of some other module of the package: a public symbol that only the
-tests call is dead weight.  References are names and attribute accesses
+Every name ``fracplap/__init__.py`` imports, and every public top-level
+function or class of the package, must be referenced in the code of
+some module of the package other than ``__init__.py``: a public symbol
+that only the tests call is dead weight.  References are names and attribute accesses
 in the syntax tree, so a mention in a docstring or comment does not
 count.  The third-party modules the package imports anywhere, inside
 functions too, are exactly the runtime dependencies in
@@ -43,6 +44,21 @@ def referenced_names() -> set:
 
 def test_every_export_is_used_inside_the_package():
     unused = sorted(exported_names() - referenced_names())
+    assert unused == []
+
+
+def public_definitions() -> set:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_used_inside_the_package():
+    unused = sorted(public_definitions() - referenced_names())
     assert unused == []
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "/model/alpha" in err
 
 
+def test_simulate_rejects_the_removed_explicit_scheme(tmp_path, capsys):
+    cfg = write_manifest(tmp_path, overrides={
+        "solver": {"dt": 0.01, "t_final": 0.2, "scheme": "explicit"}})
+    code = main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "/solver/scheme" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_snapshot_time_past_horizon(tmp_path, capsys):
     cfg = write_manifest(tmp_path, overrides={
         "solver": {"dt": 0.01, "t_final": 0.2, "snapshot_times": [0.1, 5.0]}})
@@ -164,8 +175,7 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
     cfg = write_manifest(tmp_path, overrides={
         "model": {"alpha": 0.5, "p": 2.0, "mu": 1.0, "k": 0.0, "gamma": 0.0},
         "domain": {"half_width": 1.0, "n": 8},
-        "solver": {"dt": 1e-3, "t_final": 0.5, "scheme": "explicit",
-                   "record_every": 1000},
+        "solver": {"dt": 1e-3, "t_final": 0.5, "record_every": 1000},
         "initial": {"kind": "constant", "value": 2.0},
     })
     out_dir = tmp_path / "boom"
@@ -210,6 +220,19 @@ def test_simulate_writes_partial_outputs_on_solver_failure(tmp_path, capsys,
     assert report["status"] == "solver_failed" and report["steps"] == 4
     assert math.isclose(report["halt_time"], 0.05, rel_tol=1e-12)
     assert math.isclose(report["final_time"], 0.04, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n,half_width", [(9, 4.0), (32, math.nan)])
+def test_simulate_reports_an_invalid_snapshot_header(tmp_path, capsys, n, half_width):
+    snapshot = tmp_path / "u0.fplp"
+    snapshot.write_bytes(struct.pack("<4sIIId", b"FPLP", 1, 1, n, half_width)
+                         + bytes(8 * n))
+    cfg = write_manifest(tmp_path, overrides={
+        "initial": {"kind": "file", "path": str(snapshot)}})
+    code = main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_FAILED
+    assert "invalid grid header" in capsys.readouterr().err
 
 
 def write_mismatched_snapshot_sweep(tmp_path):

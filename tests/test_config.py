@@ -13,7 +13,6 @@ from fracplap.config import (
     serialize_config,
 )
 from fracplap.errors import ConfigError
-from fracplap.integrator import SCHEME_EXPLICIT
 from fracplap.io import write_snapshot
 from fracplap.model import DomainSpec, Field
 from fracplap.operators import discretize_kernel
@@ -39,7 +38,6 @@ def test_minimal_manifest_defaults():
     assert m.solver.dt == 1e-3
     assert m.solver.t_final == 1.0
     assert m.solver.eps_reg == 1e-6
-    assert m.solver.scheme == "lagged_implicit"
     assert m.solver.record_every == 10
     assert m.solver.blowup_threshold == 1e8
     assert m.kernel == KernelSpec(shape="box", delta0=0.5, eta=0.25)
@@ -114,11 +112,16 @@ def test_solver_time_consistency():
     assert err_path({**MINIMAL, "solver": {"dt": 1.0, "t_final": 0.5}}) \
         .startswith("/solver")
     assert err_path({**MINIMAL, "solver": {"dt": 0.3, "t_final": 1.0}}) == "/solver"
-    assert err_path({**MINIMAL, "solver": {"scheme": "magic"}}) \
-        == "/solver/scheme"
+    for scheme in ("magic", "explicit", "Lagged_Implicit", 1):
+        assert err_path({**MINIMAL, "solver": {"scheme": scheme}}) == "/solver/scheme"
+
+
+def test_solver_scheme_lagged_implicit_is_accepted_and_not_written():
+    # every manifest.json an earlier `simulate` wrote names the scheme
     m = parse({**MINIMAL, "solver": {"dt": 0.5, "t_final": 0.5,
-                                     "scheme": "explicit"}})
-    assert m.solver.scheme == SCHEME_EXPLICIT
+                                     "scheme": "lagged_implicit"}})
+    assert m == parse({**MINIMAL, "solver": {"dt": 0.5, "t_final": 0.5}})
+    assert "scheme" not in json.loads(serialize_config(m))["solver"]
 
 
 def test_kernel_section_constraints():
@@ -173,7 +176,7 @@ def test_initial_validation():
 def test_round_trip_kernel_manifest():
     src = {
         **MINIMAL,
-        "solver": {"dt": 0.01, "t_final": 2.0, "scheme": "explicit",
+        "solver": {"dt": 0.01, "t_final": 2.0, "scheme": "lagged_implicit",
                    "record_every": 5, "snapshot_times": [0.5, 1.0]},
         "kernel": {"shape": "triangle", "delta0": 0.4, "eta": 0.05},
         "analysis": {"c_gn": 2.0, "delta": 0.2},

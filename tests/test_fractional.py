@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dense_l1 import HistoryBuffer, memory_coefficients
 from fracplap.errors import EvaluationRangeError, GridMismatchError, HypothesisError
 from fracplap.fractional import (
     SOE_TOL,
-    HistoryBuffer,
-    SoeHistory,
+    L1Memory,
     alikhanov_check,
     caputo_series,
     l1_weights,
     layer_correction_weights,
-    memory_coefficients,
     memory_term,
     mittag_leffler,
     soe_kernel,
@@ -68,7 +67,7 @@ def test_memory_coefficients_range_guard():
 def test_history_buffer_growth_and_snapshots():
     rng = np.random.default_rng(3)
     states = [rng.standard_normal((6,)) for _ in range(40)]
-    hist = HistoryBuffer(states[0], dt=0.1)
+    hist = HistoryBuffer(states[0], l1_weights(0.5, 0.1, 40))
     for s in states[1:]:
         hist.append(s)
     assert len(hist) == 40
@@ -78,7 +77,7 @@ def test_history_buffer_growth_and_snapshots():
 
 
 def test_history_buffer_keeps_2d_shape():
-    hist = HistoryBuffer(np.zeros((4, 4)), dt=0.1)
+    hist = HistoryBuffer(np.zeros((4, 4)), l1_weights(0.5, 0.1, 2))
     hist.append(np.ones((4, 4)))
     assert hist.last().shape == (4, 4)
     with pytest.raises(GridMismatchError):
@@ -129,22 +128,21 @@ def test_dense_history_matches_series_form():
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 2.0, size=(13, 5))
     dt = 0.05
-    hist = HistoryBuffer(vals[0], dt)
+    w = l1_weights(0.7, dt, 12)
+    hist = HistoryBuffer(vals[0], w)
     for row in vals[1:-1]:
         hist.append(row)
-    w = l1_weights(0.7, dt, len(hist))
-    point = w.scale * (vals[-1] - memory_term(hist, w))
+    point = w.scale * (vals[-1] - memory_term(hist))
     for j in range(5):
         col = caputo_series(vals[:, j], 0.7, dt)
         assert math.isclose(point[j], col[-1], rel_tol=1e-12)
 
 
 def test_memory_term_of_constant_history_is_the_constant():
-    hist = HistoryBuffer(np.full(3, 0.4), 0.1)
+    hist = HistoryBuffer(np.full(3, 0.4), l1_weights(0.5, 0.1, 7))
     for _ in range(6):
         hist.append(np.full(3, 0.4))
-    w = l1_weights(0.5, 0.1, len(hist))
-    assert np.allclose(memory_term(hist, w), 0.4, rtol=1e-14)
+    assert np.allclose(memory_term(hist), 0.4, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +169,55 @@ def test_soe_memory_term_matches_dense(alpha):
     n_steps = 2000
     rng = np.random.default_rng(5)
     states = np.cumsum(rng.standard_normal((n_steps, 6)), axis=0)
-    w = l1_weights(alpha, 0.01, n_steps)
-    dense = HistoryBuffer(states[0], 0.01)
-    soe = SoeHistory(states[0], w)
+    dense = HistoryBuffer(states[0], l1_weights(alpha, 0.01, n_steps))
+    soe = L1Memory(states[0], alpha, 0.01, n_steps)
     variation = 0.0
     for k in range(1, n_steps):
         dense.append(states[k])
         soe.append(states[k])
         variation += float(np.max(np.abs(states[k] - states[k - 1])))
         if k % 199 == 0 or k == n_steps - 1:
-            gap = np.max(np.abs(memory_term(soe, w) - memory_term(dense, w)))
+            gap = np.max(np.abs(memory_term(soe) - memory_term(dense)))
             assert gap <= 1e-10 * variation
     assert np.array_equal(soe.last(), dense.last())
     assert len(soe) == soe.matrix().shape[0] <= 65
 
 
 def test_soe_memory_term_of_constant_history_is_exact():
-    w = l1_weights(0.5, 0.1, 50)
-    hist = SoeHistory(np.full((4, 4), 0.4), w)
+    hist = L1Memory(np.full((4, 4), 0.4), 0.5, 0.1, 50)
     for _ in range(49):
-        assert np.array_equal(memory_term(hist, w), np.full((4, 4), 0.4))
+        assert np.array_equal(memory_term(hist), np.full((4, 4), 0.4))
         hist.append(np.full((4, 4), 0.4))
 
 
 def test_soe_history_guards():
-    w = l1_weights(0.5, 0.1, 2)
-    hist = SoeHistory(np.zeros(4), w)
+    hist = L1Memory(np.zeros(4), 0.5, 0.1, 2)
     with pytest.raises(GridMismatchError):
         hist.append(np.zeros(5))
-    with pytest.raises(HypothesisError):
-        memory_term(hist, l1_weights(0.6, 0.1, 2))
     hist.append(np.ones(4))
-    memory_term(hist, w)
+    memory_term(hist)
     hist.append(np.ones(4))
     with pytest.raises(HypothesisError):
-        memory_term(hist, w)
+        memory_term(hist)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.6])
+def test_l1_memory_scale_and_starting_loads(alpha):
+    dt, horizon = 0.01, 5
+    g1, g2 = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    assert L1Memory(g1, alpha, dt, horizon).scale == l1_weights(alpha, dt, 1).scale
+    # no load without R(u0), nor when R(u0) vanishes
+    assert L1Memory(g1, alpha, dt, horizon, g2=g2).load() is None
+    assert L1Memory(g1, alpha, dt, horizon, np.zeros(2), g2).load() is None
+    w1 = layer_correction_weights(alpha, horizon)
+    w2 = dt ** alpha * layer_correction_weights(alpha, horizon, layer=2)
+    memory = L1Memory(g1, alpha, dt, horizon, g1, g2)
+    for n in range(1, horizon + 1):
+        expected = w1[n - 1] * g1
+        if alpha < 0.5:         # t^(2 alpha) is singular only below 1/2
+            expected = expected + w2[n - 1] * g2
+        assert np.array_equal(memory.load(), expected)
+        memory.append(g1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ import pytest
 
 from fracplap import operators
 from fracplap.fractional import layer_correction_weights
-from fracplap.integrator import (SCHEME_EXPLICIT, SCHEME_LAGGED_IMPLICIT,
-                                 SolverConfig, run)
+from fracplap.integrator import SolverConfig, run
 from fracplap.model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec,
                             Field, ModelParameters)
 
@@ -48,21 +47,19 @@ def p_laplacian_at(field: Field, p: float, m: float) -> Field:
 
 
 MARCHES = {
-    (SCHEME_EXPLICIT, 1): "f76adeca26ae2c4c",
-    (SCHEME_EXPLICIT, 2): "c043f51fdaf33bd0",
-    (SCHEME_LAGGED_IMPLICIT, 1): "c007577ba65824e9",
-    (SCHEME_LAGGED_IMPLICIT, 2): "6fe2342f81f26d06",
+    1: "c007577ba65824e9",
+    2: "6fe2342f81f26d06",
 }
 
 
-@pytest.mark.parametrize("scheme,dim", sorted(MARCHES))
-def test_global_mass_march_bits(scheme, dim):
+@pytest.mark.parametrize("dim", sorted(MARCHES))
+def test_global_mass_march_bits(dim):
     params = ModelParameters(alpha=0.6, p=1.8, mu=1.0, k=1.0, gamma=1.0,
                              m=2.5, dim=dim, coupling_mode=COUPLING_GLOBAL_MASS)
-    config = SolverConfig(dt=1e-3, t_final=0.02, scheme=scheme)
+    config = SolverConfig(dt=1e-3, t_final=0.02)
     report = run(sample(dim, 40 + dim), params, config)
     assert report.status.completed
-    assert digest(report.final.values) == MARCHES[scheme, dim]
+    assert digest(report.final.values) == MARCHES[dim]
 
 
 KERNEL_MARCHES = {
@@ -83,10 +80,26 @@ def test_kernel_march_bits(dim):
     kernel = operators.discretize_kernel("box", 0.5, 0.2, domain, dim=dim)
     rng = np.random.default_rng(70 + dim)
     u0 = Field(rng.uniform(0.2, 1.0, domain.shape(dim)), domain)
-    config = SolverConfig(dt=dt, t_final=t_final, scheme=SCHEME_LAGGED_IMPLICIT)
+    config = SolverConfig(dt=dt, t_final=t_final)
     report = run(u0, params, config, kernel=kernel)
     assert report.status.completed
     assert digest(report.final.values) == expected
+
+
+LAYER_TWO_MARCHES = {
+    1: "00ecada3bc8d2d41",
+    2: "9059d27143e94b2a",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(LAYER_TWO_MARCHES))
+def test_layer_two_load_march_bits(dim):
+    # p = 2, mu = 0 and alpha < 1/2 add the t^(2 alpha) starting load to
+    # the t^alpha one in each of the 20 steps
+    params = ModelParameters(alpha=0.4, p=2.0, mu=0.0, k=0.0, gamma=0.5, dim=dim)
+    report = run(sample(dim, 80 + dim), params, SolverConfig(dt=0.01, t_final=0.2))
+    assert report.status.completed and report.steps == 20
+    assert digest(report.final.values) == LAYER_TWO_MARCHES[dim]
 
 
 P_LAPLACIAN = {

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad.write_bytes(wrong_dim)
     with pytest.raises(GridMismatchError):
         read_snapshot(str(bad))
+
+
+def write_raw_snapshot(path, n, half_width, dim=1):
+    """A well-formed file whose header may name a grid DomainSpec rejects."""
+    path.write_bytes(struct.pack("<4sIIId", SNAPSHOT_MAGIC, 1, dim, n, half_width)
+                     + np.zeros(n ** dim).tobytes())
+
+
+@pytest.mark.parametrize("n,half_width", [
+    (9, 1.0),               # odd
+    (6, 1.0),               # below 8
+    (8, math.nan),
+    (8, math.inf),
+    (8, 0.0),
+])
+def test_snapshot_rejects_invalid_grid_header(tmp_path, n, half_width):
+    path = tmp_path / "grid.fplp"
+    write_raw_snapshot(path, n, half_width)
+    with pytest.raises(GridMismatchError, match="invalid grid header"):
+        read_snapshot(str(path))
 
 
 # ---------------------------------------------------------------------------
