@@ -5,8 +5,7 @@ saturated by nonlocal competition."""
 from .analysis import (AlleeVerdict, BoundednessResult, EnvelopeResult,
                        LyapunovSeries, admissible_window_radius,
                        allee_classify, boundedness_check, decay_envelope_check,
-                       dissipation_functional, lyapunov_density,
-                       lyapunov_monitor, lyapunov_potential)
+                       lyapunov_density, lyapunov_monitor, lyapunov_potential)
 from .config import (InitialSpec, KernelSpec, RunManifest, build_initial,
                      parse_config, serialize_config)
 from .errors import (ConfigError, EvaluationRangeError, FracplapError,
@@ -25,7 +24,7 @@ from .model import (AnalysisConstants, DomainSpec, EquilibriumRoots, Field,
                     sup_norm_bound, validate_params)
 from .operators import (KernelGrid, box_window_integral, convolve_kernel,
                         diffusion_apply, discretize_kernel, face_diffusivity,
-                        global_mass, local_l2_ball, p_laplacian)
+                        global_mass, p_laplacian)
 from .verify import SUITES, Check, run_suite
 
 __version__ = "0.1.0"

@@ -19,13 +19,14 @@ from .errors import HypothesisError
 from .fractional import mittag_leffler
 from .integrator import RunReport
 from .model import EquilibriumRoots, Field, SupBound
-from .operators import box_window_integral, local_l2_ball
+from .operators import box_window_integral
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_UNDECIDED = "undecided"
 
 _LYAPUNOV_SLACK = 1e-6
+_ENVELOPE_SLACK = 1.05
 
 
 # --------------------------------------------------------------------------
@@ -57,49 +58,39 @@ def lyapunov_potential(field: Field, roots: EquilibriumRoots, delta: float) -> F
     return box_window_integral(Field(dens, field.domain), delta)
 
 
-def dissipation_functional(field: Field, roots: EquilibriumRoots, mu: float,
-                           k: float, delta: float) -> Field:
-    """Windowed dissipation D(x) = (A - a) mu k / 2 * int_window u^2 dy."""
-    scale = 0.5 * (roots.upper - roots.lower) * mu * k
-    window = local_l2_ball(field, delta)
-    return Field(scale * window.values, field.domain)
-
-
 @dataclass
 class LyapunovSeries:
-    """max_x H and max_x D sampled on the stored snapshots."""
+    """max_x H sampled on the stored snapshots."""
 
     times: np.ndarray
     max_potential: np.ndarray
-    max_dissipation: np.ndarray
     verdict: str
     violating_time: Optional[float] = None
 
 
-def lyapunov_monitor(report: RunReport, roots: EquilibriumRoots, mu: float,
-                     k: float, delta: float) -> LyapunovSeries:
+def lyapunov_monitor(report: RunReport, roots: EquilibriumRoots,
+                     delta: float) -> LyapunovSeries:
     """Monitor max_x H(x, t) over a run's snapshots.
 
-    Passes when the max never exceeds its initial value beyond 1e-6
-    relative slack.  If any snapshot reaches the lower root the
-    potential stops being defined there and the verdict is undecided,
-    carrying the first violating time.
+    H is the potential of window radius ``delta``; mu and k enter only
+    through ``roots`` and the choice of ``delta`` (see
+    ``admissible_window_radius``).  Passes when the max never exceeds
+    its initial value beyond 1e-6 relative slack.  If any snapshot
+    reaches the lower root the potential stops being defined there and
+    the verdict is undecided, carrying the first violating time.
     """
     if not report.snapshots:
         raise HypothesisError("run stored no snapshots; set snapshot_times")
-    times, hmax, dmax = [], [], []
+    times, hmax = [], []
     for t, snap in report.snapshots:
         sup = float(np.max(snap.values))
         if sup >= roots.lower:
             return LyapunovSeries(
                 times=np.asarray(times), max_potential=np.asarray(hmax),
-                max_dissipation=np.asarray(dmax),
                 verdict=VERDICT_UNDECIDED, violating_time=t)
         pot = lyapunov_potential(snap, roots, delta)
-        dis = dissipation_functional(snap, roots, mu, k, delta)
         times.append(t)
         hmax.append(float(np.max(pot.values)))
-        dmax.append(float(np.max(dis.values)))
     hmax_arr = np.asarray(hmax)
     ok = bool(np.all(hmax_arr <= hmax_arr[0] * (1.0 + _LYAPUNOV_SLACK) + 1e-300))
     bad = None
@@ -107,7 +98,6 @@ def lyapunov_monitor(report: RunReport, roots: EquilibriumRoots, mu: float,
         bad = float(np.asarray(times)[hmax_arr > hmax_arr[0] * (1.0 + _LYAPUNOV_SLACK)][0])
     return LyapunovSeries(
         times=np.asarray(times), max_potential=hmax_arr,
-        max_dissipation=np.asarray(dmax),
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
         violating_time=bad)
 
@@ -158,12 +148,12 @@ class EnvelopeResult:
     exponential_holds: bool     # informational: the literal exp(-sigma^(1/alpha) t) bound
 
 
-def decay_envelope_check(report: RunReport, sigma: float, alpha: float,
-                         slack: float = 1.05) -> EnvelopeResult:
+def decay_envelope_check(report: RunReport, sigma: float,
+                         alpha: float) -> EnvelopeResult:
     """Check recorded sup-norms against ||u0|| E_alpha(-sigma t^alpha).
 
     The envelope is the comparison solution of the linearized decay;
-    ``slack`` absorbs discretization error.  sigma <= 0 leaves the
+    a 5% slack absorbs discretization error.  sigma <= 0 leaves the
     hypothesis unmet, hence undecided.  The literal exponential
     envelope exp(-sigma^(1/alpha) t) is evaluated as well but reported
     informationally only: the Mittag-Leffler decay is algebraic in the
@@ -182,8 +172,9 @@ def decay_envelope_check(report: RunReport, sigma: float, alpha: float,
     sup = np.asarray(report.sup_series, dtype=np.float64)
     env = u0_sup * mittag_leffler(alpha, -sigma * times ** alpha)
     worst = float(np.max(sup / env))
-    exp_ok = bool(np.all(sup <= u0_sup * np.exp(-sigma ** (1.0 / alpha) * times) * slack))
-    status = VERDICT_PASS if worst <= slack else VERDICT_FAIL
+    exp_ok = bool(np.all(sup <= u0_sup * np.exp(-sigma ** (1.0 / alpha) * times)
+                         * _ENVELOPE_SLACK))
+    status = VERDICT_PASS if worst <= _ENVELOPE_SLACK else VERDICT_FAIL
     return EnvelopeResult(status=status, worst_ratio=worst,
                           exponential_holds=exp_ok)
 
@@ -201,20 +192,19 @@ class AlleeVerdict:
 
 
 def allee_classify(report: RunReport, roots: EquilibriumRoots,
-                   tol_extinction: Optional[float] = None,
-                   tol_persistence: Optional[float] = None) -> AlleeVerdict:
+                   tol_extinction: Optional[float] = None) -> AlleeVerdict:
     """Classify a run against the bistable dichotomy.
 
-    Defaults: extinction when the terminal sup-norm falls below
-    0.02 * lower root, persistence when it lands within 0.05 * upper
-    root of the upper root.  The bands are configurable because the
-    fractional dynamics relax only algebraically, so finite horizons
-    leave a tail gap that depends on alpha and T.  A blow-up status
-    overrides everything; anything else outside both bands is
-    undecided.
+    Extinction when the terminal sup-norm falls below ``tol_extinction``
+    (default 0.02 * lower root), persistence when it lands within
+    0.05 * upper root of the upper root.  The extinction band is
+    settable because the fractional dynamics relax only algebraically,
+    so a finite horizon leaves a tail above zero that depends on alpha
+    and T.  A blow-up status overrides everything; anything else
+    outside both bands is undecided.
     """
     tol_ext = 0.02 * roots.lower if tol_extinction is None else tol_extinction
-    tol_per = 0.05 * roots.upper if tol_persistence is None else tol_persistence
+    tol_per = 0.05 * roots.upper
     terminal = float(report.sup_series[-1])
     if report.status.kind == "blowup":
         verdict = "blowup"
@@ -234,7 +224,6 @@ def allee_classify(report: RunReport, roots: EquilibriumRoots,
 class BoundednessResult:
     status: str                 # pass | fail | undecided
     ratio: float                # max recorded sup / bound
-    bound: Optional[float]
 
 
 def boundedness_check(report: RunReport, bound: SupBound) -> BoundednessResult:
@@ -245,12 +234,11 @@ def boundedness_check(report: RunReport, bound: SupBound) -> BoundednessResult:
     completed nor blown up).
     """
     if not bound.ok:
-        return BoundednessResult(status=VERDICT_UNDECIDED, ratio=math.nan,
-                                 bound=None)
+        return BoundednessResult(status=VERDICT_UNDECIDED, ratio=math.nan)
     peak = float(np.max(report.sup_series))
     ratio = peak / bound.value if bound.value > 0 else math.inf
     if not _reached_verdict(report):
         status = VERDICT_UNDECIDED
     else:
         status = VERDICT_PASS if peak <= bound.value else VERDICT_FAIL
-    return BoundednessResult(status=status, ratio=ratio, bound=bound.value)
+    return BoundednessResult(status=status, ratio=ratio)

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 from .config import RunManifest, build_initial, parse_config, serialize_config
@@ -157,17 +156,6 @@ def _manifest_id(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("FRACPLAP_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def _cmd_sweep(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -201,10 +189,9 @@ def _cmd_sweep(args) -> int:
     base_dir = args.output_dir or (manifests[0][1].output_dir if manifests else "out")
     os.makedirs(base_dir, exist_ok=True)
 
-    def job(item):
-        combo, manifest = item
-        text = serialize_config(manifest)
-        run_id = _manifest_id(text)
+    results = []
+    for combo, manifest in manifests:
+        run_id = _manifest_id(serialize_config(manifest))
         out_dir = os.path.join(base_dir, run_id)
         try:
             report = _execute_manifest(manifest, out_dir)
@@ -217,11 +204,7 @@ def _cmd_sweep(args) -> int:
                       file=sys.stderr, end="")
             status, sup = f"error: {type(exc).__name__}: {exc}", float("nan")
             code = _exit_code(exc)
-        return run_id, combo, status, sup, code
-
-    workers = _worker_count(len(manifests))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, manifests))
+        results.append((run_id, combo, status, sup, code))
 
     table_path = os.path.join(base_dir, "sweep.csv")
     with open(table_path, "w", encoding="utf-8", newline="") as fh:

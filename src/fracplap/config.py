@@ -179,6 +179,9 @@ def _parse_analysis(node, path: str, kernel: Optional[KernelSpec]) -> AnalysisCo
     obj = _require_object(node, path)
     allowed = ("c_gn", "c4", "eta", "delta0", "delta", "c1", "c2")
     _reject_unknown(obj, allowed, path)
+    # no estimate reads c1; manifests written by earlier versions carry it
+    if "c1" in obj:
+        _as_float(obj["c1"], f"{path}/c1")
     delta0 = obj.get("delta0", kernel.delta0 if kernel else 0.5)
     eta = obj.get("eta", kernel.eta if kernel else 0.1)
     consts = AnalysisConstants(
@@ -187,7 +190,6 @@ def _parse_analysis(node, path: str, kernel: Optional[KernelSpec]) -> AnalysisCo
         eta=_as_float(eta, f"{path}/eta"),
         delta0=_as_float(delta0, f"{path}/delta0"),
         delta=_as_float(obj["delta"], f"{path}/delta") if "delta" in obj else None,
-        c1=_as_float(obj.get("c1", 1.0), f"{path}/c1"),
         c2=_as_float(obj.get("c2", 1.0), f"{path}/c2"),
     )
     for violation in consts.violations():
@@ -270,9 +272,6 @@ def parse_config(text: str) -> RunManifest:
         output_dir = _as_str(out_obj.get("directory", "out"), "/output/directory")
     seed = _as_int(root.get("seed", 0), "/seed")
 
-    if solver.dt >= solver.t_final + 1e-15:
-        raise ConfigError("/solver/dt",
-                          f"dt = {solver.dt} must not exceed t_final = {solver.t_final}")
     return RunManifest(model=model, domain=domain, solver=solver,
                        analysis=analysis, kernel=kernel, initial=initial,
                        output_dir=output_dir, seed=seed)
@@ -291,7 +290,7 @@ def serialize_config(manifest: RunManifest) -> str:
                    "record_every": s.record_every,
                    "snapshot_times": list(s.snapshot_times)},
         "analysis": {"c_gn": a.c_gn, "c4": a.c4, "eta": a.eta,
-                     "delta0": a.delta0, "delta": a.delta, "c1": a.c1, "c2": a.c2},
+                     "delta0": a.delta0, "delta": a.delta, "c2": a.c2},
         "initial": _initial_to_dict(manifest.initial),
         "output": {"directory": manifest.output_dir},
         "seed": manifest.seed,

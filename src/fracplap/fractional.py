@@ -236,8 +236,11 @@ def caputo_series(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     w = l1_weights(alpha, dt, n)
     diffs = np.diff(values)
     if n > 512:
-        from scipy.signal import fftconvolve
-        conv = fftconvolve(diffs, w.b)[:n]
+        # scipy.fft, not scipy.signal: the latter takes ~1 s to import
+        from scipy.fft import next_fast_len
+        size = next_fast_len(2 * n - 1, True)
+        conv = np.fft.irfft(np.fft.rfft(diffs, size) * np.fft.rfft(w.b, size),
+                            size)[:n]
     else:
         conv = np.convolve(diffs, w.b)[:n]
     return w.scale * conv

@@ -99,10 +99,8 @@ class RunReport:
     history_rows: int = 0           # state rows the L1 history held at its peak
 
 
-def detect_blowup(field_or_values, threshold: float) -> Optional[str]:
+def detect_blowup(values: np.ndarray, threshold: float) -> Optional[str]:
     """Classify a state: ``"nonfinite"`` wins over ``"blowup"``; None is fine."""
-    values = field_or_values.values if isinstance(field_or_values, Field) \
-        else np.asarray(field_or_values)
     if np.abs(values).max() <= threshold:       # False for a NaN peak
         return None
     if not np.all(np.isfinite(values)):

@@ -120,7 +120,9 @@ class AnalysisConstants:
     """Constants entering the a priori estimates.
 
     All default to 1.0 except the kernel geometry pair (delta0, eta)
-    and the window radius delta, which defaults to delta0 / 2.
+    and the window radius delta, which defaults to delta0 / 2.  No
+    estimate uses a c1, so ``parse_config`` ignores the one that older
+    manifests carry.
     """
 
     c_gn: float = 1.0       # interpolation (Gagliardo-Nirenberg) constant
@@ -128,7 +130,6 @@ class AnalysisConstants:
     eta: float = 0.1        # kernel floor on the sensing box
     delta0: float = 0.5     # kernel sensing radius
     delta: Optional[float] = None   # window radius for local functionals
-    c1: float = 1.0
     c2: float = 1.0
 
     def __post_init__(self):
@@ -137,7 +138,7 @@ class AnalysisConstants:
 
     def violations(self) -> list:
         out = []
-        for name in ("c_gn", "c4", "eta", "delta0", "delta", "c1", "c2"):
+        for name in ("c_gn", "c4", "eta", "delta0", "delta", "c2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 out.append(f"{name}: must be positive and finite, got {v}")

@@ -40,7 +40,6 @@ class KernelGrid:
 
     values: np.ndarray
     domain: DomainSpec
-    shape_name: str
     delta0: float
     eta: float
 
@@ -138,8 +137,7 @@ def discretize_kernel(shape: str, delta0: float, eta: float,
         raise KernelAdmissibilityError(
             f"kernel floor {floor:.6g} on the sensing box does not exceed "
             f"eta = {eta}; choose a smaller eta (or a larger kernel)")
-    return KernelGrid(values=vals, domain=domain, shape_name=shape,
-                      delta0=delta0, eta=eta)
+    return KernelGrid(values=vals, domain=domain, delta0=delta0, eta=eta)
 
 
 def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
@@ -305,13 +303,3 @@ def box_window_integral(field: Field, delta: float) -> Field:
     w = _axis_trapezoid_weights(domain.axis_coords(), delta)
     window = w if field.dim == 1 else np.multiply.outer(w, w)
     return _periodic_convolve(field, _origin_spectrum(window))
-
-
-def local_l2_ball(field: Field, delta: float) -> Field:
-    """Windowed squared mass int_{||y-x||_inf <= delta} u(y)^2 dy.
-
-    Negative u is clamped to zero inside the square, matching the
-    convention used by every power of the state in this module.
-    """
-    clamped = np.where(field.values > 0.0, field.values, 0.0)
-    return box_window_integral(Field(clamped ** 2, field.domain), delta)

@@ -248,7 +248,7 @@ def verify_lyapunov_monotonicity() -> List[Check]:
     sup_peak = float(np.max(report.sup_series))
     delta = admissible_window_radius(roots, mu=1.0, k=1.0, sup_bound=sup_peak,
                                      delta0=_ALLEE_KERNEL_RADIUS)
-    series = lyapunov_monitor(report, roots, mu=1.0, k=1.0, delta=delta)
+    series = lyapunov_monitor(report, roots, delta=delta)
     peak = max(series.max_potential)
     first = series.max_potential[0]
     return [_check(
@@ -282,7 +282,7 @@ def verify_boundedness_contrast() -> List[Check]:
     # strong-competition 2D run stays under the a priori sup bound
     domain = DomainSpec(half_width=4.0, n=64)
     consts = AnalysisConstants(c_gn=1.0, c4=1.0, eta=0.2, delta0=0.5,
-                               delta=0.25, c1=1.0, c2=1.0)
+                               delta=0.25, c2=1.0)
     params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=12.0, gamma=0.1, dim=2)
     k_star = competition_threshold(2, params.mu, consts)
     kernel = discretize_kernel("box", consts.delta0, consts.eta, domain, dim=2)

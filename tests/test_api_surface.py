@@ -6,11 +6,14 @@ function or class of the package, must be referenced in the code of
 some module of the package other than ``__init__.py``: a public symbol
 that only the tests call is dead weight.  References are names and attribute accesses
 in the syntax tree, so a mention in a docstring or comment does not
-count.  The third-party modules the package imports anywhere, inside
+count.  Every field of an input type is read somewhere other than where
+a manifest is written back out: a setting nothing reads changes
+nothing.  The third-party modules the package imports anywhere, inside
 functions too, are exactly the runtime dependencies in
 ``pyproject.toml``.
 """
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -18,6 +21,9 @@ from pathlib import Path
 import pytest
 
 import fracplap
+from fracplap.config import InitialSpec, KernelSpec
+from fracplap.integrator import SolverConfig
+from fracplap.model import AnalysisConstants, DomainSpec, ModelParameters
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
 
@@ -60,6 +66,33 @@ def public_definitions() -> set:
 def test_every_public_definition_is_used_inside_the_package():
     unused = sorted(public_definitions() - referenced_names())
     assert unused == []
+
+
+INPUT_TYPES = (ModelParameters, DomainSpec, SolverConfig, AnalysisConstants,
+               KernelSpec, InitialSpec)
+# functions that only copy an input back into a manifest
+WRITERS = ("serialize_config", "_initial_to_dict")
+
+
+def attributes_read() -> set:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in WRITERS
+                   for node in ast.walk(fn)}
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in skipped)
+    return names
+
+
+def test_every_input_field_is_read():
+    read = attributes_read()
+    unread = sorted(f"{cls.__name__}.{f.name}" for cls in INPUT_TYPES
+                    for f in dataclasses.fields(cls) if f.name not in read)
+    assert unread == []
 
 
 def imported_third_party() -> set:

@@ -15,7 +15,6 @@ from fracplap.cli import (
     EXIT_OK,
     _manifest_id,
     _set_pointer,
-    _worker_count,
     main,
 )
 from fracplap.errors import ConfigError, SolverConvergenceError
@@ -249,8 +248,7 @@ def write_mismatched_snapshot_sweep(tmp_path):
     return cfg
 
 
-def test_simulate_and_sweep_agree_on_the_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+def test_simulate_and_sweep_agree_on_the_exit_code(tmp_path, capsys):
     cfg = write_mismatched_snapshot_sweep(tmp_path)
     single = json.loads(cfg.read_text())
     del single["sweep"]
@@ -262,8 +260,7 @@ def test_simulate_and_sweep_agree_on_the_exit_code(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
-def test_sweep_table_quotes_statuses_with_commas(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+def test_sweep_table_quotes_statuses_with_commas(tmp_path, capsys):
     cfg = write_mismatched_snapshot_sweep(tmp_path)
     base = tmp_path / "grid"
     main(["sweep", "--config", str(cfg), "--output-dir", str(base)])
@@ -283,8 +280,7 @@ def test_sweep_table_quotes_statuses_with_commas(tmp_path, capsys, monkeypatch):
 # sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_runs_grid_and_writes_table(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+def test_sweep_runs_grid_and_writes_table(tmp_path, capsys):
     manifest = json.loads(write_manifest(tmp_path).read_text())
     manifest["sweep"] = {"/model/gamma": [0.15, 0.1875]}
     cfg = tmp_path / "sweep.json"
@@ -306,8 +302,7 @@ def test_sweep_runs_grid_and_writes_table(tmp_path, capsys, monkeypatch):
     assert all(ln.split(",")[2] == "completed" for ln in table[1:])
 
 
-def test_sweep_without_overrides_runs_base_once(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
+def test_sweep_without_overrides_runs_base_once(tmp_path, capsys):
     cfg = write_manifest(tmp_path)
     base = tmp_path / "single"
     code = main(["sweep", "--config", str(cfg), "--output-dir", str(base)])
@@ -319,7 +314,6 @@ def test_sweep_without_overrides_runs_base_once(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_keeps_table_when_one_variant_raises(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
     real = cli._execute_manifest
 
     def flaky(manifest, out_dir):
@@ -384,15 +378,3 @@ def test_manifest_id_shape():
     assert re.fullmatch(r"[0-9a-f]{12}", a)
     assert a == _manifest_id("text")
     assert a != _manifest_id("other")
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("FRACPLAP_THREADS", "1")
-    assert _worker_count(8) == 1
-    monkeypatch.setenv("FRACPLAP_THREADS", "4")
-    assert _worker_count(8) == 4
-    assert _worker_count(2) == 2
-    monkeypatch.setenv("FRACPLAP_THREADS", "not-a-number")
-    assert _worker_count(1) == 1
-    monkeypatch.delenv("FRACPLAP_THREADS")
-    assert _worker_count(1) == 1

@@ -124,6 +124,20 @@ def test_solver_scheme_lagged_implicit_is_accepted_and_not_written():
     assert "scheme" not in json.loads(serialize_config(m))["solver"]
 
 
+def test_analysis_c1_is_accepted_and_not_written():
+    # no estimate reads c1, but manifest.json files earlier versions wrote carry it
+    m = parse({**MINIMAL, "analysis": {"c1": 1.0}})
+    assert m == parse(MINIMAL)
+    assert "c1" not in json.loads(serialize_config(m))["analysis"]
+    assert err_path({**MINIMAL, "analysis": {"c1": "one"}}) == "/analysis/c1"
+
+
+def test_one_step_run_is_accepted_at_any_horizon():
+    for t in (0.5, 100.0):
+        m = parse({**MINIMAL, "solver": {"dt": t, "t_final": t}})
+        assert m.solver.dt == m.solver.t_final == t
+
+
 def test_kernel_section_constraints():
     assert err_path({**MINIMAL, "kernel": {"delta0": 1.0}}) == "/kernel/delta0"
     assert err_path({**MINIMAL, "kernel": {"shape": "bell"}}) == "/kernel/shape"

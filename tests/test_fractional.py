@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +221,19 @@ def test_l1_memory_scale_and_starting_loads(alpha):
             expected = expected + w2[n - 1] * g2
         assert np.array_equal(memory.load(), expected)
         memory.append(g1)
+
+
+def test_l1_memory_past_512_steps_does_not_import_scipy_signal():
+    # its starting weights take caputo_series onto the FFT branch, and
+    # scipy.signal alone takes about a second to import
+    import fracplap
+    code = ("import sys, numpy as np\n"
+            "from fracplap.fractional import L1Memory\n"
+            "L1Memory(np.zeros(4), 0.5, 0.01, 600, np.ones(4))\n"
+            "assert 'scipy.signal' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fracplap.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_sup_norm_bound_reference_point():
     """
     params = ModelParameters(alpha=0.5, p=1.5, mu=1.0, k=1.0, gamma=1.0)
     consts = AnalysisConstants(c_gn=1.0, c4=1.0, eta=1.0, delta0=1.0,
-                               delta=0.5, c1=1.0, c2=1.0)
+                               delta=0.5, c2=1.0)
     sb = sup_norm_bound(params, consts, 1.0, 1.0)
     assert sb.ok
     bracket = 1.0 + 260.0 / math.sqrt(math.pi)
@@ -207,7 +207,7 @@ def test_sup_norm_bound_zero_data():
 def test_sup_norm_bound_two_dimensional_branch():
     params = kernel_params(dim=2)
     consts = AnalysisConstants(c_gn=1.0, c4=1.0, eta=1.0, delta0=1.0,
-                               delta=0.5, c1=1.0, c2=1.0)
+                               delta=0.5, c2=1.0)
     sb = sup_norm_bound(params, consts, 1.0, 1.0)
     assert sb.ok
     ta = 1.0 / (0.5 * math.gamma(0.5))
@@ -220,7 +220,7 @@ def test_sup_norm_bound_two_dimensional_branch():
 def test_sup_norm_bound_degenerate_bracket_is_flagged():
     params = kernel_params(gamma=0.0)
     consts = AnalysisConstants(c_gn=1.0, c4=1.0, eta=1.0, delta0=1.0,
-                               delta=0.5, c1=1.0, c2=1e6)
+                               delta=0.5, c2=1e6)
     sb = sup_norm_bound(params, consts, 1.0, 1.0)
     assert not sb.ok
     assert sb.value is None

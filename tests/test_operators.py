@@ -14,7 +14,6 @@ from fracplap.operators import (
     discretize_kernel,
     face_diffusivity,
     global_mass,
-    local_l2_ball,
     p_laplacian,
 )
 
@@ -308,20 +307,3 @@ def test_window_integral_radius_guard():
         box_window_integral(f, 0.0)
     with pytest.raises(HypothesisError):
         box_window_integral(f, 1.5)
-
-
-def test_local_l2_ball_constant_and_scaling():
-    d = DomainSpec(half_width=2.0, n=32)
-    out = local_l2_ball(Field.constant(d, 0.5), 0.5)
-    assert np.allclose(out.values, 0.25, rtol=1e-13)      # (2 delta) c^2
-    rng = np.random.default_rng(30)
-    u = rng.uniform(0.0, 1.0, d.n)
-    one = local_l2_ball(Field(u, d), 0.5)
-    two = local_l2_ball(Field(2.0 * u, d), 0.5)
-    assert np.allclose(two.values, 4.0 * one.values, rtol=1e-12)
-
-
-def test_local_l2_ball_clamps_negative_input():
-    d = DomainSpec(half_width=2.0, n=32)
-    out = local_l2_ball(Field.constant(d, -1.0), 0.5)
-    assert np.allclose(out.values, 0.0, atol=1e-15)
