@@ -69,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rts.add_argument("--k", type=float, required=True)
     rts.add_argument("--gamma", type=float, required=True)
     rts.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    rts.add_argument("--c-gn", type=float, default=1.0,
+    rts.add_argument("--c-gn", type=float, default=AnalysisConstants.c_gn,
                      help="interpolation constant entering the 2D threshold")
-    rts.add_argument("--eta", type=float, default=0.1,
+    rts.add_argument("--eta", type=float, default=AnalysisConstants.eta,
                      help="kernel floor entering the 2D threshold")
 
     mlf = sub.add_parser("mlf", help="evaluate the Mittag-Leffler function")

@@ -1,28 +1,31 @@
 """Run manifests: a strict JSON schema describing one simulation.
 
 Top-level keys: ``model`` and ``domain`` (required), ``solver``,
-``analysis``, ``kernel``, ``initial``, ``output``, ``seed`` (optional
-with documented defaults).  Unknown keys anywhere are rejected, and
-every parse error carries the JSON-pointer path of the offending
-entry.  ``parse_config(serialize_config(m))`` reproduces ``m``
-exactly.
+``analysis``, ``kernel``, ``initial``, ``output``, ``seed`` (optional).
+The input dataclasses are the schema: each field of ``ModelParameters``,
+``DomainSpec``, ``SolverConfig``, ``AnalysisConstants``, ``KernelSpec``
+and ``InitialSpec`` is a key of its section, its annotation picks the
+coercion and its default is the key's default.  ``parse_config`` adds
+only what a dataclass cannot know: required keys, defaults derived from
+the domain and the kernel, legacy keys and range checks.  Unknown keys,
+wrong types and non-finite numbers are rejected, and every parse error
+carries the JSON-pointer path of the offending entry.
+``parse_config(serialize_config(m))`` reproduces ``m`` exactly.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .integrator import SolverConfig
-from .model import (AnalysisConstants, DomainSpec, Field, ModelParameters,
-                    validate_params)
+from .model import (COUPLING_KERNEL, AnalysisConstants, DomainSpec, Field,
+                    ModelParameters, validate_params)
 from .operators import KERNEL_SHAPES
-
-INITIAL_KINDS = ("constant", "gaussian_bump", "random", "file")
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,14 @@ class InitialSpec:
     seed: Optional[int] = None               # random; None falls back to the manifest seed
     amplitude: float = 1.0
     path: str = ""                           # file
+
+
+# the keys each initial kind reads, in the order they are checked; the
+# writer emits the same keys
+_INITIAL_KEYS = {"constant": ("value",),
+                 "gaussian_bump": ("width", "center", "height"),
+                 "random": ("amplitude", "seed"),
+                 "file": ("path",)}
 
 
 @dataclass
@@ -73,6 +84,8 @@ def _reject_unknown(obj: dict, allowed, path: str) -> None:
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 def _as_int(v, path: str) -> int:
@@ -85,117 +98,78 @@ def _as_str(v, path: str) -> str:
         raise ConfigError(path, f"expected a string, got {v!r}")
     return v
 
-
-def _parse_model(node, path: str) -> ModelParameters:
-    obj = _require_object(node, path)
-    allowed = ("alpha", "p", "mu", "k", "gamma", "m", "dim", "coupling_mode")
-    _reject_unknown(obj, allowed, path)
-    for key in ("alpha", "p", "mu", "k", "gamma"):
-        if key not in obj:
-            raise ConfigError(f"{path}/{key}", "required key missing")
-    params = ModelParameters(
-        alpha=_as_float(obj["alpha"], f"{path}/alpha"),
-        p=_as_float(obj["p"], f"{path}/p"),
-        mu=_as_float(obj["mu"], f"{path}/mu"),
-        k=_as_float(obj["k"], f"{path}/k"),
-        gamma=_as_float(obj["gamma"], f"{path}/gamma"),
-        m=_as_float(obj.get("m", 1.0), f"{path}/m"),
-        dim=_as_int(obj.get("dim", 1), f"{path}/dim"),
-        coupling_mode=_as_str(obj.get("coupling_mode", "kernel"),
-                              f"{path}/coupling_mode"),
-    )
-    for violation in validate_params(params):
-        field_name = violation.split(":", 1)[0]
-        raise ConfigError(f"{path}/{field_name}", violation)
-    return params
+def _as_floats(v, path: str) -> tuple:
+    if not isinstance(v, list):
+        raise ConfigError(path, f"expected a list of numbers, got {v!r}")
+    return tuple(_as_float(x, f"{path}/{i}") for i, x in enumerate(v))
 
 
-def _parse_domain(node, path: str) -> DomainSpec:
-    obj = _require_object(node, path)
-    _reject_unknown(obj, ("half_width", "n"), path)
-    for key in ("half_width", "n"):
-        if key not in obj:
-            raise ConfigError(f"{path}/{key}", "required key missing")
-    try:
-        return DomainSpec(half_width=_as_float(obj["half_width"], f"{path}/half_width"),
-                          n=_as_int(obj["n"], f"{path}/n"))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+# coercion by field annotation (a string: the input modules postpone
+# annotations); null is a manifest value only for initial.seed, where it
+# means "use the manifest seed"
+_COERCE = {"float": _as_float, "int": _as_int, "str": _as_str,
+           "Tuple[float, ...]": _as_floats, "Optional[float]": _as_float,
+           "Optional[int]": lambda v, path: None if v is None else _as_int(v, path)}
 
 
-def _parse_solver(node, path: str) -> SolverConfig:
-    obj = _require_object(node, path)
-    allowed = ("dt", "t_final", "eps_reg", "blowup_threshold", "scheme",
-               "record_every", "snapshot_times")
-    _reject_unknown(obj, allowed, path)
-    snaps = obj.get("snapshot_times", [])
-    if not isinstance(snaps, list):
-        raise ConfigError(f"{path}/snapshot_times", "expected a list of times")
-    snaps = tuple(_as_float(t, f"{path}/snapshot_times/{i}") for i, t in enumerate(snaps))
+def _positive(v) -> Optional[str]:
+    return None if v > 0 else f"must be positive, got {v}"
+
+
+def _lagged_implicit(v, path: str) -> None:
     # the one march there is; manifests written by earlier versions name it
-    scheme = _as_str(obj.get("scheme", "lagged_implicit"), f"{path}/scheme")
-    if scheme != "lagged_implicit":
-        raise ConfigError(f"{path}/scheme",
-                          f"expected 'lagged_implicit' (the only scheme), got {scheme!r}")
+    if _as_str(v, path) != "lagged_implicit":
+        raise ConfigError(path, f"expected 'lagged_implicit' (the only scheme), got {v!r}")
+
+
+def _parse_fields(cls, node, path: str, keys=None, required=(), defaults={},
+                  checks={}, legacy={}, violations=None):
+    """Parse one manifest section into the dataclass ``cls``.
+
+    The keys are ``keys`` (a subset of the fields, checked in that
+    order) or else every field, list-valued ones first, then ``legacy``
+    keys.  A key is required when it is in ``required`` or has neither
+    a default here nor a dataclass default.  An absent key takes
+    ``defaults[key]``, called with the values parsed so far when it is
+    callable, or else the dataclass default.  ``checks[key]`` returns
+    an error message for a bad value; ``legacy[key]`` validates a key
+    earlier versions wrote and nothing reads; ``violations`` lists the
+    faults of the built object as ``"field: message"``.
+    """
+    obj = _require_object(node, path)
+    spec = {f.name: f for f in fields(cls)}
+    if keys is None:   # the order of earlier versions, so the first fault reported stays
+        lists = [k for k in spec if spec[k].type == "Tuple[float, ...]"]
+        keys = lists + list(legacy) + [k for k in spec if k not in lists]
+    _reject_unknown(obj, keys, path)
+    for key in keys:
+        if key in spec and key not in obj and key not in defaults and (
+                key in required or spec[key].default is MISSING):
+            raise ConfigError(f"{path}/{key}", "required key missing")
+    values = {}
+    for key in keys:
+        key_path = f"{path}/{key}"
+        if key in legacy:
+            if key in obj:
+                legacy[key](obj[key], key_path)
+            continue
+        if key in obj:
+            raw = obj[key]
+        elif key in defaults:
+            raw = defaults[key](values) if callable(defaults[key]) else defaults[key]
+        else:
+            continue
+        values[key] = _COERCE[spec[key].type](raw, key_path)
+        fault = checks[key](values[key]) if key in checks else None
+        if fault:
+            raise ConfigError(key_path, fault)
     try:
-        return SolverConfig(
-            dt=_as_float(obj.get("dt", 1e-3), f"{path}/dt"),
-            t_final=_as_float(obj.get("t_final", 1.0), f"{path}/t_final"),
-            eps_reg=_as_float(obj.get("eps_reg", 1e-6), f"{path}/eps_reg"),
-            blowup_threshold=_as_float(obj.get("blowup_threshold", 1e8),
-                                       f"{path}/blowup_threshold"),
-            record_every=_as_int(obj.get("record_every", 10), f"{path}/record_every"),
-            snapshot_times=snaps,
-        )
+        parsed = cls(**values)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_kernel(node, path: str, domain: DomainSpec) -> KernelSpec:
-    obj = _require_object(node, path)
-    _reject_unknown(obj, ("shape", "delta0", "eta"), path)
-    shape = _as_str(obj.get("shape", "box"), f"{path}/shape")
-    if shape not in KERNEL_SHAPES:
-        raise ConfigError(f"{path}/shape",
-                          f"expected one of {KERNEL_SHAPES}, got {shape!r}")
-    delta0 = _as_float(obj.get("delta0", domain.half_width / 8.0), f"{path}/delta0")
-    if not (0 < delta0 < domain.half_width / 4.0):
-        raise ConfigError(f"{path}/delta0",
-                          f"sensing radius must lie in (0, L/4) = "
-                          f"(0, {domain.half_width / 4.0}), got {delta0}")
-    eta = _as_float(obj.get("eta", _default_eta(delta0, 1)), f"{path}/eta")
-    if not (eta > 0 and math.isfinite(eta)):
-        raise ConfigError(f"{path}/eta", f"must be positive and finite, got {eta}")
-    return KernelSpec(shape=shape, delta0=delta0, eta=eta)
-
-
-def _default_eta(delta0: float, dim: int) -> float:
-    # half the interior level of the normalized box kernel: safely below
-    # the sensing-box floor of every built-in shape
-    return 0.5 / (4.0 * delta0) ** dim
-
-
-def _parse_analysis(node, path: str, kernel: Optional[KernelSpec]) -> AnalysisConstants:
-    obj = _require_object(node, path)
-    allowed = ("c_gn", "c4", "eta", "delta0", "delta", "c1", "c2")
-    _reject_unknown(obj, allowed, path)
-    # no estimate reads c1; manifests written by earlier versions carry it
-    if "c1" in obj:
-        _as_float(obj["c1"], f"{path}/c1")
-    delta0 = obj.get("delta0", kernel.delta0 if kernel else 0.5)
-    eta = obj.get("eta", kernel.eta if kernel else 0.1)
-    consts = AnalysisConstants(
-        c_gn=_as_float(obj.get("c_gn", 1.0), f"{path}/c_gn"),
-        c4=_as_float(obj.get("c4", 1.0), f"{path}/c4"),
-        eta=_as_float(eta, f"{path}/eta"),
-        delta0=_as_float(delta0, f"{path}/delta0"),
-        delta=_as_float(obj["delta"], f"{path}/delta") if "delta" in obj else None,
-        c2=_as_float(obj.get("c2", 1.0), f"{path}/c2"),
-    )
-    for violation in consts.violations():
-        field_name = violation.split(":", 1)[0]
-        raise ConfigError(f"{path}/{field_name}", violation)
-    return consts
+    for violation in violations(parsed) if violations else ():
+        raise ConfigError(f"{path}/{violation.split(':', 1)[0]}", violation)
+    return parsed
 
 
 def _parse_initial(node, path: str, dim: int) -> InitialSpec:
@@ -203,39 +177,18 @@ def _parse_initial(node, path: str, dim: int) -> InitialSpec:
     if "kind" not in obj:
         raise ConfigError(f"{path}/kind", "required key missing")
     kind = _as_str(obj["kind"], f"{path}/kind")
-    if kind == "constant":
-        _reject_unknown(obj, ("kind", "value"), path)
-        return InitialSpec(kind=kind, value=_as_float(obj.get("value", 0.5),
-                                                      f"{path}/value"))
-    if kind == "gaussian_bump":
-        _reject_unknown(obj, ("kind", "center", "width", "height"), path)
-        center = obj.get("center", [0.0] * dim)
-        if not isinstance(center, list) or len(center) != dim:
-            raise ConfigError(f"{path}/center",
-                              f"expected a list of {dim} coordinates, got {center!r}")
-        width = _as_float(obj.get("width", 0.5), f"{path}/width")
-        if width <= 0:
-            raise ConfigError(f"{path}/width", f"must be positive, got {width}")
-        return InitialSpec(
-            kind=kind,
-            center=tuple(_as_float(c, f"{path}/center/{i}") for i, c in enumerate(center)),
-            width=width,
-            height=_as_float(obj.get("height", 1.0), f"{path}/height"))
-    if kind == "random":
-        _reject_unknown(obj, ("kind", "seed", "amplitude"), path)
-        amplitude = _as_float(obj.get("amplitude", 1.0), f"{path}/amplitude")
-        if amplitude <= 0:
-            raise ConfigError(f"{path}/amplitude", f"must be positive, got {amplitude}")
-        seed = obj.get("seed")
-        return InitialSpec(kind=kind, amplitude=amplitude,
-                           seed=None if seed is None else _as_int(seed, f"{path}/seed"))
-    if kind == "file":
-        _reject_unknown(obj, ("kind", "path"), path)
-        if "path" not in obj:
-            raise ConfigError(f"{path}/path", "required key missing")
-        return InitialSpec(kind=kind, path=_as_str(obj["path"], f"{path}/path"))
-    raise ConfigError(f"{path}/kind",
-                      f"expected one of {INITIAL_KINDS}, got {kind!r}")
+    if kind not in _INITIAL_KEYS:
+        raise ConfigError(f"{path}/kind",
+                          f"expected one of {tuple(_INITIAL_KEYS)}, got {kind!r}")
+    keys = ("kind", *_INITIAL_KEYS[kind])
+    _reject_unknown(obj, keys, path)
+    center = obj.get("center", [0.0] * dim)
+    if kind == "gaussian_bump" and not (isinstance(center, list) and len(center) == dim):
+        raise ConfigError(f"{path}/center",
+                          f"expected a list of {dim} coordinates, got {center!r}")
+    return _parse_fields(InitialSpec, obj, path, keys=keys, required=("path",),
+                         defaults={"center": center},
+                         checks={"width": _positive, "amplitude": _positive})
 
 
 def parse_config(text: str) -> RunManifest:
@@ -253,24 +206,41 @@ def parse_config(text: str) -> RunManifest:
         if key not in root:
             raise ConfigError(f"/{key}", "required section missing")
 
-    model = _parse_model(root["model"], "/model")
-    domain = _parse_domain(root["domain"], "/domain")
-    solver = _parse_solver(root.get("solver", {}), "/solver")
+    model = _parse_fields(ModelParameters, root["model"], "/model",
+                          violations=validate_params)
+    domain = _parse_fields(DomainSpec, root["domain"], "/domain")
+    solver = _parse_fields(SolverConfig, root.get("solver", {}), "/solver",
+                           defaults={"dt": 1e-3, "t_final": 1.0},
+                           legacy={"scheme": _lagged_implicit})
     kernel = None
-    if model.coupling_mode == "kernel":
-        kernel = _parse_kernel(root.get("kernel", {}), "/kernel", domain)
+    if model.coupling_mode == COUPLING_KERNEL:
+        quarter = domain.half_width / 4.0
+        kernel = _parse_fields(
+            KernelSpec, root.get("kernel", {}), "/kernel",
+            # eta: half the interior level of the normalized box kernel,
+            # safely below the sensing-box floor of every built-in shape
+            defaults={"shape": "box", "delta0": domain.half_width / 8.0,
+                      "eta": lambda v: 0.5 / (4.0 * v["delta0"]) ** model.dim},
+            checks={"shape": lambda s: None if s in KERNEL_SHAPES else
+                    f"expected one of {KERNEL_SHAPES}, got {s!r}",
+                    "delta0": lambda d: None if 0 < d < quarter else
+                    f"sensing radius must lie in (0, L/4) = (0, {quarter}), got {d}",
+                    "eta": _positive})
     elif "kernel" in root:
         raise ConfigError("/kernel", "kernel section is only valid with kernel coupling")
-    analysis = _parse_analysis(root.get("analysis", {}), "/analysis", kernel)
+    analysis = _parse_fields(
+        AnalysisConstants, root.get("analysis", {}), "/analysis",
+        defaults={"delta0": kernel.delta0, "eta": kernel.eta} if kernel else {},
+        # no estimate reads c1; manifests written by earlier versions carry it
+        legacy={"c1": _as_float}, violations=AnalysisConstants.violations)
     initial = _parse_initial(root.get("initial", {"kind": "constant"}),
                              "/initial", model.dim)
 
-    output_dir = "out"
-    if "output" in root:
-        out_obj = _require_object(root["output"], "/output")
-        _reject_unknown(out_obj, ("directory",), "/output")
-        output_dir = _as_str(out_obj.get("directory", "out"), "/output/directory")
-    seed = _as_int(root.get("seed", 0), "/seed")
+    output = _require_object(root.get("output", {}), "/output")
+    _reject_unknown(output, ("directory",), "/output")
+    output_dir = _as_str(output.get("directory", RunManifest.output_dir),
+                         "/output/directory")
+    seed = _as_int(root.get("seed", RunManifest.seed), "/seed")
 
     return RunManifest(model=model, domain=domain, solver=solver,
                        analysis=analysis, kernel=kernel, initial=initial,
@@ -279,41 +249,16 @@ def parse_config(text: str) -> RunManifest:
 
 def serialize_config(manifest: RunManifest) -> str:
     """Canonical JSON for a manifest; parse_config inverts it exactly."""
-    m, d, s, a = manifest.model, manifest.domain, manifest.solver, manifest.analysis
-    root = {
-        "model": {"alpha": m.alpha, "p": m.p, "mu": m.mu, "k": m.k,
-                  "gamma": m.gamma, "m": m.m, "dim": m.dim,
-                  "coupling_mode": m.coupling_mode},
-        "domain": {"half_width": d.half_width, "n": d.n},
-        "solver": {"dt": s.dt, "t_final": s.t_final, "eps_reg": s.eps_reg,
-                   "blowup_threshold": s.blowup_threshold,
-                   "record_every": s.record_every,
-                   "snapshot_times": list(s.snapshot_times)},
-        "analysis": {"c_gn": a.c_gn, "c4": a.c4, "eta": a.eta,
-                     "delta0": a.delta0, "delta": a.delta, "c2": a.c2},
-        "initial": _initial_to_dict(manifest.initial),
-        "output": {"directory": manifest.output_dir},
-        "seed": manifest.seed,
-    }
-    if manifest.kernel is not None:
-        root["kernel"] = {"shape": manifest.kernel.shape,
-                          "delta0": manifest.kernel.delta0,
-                          "eta": manifest.kernel.eta}
+    root = asdict(manifest)
+    root["output"] = {"directory": root.pop("output_dir")}
+    if root["kernel"] is None:
+        del root["kernel"]
+    initial = root["initial"]
+    # an unset random seed is left out, as parse_config reads it
+    root["initial"] = {key: initial[key]
+                       for key in ("kind", *_INITIAL_KEYS[initial["kind"]])
+                       if initial[key] is not None}
     return json.dumps(root, indent=2, sort_keys=True)
-
-
-def _initial_to_dict(init: InitialSpec) -> dict:
-    if init.kind == "constant":
-        return {"kind": init.kind, "value": init.value}
-    if init.kind == "gaussian_bump":
-        return {"kind": init.kind, "center": list(init.center),
-                "width": init.width, "height": init.height}
-    if init.kind == "random":
-        out = {"kind": init.kind, "amplitude": init.amplitude}
-        if init.seed is not None:
-            out["seed"] = init.seed
-        return out
-    return {"kind": init.kind, "path": init.path}
 
 
 def build_initial(manifest: RunManifest) -> Field:

@@ -459,8 +459,16 @@ class InequalityReport:
     worst: float
 
 
-def _inequality_tolerance(scale: float, magnitude: float) -> float:
-    return 1e-12 * scale * max(1.0, magnitude)
+def _power_rule_report(u: np.ndarray, n_exp: int, alpha: float, dt: float,
+                       magnitude: float) -> InequalityReport:
+    """Margins of u^(m-1) D^alpha u - (1/m) D^alpha u^m, m = n_exp, with
+    a rounding tolerance scaled by the L1 weight and ``magnitude``."""
+    lhs = u[1:] ** (n_exp - 1) * caputo_series(u, alpha, dt)
+    margins = lhs - caputo_series(u ** n_exp, alpha, dt) / n_exp
+    tol = 1e-12 * _l1_scale(alpha, dt) * max(1.0, magnitude)
+    worst = float(np.min(margins)) if margins.size else 0.0
+    return InequalityReport(passed=bool(np.all(margins >= -tol)),
+                            margins=margins, worst=worst)
 
 
 def alikhanov_check(v_series, alpha: float, dt: float) -> InequalityReport:
@@ -472,15 +480,7 @@ def alikhanov_check(v_series, alpha: float, dt: float) -> InequalityReport:
     within float rounding of zero count as passing.
     """
     v = np.asarray(v_series, dtype=np.float64)
-    dv = caputo_series(v, alpha, dt)
-    dv2 = caputo_series(v ** 2, alpha, dt)
-    lhs = v[1:] * dv
-    rhs = 0.5 * dv2
-    margins = lhs - rhs
-    tol = _inequality_tolerance(_l1_scale(alpha, dt), float(np.max(np.abs(v))) ** 2)
-    worst = float(np.min(margins)) if margins.size else 0.0
-    return InequalityReport(passed=bool(np.all(margins >= -tol)),
-                            margins=margins, worst=worst)
+    return _power_rule_report(v, 2, alpha, dt, float(np.max(np.abs(v))) ** 2)
 
 
 def power_inequality_check(u_series, n_exp: int, alpha: float,
@@ -494,12 +494,4 @@ def power_inequality_check(u_series, n_exp: int, alpha: float,
     u = np.asarray(u_series, dtype=np.float64)
     if np.any(u < 0):
         raise HypothesisError("power inequality requires a nonnegative series")
-    du = caputo_series(u, alpha, dt)
-    dum = caputo_series(u ** n_exp, alpha, dt)
-    lhs = u[1:] ** (n_exp - 1) * du
-    rhs = dum / n_exp
-    margins = lhs - rhs
-    tol = _inequality_tolerance(_l1_scale(alpha, dt), float(np.max(u)) ** n_exp)
-    worst = float(np.min(margins)) if margins.size else 0.0
-    return InequalityReport(passed=bool(np.all(margins >= -tol)),
-                            margins=margins, worst=worst)
+    return _power_rule_report(u, n_exp, alpha, dt, float(np.max(u)) ** n_exp)

@@ -59,9 +59,9 @@ class SolverConfig:
             raise ValueError(
                 f"t_final = {self.t_final} is not a whole number of steps of dt = "
                 f"{self.dt} (ratio {ratio:.12g})")
-        if self.eps_reg < 0:
+        if not self.eps_reg >= 0:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
-        if self.blowup_threshold <= 0:
+        if not self.blowup_threshold > 0:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")

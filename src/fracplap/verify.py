@@ -218,13 +218,11 @@ def verify_allee_dichotomy() -> List[Check]:
             f"u0=0.20 -> verdict '{ext.verdict}', terminal sup "
             f"{ext.terminal_sup:.4f} (band {ext.tol_extinction:.3f})"))
         per = allee_classify(_allee_run(alpha, 0.50), roots)
-        gap = abs(per.terminal_sup - roots.upper)
         checks.append(_check(
-            f"persistence-alpha-{alpha}",
-            per.verdict == "persistence" and gap <= 0.05 * roots.upper,
+            f"persistence-alpha-{alpha}", per.verdict == "persistence",
             f"u0=0.50 -> verdict '{per.verdict}', terminal sup "
             f"{per.terminal_sup:.4f} vs carrying level {roots.upper} "
-            f"(band {0.05 * roots.upper:.4f})"))
+            f"(band {per.tol_persistence:.4f})"))
     return checks
 
 

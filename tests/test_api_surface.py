@@ -71,7 +71,7 @@ def test_every_public_definition_is_used_inside_the_package():
 INPUT_TYPES = (ModelParameters, DomainSpec, SolverConfig, AnalysisConstants,
                KernelSpec, InitialSpec)
 # functions that only copy an input back into a manifest
-WRITERS = ("serialize_config", "_initial_to_dict")
+WRITERS = ("serialize_config",)
 
 
 def attributes_read() -> set:

@@ -19,7 +19,7 @@ from fracplap.cli import (
 )
 from fracplap.errors import ConfigError, SolverConvergenceError
 from fracplap.io import read_snapshot, write_snapshot
-from fracplap.model import DomainSpec, Field
+from fracplap.model import AnalysisConstants, DomainSpec, Field
 
 
 def write_manifest(tmp_path, overrides=None, name="run.json"):
@@ -55,6 +55,15 @@ def test_roots_two_dimensional_threshold(capsys):
                  "--dim", "2", "--c-gn", "1", "--eta", "0.5"])
     assert code == EXIT_OK
     assert "k_star = 4" in capsys.readouterr().out
+
+
+def test_roots_defaults_are_the_analysis_constants(capsys):
+    args = ["roots", "--mu", "1", "--k", "1", "--gamma", "0.1", "--dim", "2"]
+    assert main(args) == EXIT_OK
+    implicit = capsys.readouterr().out
+    assert main(args + ["--c-gn", repr(AnalysisConstants.c_gn),
+                        "--eta", repr(AnalysisConstants.eta)]) == EXIT_OK
+    assert capsys.readouterr().out == implicit
 
 
 def test_roots_rejects_overdamped(capsys):
@@ -161,6 +170,17 @@ def test_simulate_rejects_snapshot_time_past_horizon(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "/solver" in err and "snapshot_times" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_nan_blowup_threshold(tmp_path, capsys):
+    # NaN passes `threshold <= 0` and then flags every step as a blow-up
+    cfg = write_manifest(tmp_path, overrides={
+        "solver": {"dt": 0.01, "t_final": 0.2, "blowup_threshold": math.nan}})
+    code = main(["simulate", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "/solver/blowup_threshold" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

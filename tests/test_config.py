@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +218,124 @@ def test_serialize_is_canonical():
     assert text == serialize_config(parse_config(text))
     keys = list(json.loads(text))
     assert keys == sorted(keys)
+
+
+def test_first_fault_reported_is_stable():
+    # with several faults in a section, the one earlier versions reported
+    assert err_path({**MINIMAL, "solver": {"scheme": "explicit", "dt": -1.0}}) \
+        == "/solver/scheme"
+    assert err_path({**MINIMAL, "solver": {"snapshot_times": 5, "dt": "x",
+                                           "scheme": "explicit"}}) \
+        == "/solver/snapshot_times"
+    assert err_path({**MINIMAL, "kernel": {"shape": "bell", "delta0": "x"}}) \
+        == "/kernel/shape"
+    assert err_path({**MINIMAL, "analysis": {"c1": "x", "c_gn": "y"}}) \
+        == "/analysis/c1"
+    assert err_path({**MINIMAL, "initial": {"kind": "gaussian_bump",
+                                            "center": ["x"], "width": 0.0}}) \
+        == "/initial/width"
+    assert err_path({**MINIMAL, "initial": {"kind": "random", "seed": "x",
+                                            "amplitude": -1.0}}) \
+        == "/initial/amplitude"
+
+
+def test_null_is_a_value_only_for_the_initial_seed():
+    assert err_path({**MINIMAL, "analysis": {"delta": None}}) == "/analysis/delta"
+    assert err_path({**MINIMAL, "solver": {"eps_reg": None}}) == "/solver/eps_reg"
+    assert err_path({**MINIMAL, "kernel": {"eta": None}}) == "/kernel/eta"
+    m = parse({**MINIMAL, "initial": {"kind": "random", "seed": None}})
+    assert m.initial.seed is None
+
+
+@pytest.mark.parametrize("section,value,pointer", [
+    ("solver", {"blowup_threshold": math.nan}, "/solver/blowup_threshold"),
+    ("solver", {"eps_reg": math.nan}, "/solver/eps_reg"),
+    ("initial", {"kind": "random", "amplitude": math.nan}, "/initial/amplitude"),
+    ("initial", {"kind": "gaussian_bump", "height": math.inf}, "/initial/height"),
+])
+def test_non_finite_numbers_are_rejected(section, value, pointer):
+    # json reads NaN and Infinity; no manifest number may be either
+    assert err_path({**MINIMAL, section: value}) == pointer
+
+
+@pytest.mark.parametrize("half_width", [4.0, 8.0])
+def test_default_kernel_is_admissible_in_2d(half_width):
+    m = parse({"model": {**MINIMAL["model"], "dim": 2},
+               "domain": {"half_width": half_width, "n": 64}})
+    kern = discretize_kernel(m.kernel.shape, m.kernel.delta0, m.kernel.eta,
+                             m.domain, dim=2)
+    assert kern.delta0 == half_width / 8.0
+    assert m.kernel.eta == 0.5 / (4.0 * m.kernel.delta0) ** 2
+
+
+# canonical manifests covering every section and every initial kind; the
+# digests were taken before the parsers were derived from the dataclasses,
+# and a sweep names each run directory by this text
+PINNED = {
+    "minimal": MINIMAL,
+    "every-key": {
+        "model": {"alpha": 0.8, "p": 1.8, "mu": 2.0, "k": 12.0, "gamma": 0.1,
+                  "m": 1.0, "dim": 1, "coupling_mode": "kernel"},
+        "domain": {"half_width": 8.0, "n": 128},
+        "solver": {"dt": 0.01, "t_final": 2.0, "eps_reg": 1e-8,
+                   "blowup_threshold": 1e6, "scheme": "lagged_implicit",
+                   "record_every": 5, "snapshot_times": [0.5, 1.0]},
+        "kernel": {"shape": "triangle", "delta0": 0.4, "eta": 0.05},
+        "analysis": {"c_gn": 2.0, "c4": 3.0, "eta": 0.04, "delta0": 0.4,
+                     "delta": 0.2, "c1": 5.0, "c2": 0.5},
+        "initial": {"kind": "gaussian_bump", "center": [0.5], "width": 0.25,
+                    "height": 1.5},
+        "output": {"directory": "runs/a"},
+        "seed": 42,
+    },
+    "bump-defaults": {**MINIMAL, "initial": {"kind": "gaussian_bump"}},
+    "global-mass-random": {**global_mass_manifest(),
+                           "initial": {"kind": "random", "seed": 7,
+                                       "amplitude": 0.5}},
+    "random-manifest-seed": {**MINIMAL, "seed": 3,
+                             "initial": {"kind": "random", "amplitude": 0.25}},
+    "file": {**MINIMAL, "initial": {"kind": "file", "path": "state.fplp"}},
+    "constant-2d": {
+        "model": {**MINIMAL["model"], "dim": 2},
+        "domain": {"half_width": 2.0, "n": 16},
+        "kernel": {"shape": "gaussian", "delta0": 0.25, "eta": 0.5},
+        "initial": {"kind": "constant", "value": 0.2},
+        "output": {},
+    },
+    "bump-2d": {
+        "model": {**MINIMAL["model"], "dim": 2},
+        "domain": {"half_width": 4.0, "n": 32},
+        "kernel": {"eta": 0.1},
+        "solver": {"dt": 0.05, "t_final": 1.0, "snapshot_times": []},
+        "initial": {"kind": "gaussian_bump", "center": [1.0, -1.0]},
+    },
+}
+DIGESTS = {
+    "minimal": "b51ab570d4c963fe1d3cf7a50d462b8631500102dfe1159d99ac9575c6f0933d",
+    "every-key": "4197b7d0167769277ccaaf5819d25b63d0e81f0949b5e14e696250fc18350d60",
+    "bump-defaults": "1708f96b21f042175374b6267712c136400b64e4c918226462d0934e0cc57351",
+    "global-mass-random": "5ef7e92edec1147d738e3c92f7ca57b1613a0872cffdd50552b8c6cd8e2e132e",
+    "random-manifest-seed": "687e395e24c5fe101717e4cd26ef1391b1a52603c45ff7592ab1d5fe980df14e",
+    "file": "250b967c3cc9fe17ed08e427a94723b35170e23f523c5a1055248a1547409302",
+    "constant-2d": "806e56799b5d7e63329818c0dc92a10c82a154d55bd8fc8966d6ab9693998e08",
+    "bump-2d": "2c10b145241b9f00436bbc28a9f36d2a48e5c68955e60a14a2a29719f141c074",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_serialized_manifest_bytes_are_pinned(name):
+    text = serialize_config(parse(PINNED[name]))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == DIGESTS[name]
+    assert parse_config(text) == parse(PINNED[name])
+
+
+def test_readme_manifest_example_is_the_canonical_form():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Manifest schema", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    # every documented key is written back, and nothing else is
+    assert json.loads(serialize_config(parse(example))) == example
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ def test_solver_config_defaults():
     dict(dt=0.1, t_final=1.0, snapshot_times=(-0.1,)),
     dict(dt=0.1, t_final=1.0, snapshot_times=(0.5, 1.01)),
     dict(dt=0.1, t_final=1.0, snapshot_times=(float("nan"),)),
+    dict(dt=0.01, t_final=1.0, eps_reg=float("nan")),
+    dict(dt=0.01, t_final=1.0, blowup_threshold=float("nan")),
 ])
 def test_solver_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
