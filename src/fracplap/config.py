@@ -254,6 +254,8 @@ def serialize_config(manifest: RunManifest) -> str:
     if root["kernel"] is None:
         del root["kernel"]
     initial = root["initial"]
+    if initial["kind"] == "gaussian_bump" and not initial["center"]:
+        initial["center"] = [0.0] * manifest.model.dim     # () means the origin
     # an unset random seed is left out, as parse_config reads it
     root["initial"] = {key: initial[key]
                        for key in ("kind", *_INITIAL_KEYS[initial["kind"]])

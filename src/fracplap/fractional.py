@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -63,9 +64,11 @@ def l1_weights(alpha: float, dt: float, n: int) -> L1Weights:
     return L1Weights(alpha=alpha, dt=dt, b=b, scale=scale)
 
 
+@lru_cache(maxsize=64, typed=True)
 def soe_kernel(alpha: float, n: int):
     """Nodes s and weights w with sum_l w_l exp(-s_l tau) = tau^(-alpha)
-    to relative accuracy SOE_TOL on 1 <= tau <= n.
+    to relative accuracy SOE_TOL on 1 <= tau <= n, read-only and built
+    once per (alpha, n) and per process.
 
     The quadrature of tau^(-alpha) = int_0^inf exp(-tau s) s^(alpha-1) ds
     / Gamma(alpha) is Gauss-Jacobi on [0, 1/n] plus 8-point Gauss-Legendre
@@ -123,7 +126,9 @@ def soe_kernel(alpha: float, n: int):
             hi = mid
         else:
             lo = mid
-    return truncate(hi)
+    nodes, weights = truncate(hi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class L1Memory:
@@ -346,17 +351,18 @@ def _ml_unbounded(phi: float, p: float, log_tol: float):
     return mu, h, n
 
 
-def _ml_contour(alpha: float, beta: float, z: np.ndarray, pole) -> np.ndarray:
-    """E_{alpha,beta}(z) on one optimal parabolic contour shared by all of z.
+def _ml_nodes(alpha: float, beta: float, pole):
+    """Nodes of the optimal parabolic contour: ((h, g, s^alpha), residue).
 
-    ``pole`` is None when s^(alpha-beta) / (s^alpha - z) has no pole on
-    the principal sheet, else the pole of z[0] with Im >= 0; for z < 0 and
-    alpha > 1 its conjugate is the other one.  A pole with
-    phi = (Re s + |s|) / 2 <= 1e-15 is left to the contour, as in
-    Garrappa's ml.m.  The parabola runs either from the origin to the
-    pole, which then adds its residue, or beyond the pole (admissible
-    only while exp(phi) keeps rounding below the tolerance); the one
-    needing fewer nodes wins.
+    The sum over them is ``_ml_sum``.  ``pole`` is None when
+    s^(alpha-beta) / (s^alpha - z) has no pole on the principal sheet,
+    else the pole of z with Im >= 0; for z < 0 and alpha > 1 its
+    conjugate is the other one.  A pole with phi = (Re s + |s|) / 2 <=
+    1e-15 is left to the contour, as in Garrappa's ml.m.  The parabola
+    runs either from the origin to the pole, whose residue (None when
+    the contour passes beyond it) the sum then adds, or beyond the pole
+    (admissible only while exp(phi) keeps rounding below the tolerance);
+    the one needing fewer nodes wins.
     """
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))   # strength of the origin
     phi = 0.0 if pole is None else 0.5 * (pole.real + abs(pole))
@@ -383,11 +389,26 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray, pole) -> np.ndarray:
     s = mu * (1.0 + 1j * u) ** 2
     g = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * (1j - u))
     g[1:] *= 2.0
-    out = h / (2.0 * math.pi) * (g / (s ** alpha - z[:, None])).imag.sum(axis=1)
+    residue = None
     if inside:
         residue = (pole ** (1.0 - beta) * np.exp(pole) / alpha).real
-        out += residue if pole.imag == 0.0 else 2.0 * residue
-    return out
+        if pole.imag != 0.0:
+            residue *= 2.0
+    return (h, g, s ** alpha), residue
+
+
+@lru_cache(maxsize=64, typed=True)
+def _ml_shared_nodes(alpha: float, beta: float):
+    """The pole-free contour's (h, g, s^alpha), read-only: it depends on
+    (alpha, beta) alone, so it is built once per pair and per process."""
+    (h, g, s_alpha), _ = _ml_nodes(alpha, beta, None)
+    g.flags.writeable = s_alpha.flags.writeable = False
+    return h, g, s_alpha
+
+
+def _ml_sum(h: float, g: np.ndarray, s_alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Trapezoidal sum of ``_ml_nodes`` at every z (a 1D array)."""
+    return h / (2.0 * math.pi) * (g / (s_alpha - z[:, None])).imag.sum(axis=1)
 
 
 def mittag_leffler(alpha: float, z, beta: float = 1.0):
@@ -407,7 +428,8 @@ def mittag_leffler(alpha: float, z, beta: float = 1.0):
     poles s* = |z|^(1/alpha) e^(i (arg z + 2 pi k) / alpha) right of it.
     The parabola targets 1e-15 and loosens the target tenfold while it
     needs more than 200 nodes.  For z < 0 and alpha <= 1 there is no pole,
-    so all such z share one contour and cost one array evaluation.
+    so all such z share one contour, built once per (alpha, beta) and per
+    process, and cost one array evaluation.
 
     Large positive arguments whose result would exceed the float64
     range (exp scale beyond ~700) raise EvaluationRangeError instead of
@@ -429,20 +451,26 @@ def mittag_leffler(alpha: float, z, beta: float = 1.0):
                 f"E_1(z) = exp(z) overflows float64 at z = {flat.max()}")
         out = np.exp(flat)
     else:
-        scale = np.abs(flat) ** (1.0 / alpha)      # modulus of the poles
-        over = (flat > 0) & (scale > _OVERFLOW_EXPONENT)
-        if over.any():
-            i = over.argmax()
-            raise EvaluationRangeError(
-                f"E_({alpha},{beta})({flat[i]}) is on the exp({scale[i]:.3g}) scale; "
-                "beyond float64 range")
-        out = np.full(flat.shape, float(_rgamma(beta)))
         shared = flat < 0 if alpha <= 1.0 else np.zeros(flat.shape, dtype=bool)
-        if shared.any():
-            out[shared] = _ml_contour(alpha, beta, flat[shared], None)
-        for i in np.flatnonzero(~shared & (flat != 0.0)):
-            pole = scale[i] * (np.exp(1j * math.pi / alpha) if flat[i] < 0 else 1.0 + 0j)
-            out[i] = _ml_contour(alpha, beta, flat[i:i + 1], pole)[0]
+        if shared.all():
+            out = _ml_sum(*_ml_shared_nodes(alpha, beta), flat)
+        else:
+            scale = np.abs(flat) ** (1.0 / alpha)      # modulus of the poles
+            over = (flat > 0) & (scale > _OVERFLOW_EXPONENT)
+            if over.any():
+                i = over.argmax()
+                raise EvaluationRangeError(
+                    f"E_({alpha},{beta})({flat[i]}) is on the exp({scale[i]:.3g}) scale; "
+                    "beyond float64 range")
+            out = np.full(flat.shape, float(_rgamma(beta)))
+            if shared.any():
+                out[shared] = _ml_sum(*_ml_shared_nodes(alpha, beta), flat[shared])
+            for i in np.flatnonzero(~shared & (flat != 0.0)):
+                pole = scale[i] * (np.exp(1j * math.pi / alpha) if flat[i] < 0 else 1.0 + 0j)
+                nodes, residue = _ml_nodes(alpha, beta, pole)
+                out[i] = _ml_sum(*nodes, flat[i:i + 1])[0]
+                if residue is not None:
+                    out[i] += residue
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 

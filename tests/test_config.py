@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,20 @@ def test_round_trip_kernel_manifest():
 def test_round_trip_global_mass_manifest():
     m = parse(global_mass_manifest())
     assert parse_config(serialize_config(m)) == m
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_default_bump_center_is_written_as_the_origin(dim):
+    # a library caller's InitialSpec leaves center at (), which build_initial
+    # reads as the origin; the written manifest must parse back to it
+    m = parse({"model": {**MINIMAL["model"], "dim": dim},
+               "domain": {"half_width": 2.0, "n": 16}})
+    m = replace(m, initial=InitialSpec(kind="gaussian_bump"))
+    text = serialize_config(m)
+    again = parse_config(text)
+    assert again.initial.center == (0.0,) * dim
+    assert serialize_config(again) == text
+    assert np.array_equal(build_initial(again).values, build_initial(m).values)
 
 
 def test_serialize_is_canonical():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_l1 import HistoryBuffer, memory_coefficients
+from fracplap import fractional
 from fracplap.errors import EvaluationRangeError, GridMismatchError, HypothesisError
 from fracplap.fractional import (
     SOE_TOL,
@@ -165,6 +166,17 @@ def test_soe_kernel_size_and_relative_error(alpha, n):
                                   * chunk ** alpha - 1.0)))
               for chunk in np.array_split(tau, 20))
     assert err <= SOE_TOL
+
+
+def test_soe_kernel_is_built_once_and_read_only():
+    soe_kernel.cache_clear()
+    nodes, weights = soe_kernel(0.5, 300)
+    again = soe_kernel(0.5, 300)
+    assert again[0] is nodes and again[1] is weights
+    assert soe_kernel.cache_info().misses == 1
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
@@ -363,6 +375,44 @@ def test_ml_array_matches_scalar_calls(alpha, beta):
     assert np.array_equal(values, expected)
     assert np.array_equal(mittag_leffler(alpha, zs.reshape(3, 3), beta=beta),
                           expected.reshape(3, 3))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_ml_cached_contour_gives_the_first_call_bits(alpha):
+    rng = np.random.default_rng(7)
+    arguments = [-3.7, rng.uniform(-50.0, 0.0, 9), rng.uniform(-50.0, 0.0, (3, 4)),
+                 np.array([-20.0, 2.5, 0.0, -0.4, 1e-3, -1e-3]),
+                 rng.uniform(-50.0, 5.0, (2, 5))]
+    for beta in (1.0, 1.0 + alpha, 2.5):
+        for z in arguments:
+            fractional._ml_shared_nodes.cache_clear()
+            first = mittag_leffler(alpha, z, beta=beta)
+            for _ in range(3):
+                assert np.array_equal(mittag_leffler(alpha, z, beta=beta), first)
+
+
+def test_ml_pole_free_contour_is_built_once(monkeypatch):
+    calls = []
+    build = fractional._ml_unbounded
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fractional, "_ml_unbounded", counted)
+    fractional._ml_shared_nodes.cache_clear()
+    for z in np.linspace(-40.0, -0.5, 50):
+        mittag_leffler(0.6, float(z), beta=1.3)
+    assert len(calls) == 1
+
+
+def test_ml_cached_contour_is_read_only():
+    fractional._ml_shared_nodes.cache_clear()
+    mittag_leffler(0.5, -2.0)
+    _, g, s_alpha = fractional._ml_shared_nodes(0.5, 1.0)
+    for a in (g, s_alpha):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_ml_recurrence_in_beta():
