@@ -174,17 +174,30 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
          maxiter: int):
-    """Preconditioned CG from x0, updated in place; returns (x, iterations).
+    """Preconditioned CG from a copy of x0; returns (x, iterations).
+
+    ``iterations`` counts the CG iterations after the initial residual,
+    one ``apply_a`` call each.  The residual norm is checked before
+    each preconditioner call, so a solve that stops after k iterations
+    applies ``precond`` k times, one fewer than ``apply_a``, and not at
+    all when x0 already meets ``tol_abs``.
     ``apply_a`` may return a buffer of its own (never its argument): it is overwritten."""
     x = x0.copy()
     r = b - apply_a(x)
-    z = precond(r)
-    p = z.copy()
     step_p = np.empty_like(x)
-    rz = float(np.vdot(r, z))
-    for it in range(maxiter):
+    for it in range(maxiter + 1):
         if float(np.linalg.norm(r.ravel())) <= tol_abs:
             return x, it
+        if it == maxiter:
+            break
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
+        if it == 0:
+            p = z.copy()
+        else:
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
         ap = apply_a(p)
         pap = float(np.vdot(p, ap))
         if pap <= 0.0 or not math.isfinite(pap):
@@ -194,13 +207,6 @@ def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
         x += np.multiply(p, step, out=step_p)
         ap *= step
         r -= ap
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-    if float(np.linalg.norm(r.ravel())) <= tol_abs:
-        return x, maxiter
     raise SolverConvergenceError(
         f"frozen-diffusivity solve missed residual {tol_abs:.3g} within "
         f"{maxiter} iterations")
@@ -220,7 +226,10 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N); in 2D
     preconditioned conjugate gradients solve it (constant-coefficient
     FFT preconditioner, residual 1e-10 max(1, |b|), at most 10 N
-    iterations).
+    iterations).  A solve of k iterations makes k + 1 operator products
+    and k preconditioner calls.  At p = 2, m = 1 the face coefficients
+    are exact ones (``face_diffusivity`` builds no gradients there), the
+    preconditioner inverts the operator and one iteration suffices.
     ``memory`` supplies the memory term, the scale and the load, the
     starting correction s_n R(u^0): solutions leave t = 0 like
     t^alpha, which caps the uncorrected history quadrature at first

@@ -218,6 +218,11 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     coefficient carries the chain factor m * u_face^(m-1) so that
     div(coef * grad u) linearizes div(|grad v|^(p-2) grad v); negative
     cell values are clamped to zero inside the powers only.
+
+    At p = 2 the exponent is 0 and every face coefficient is
+    (g2 + eps^2) ** 0.0, which is exactly 1.0 for every float64 g2,
+    NaN and inf included; the face gradients are then skipped and the
+    coefficients are ones, the same bits as the general formula.
     """
     if not (1.0 < p <= 2.0):
         raise HypothesisError(f"p must lie in (1, 2], got {p}")
@@ -226,9 +231,11 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
             f"eps_reg must be positive for p < 2, got {eps_reg}")
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
-        values = clamped ** m
-    norm_sq = _face_gradient_norm_sq(values, domain.h)
-    coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
+    if p == 2.0:
+        coeffs = [np.ones_like(values) for _ in range(values.ndim)]
+    else:
+        norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, domain.h)
+        coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
     if m != 1.0:
         for ax, c in enumerate(coeffs):
             face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)

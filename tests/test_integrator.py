@@ -159,6 +159,50 @@ def test_1d_direct_march_matches_pcg_march_at_degenerate_p():
     assert gap <= 1e-7 * pcg_sup
 
 
+def _counted_pcg_system(n=8):
+    """A 2D frozen system with varying face coefficients, as ``step``
+    builds it, and its FFT preconditioner, each wrapped with a call counter."""
+    domain = DomainSpec(half_width=4.0, n=n)
+    rng = np.random.default_rng(11)
+    coeffs = [rng.uniform(0.5, 2.0, (n, n)) for _ in range(2)]
+    shift = 3.0
+    symbol = shift + integrator._laplacian_symbol(domain)
+    calls = {"apply_a": 0, "precond": 0}
+
+    def apply_a(x):
+        calls["apply_a"] += 1
+        return shift * x - diffusion_apply(coeffs, x, domain)
+
+    def precond(r):
+        calls["precond"] += 1
+        return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape, axes=(0, 1))
+
+    b = rng.standard_normal((n, n))
+    return apply_a, precond, b, calls
+
+
+def test_pcg_applies_the_preconditioner_once_fewer_than_the_operator():
+    apply_a, precond, b, calls = _counted_pcg_system()
+    tol = 1e-10 * np.linalg.norm(b)
+    x, iterations = integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol, 200)
+    assert iterations > 2
+    assert calls == {"apply_a": iterations + 1, "precond": iterations}
+    assert np.linalg.norm(b - apply_a(x)) <= tol
+
+    # a start that already meets the tolerance is returned untouched
+    calls.update(apply_a=0, precond=0)
+    x0, n0 = integrator._pcg(apply_a, b, x, precond, tol, 200)
+    assert n0 == 0 and np.array_equal(x0, x)
+    assert calls == {"apply_a": 1, "precond": 0}
+
+    # maxiter: exactly enough iterations gives the same bits, one fewer fails
+    x_max, n_max = integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol,
+                                   iterations)
+    assert n_max == iterations and x_max.tobytes() == x.tobytes()
+    with pytest.raises(SolverConvergenceError, match="missed residual"):
+        integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol, iterations - 1)
+
+
 # ---------------------------------------------------------------------------
 # full marches
 # ---------------------------------------------------------------------------

@@ -210,6 +210,42 @@ def test_p_laplacian_rejects_bad_exponent():
         p_laplacian(f, 1.5, eps_reg=0.0)
 
 
+@pytest.mark.parametrize("m", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m, monkeypatch):
+    """At p = 2 the face coefficients skip the gradients: (g2 + eps^2) ** 0.0
+    is 1.0 for every float64 g2, so they are the general formula's bits,
+    also where the sample holds NaN, infinities and overflowing gradients."""
+    d = DomainSpec(half_width=4.0, n=16)
+    rng = np.random.default_rng(12)
+    u = rng.uniform(-0.5, 2.0, d.shape(dim))
+    flat = u.reshape(-1)
+    flat[[3, 7, 8, 12]] = [math.nan, math.inf, -math.inf, 1e200]
+    eps = 1e-6
+    with np.errstate(invalid="ignore", over="ignore"):
+        if m != 1.0:
+            clamped = np.where(u > 0.0, u, 0.0)
+            v = clamped ** m
+        else:
+            v = u
+        expected = [(g2 + eps ** 2) ** 0.0
+                    for g2 in operators._face_gradient_norm_sq(v, d.h)]
+        if m != 1.0:
+            for ax, c in enumerate(expected):
+                face_u = 0.5 * (np.roll(clamped, -1, axis=ax) + clamped)
+                c *= m * face_u ** (m - 1.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("face gradients built at p = 2")
+
+        monkeypatch.setattr(operators, "_face_gradient_norm_sq", forbidden)
+        got = face_diffusivity(u, d, 2.0, eps, m=m)
+    assert len(got) == dim
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
 def test_power_form_falls_through_at_m_one():
     # m = 1 is the flux form on u itself: no clamp of negative values
     d = domain_1d(n=32)
