@@ -131,6 +131,11 @@ def soe_kernel(alpha: float, n: int):
     return nodes, weights
 
 
+# coefficients of d1, d2, d3 in the extrapolation of order 0 .. 3:
+# (-1)^(j-1) binomial(order, j)
+_EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+
+
 class L1Memory:
     """All the L1 state a march carries from step to step.
 
@@ -149,6 +154,10 @@ class L1Memory:
     so the memory term is u^{n-1} - beta . A.  The rows held are u^{n-1}
     followed by the K sums A_l; a constant history has A = 0 and
     reproduces the constant exactly.  Memory and work are O(K size).
+
+    The last three increments d1, d2, d3 (newest first) are kept as
+    well: ``predict`` extrapolates them to a guess of u^n, which the 2D
+    step uses as the first iterate of its solve.
 
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
@@ -173,6 +182,7 @@ class L1Memory:
         self._data = np.zeros((nodes.size + 1, self.size), dtype=np.float64)
         self._data[0] = u0.ravel()
         self._states = 1
+        self._increments = []       # u^{n-1} - u^{n-2}, ... newest first, at most 3
         self._g1 = self._g2 = None
         if g1 is not None and np.any(g1 != 0.0):
             self._g1 = g1
@@ -190,11 +200,24 @@ class L1Memory:
             raise GridMismatchError(
                 f"snapshot shape {u.shape} does not match history shape {self.shape}")
         flat = u.ravel()
+        increment = flat - self._data[0]
         sums = self._data[1:]
         sums *= self._decay
-        sums += flat - self._data[0]
+        sums += increment
         self._data[0] = flat
         self._states += 1
+        self._increments = [increment] + self._increments[:2]
+
+    def predict(self) -> np.ndarray:
+        """A guess of the next state: the backward-difference extrapolation
+        u^{n-1} + nabla + nabla^2 + nabla^3 = u^{n-1} + 3 d1 - 3 d2 + d3,
+        exact on states cubic in n.  With fewer increments it drops to
+        the order they allow: u^{n-1}, then u^{n-1} + d1, then
+        u^{n-1} + 2 d1 - d2.  Returns a new array."""
+        guess = self._data[0].copy()
+        for c, d in zip(_EXTRAPOLATION[len(self._increments)], self._increments):
+            guess += c * d
+        return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:
         """Rows u^{n-1}, A_1 .. A_K, shape (K + 1, size)."""

@@ -8,7 +8,8 @@ with the diffusion taken implicitly at frozen (lagged) diffusivity, the
 death term implicitly and the growth term explicitly.  The frozen
 system is solved directly in 1D (cyclic tridiagonal: one LAPACK
 tridiagonal solve plus a Sherman-Morrison correction) and by
-FFT-preconditioned conjugate gradients in 2D.
+FFT-preconditioned conjugate gradients in 2D, started from the cubic
+extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form, the last state plus
 K exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -227,9 +228,14 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     preconditioned conjugate gradients solve it (constant-coefficient
     FFT preconditioner, residual 1e-10 max(1, |b|), at most 10 N
     iterations).  A solve of k iterations makes k + 1 operator products
-    and k preconditioner calls.  At p = 2, m = 1 the face coefficients
-    are exact ones (``face_diffusivity`` builds no gradients there), the
-    preconditioner inverts the operator and one iteration suffices.
+    and k preconditioner calls.  CG starts from ``memory.predict()``,
+    u^{n-1} + 3 d1 - 3 d2 + d3 with d_j the last increments (lower
+    order over the first three steps): the states are smooth in time,
+    so the guess leaves far less residual than u^{n-1} does.  At
+    p = 2, m = 1 the face coefficients are exact ones
+    (``face_diffusivity`` builds no gradients there), the
+    preconditioner inverts the operator and one iteration suffices
+    from any start.
     ``memory`` supplies the memory term, the scale and the load, the
     starting correction s_n R(u^0): solutions leave t = 0 like
     t^alpha, which caps the uncorrected history quadrature at first
@@ -268,7 +274,8 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape, axes=(0, 1))
 
     tol_abs = _CG_TOL * max(1.0, float(np.linalg.norm(b.ravel())))
-    x, _ = _pcg(apply_a, b, u_prev, precond, tol_abs, maxiter=10 * u_prev.size)
+    x, _ = _pcg(apply_a, b, memory.predict(), precond, tol_abs,
+                maxiter=10 * u_prev.size)
     return x
 
 

@@ -216,6 +216,51 @@ def test_soe_history_guards():
         memory_term(hist)
 
 
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+def test_l1_memory_predict_extrapolates_low_order_at_the_start(shape):
+    rng = np.random.default_rng(31)
+    u0, u1, u2 = rng.uniform(0.2, 1.0, (3,) + shape)
+    memory = L1Memory(u0, 0.5, 0.1, 10)
+    guess = memory.predict()
+    assert guess.shape == shape and np.array_equal(guess, u0)
+    # the states are at most 1: a few roundings of numbers below 8
+    memory.append(u1)
+    assert np.allclose(memory.predict(), 2.0 * u1 - u0, rtol=0.0, atol=1e-14)
+    memory.append(u2)
+    assert np.allclose(memory.predict(), 3.0 * u2 - 3.0 * u1 + u0,
+                       rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 5)])
+def test_l1_memory_predict_is_exact_on_cubics(shape):
+    rng = np.random.default_rng(32)
+    c0, c1, c2, c3 = rng.uniform(-1.0, 1.0, (4,) + shape)
+
+    def state(n):
+        t = 0.1 * n
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+    memory = L1Memory(state(0), 0.5, 0.1, 20)
+    for n in range(1, 12):
+        memory.append(state(n))
+        if n >= 3:
+            guess = memory.predict()
+            assert np.max(np.abs(guess - state(n + 1))) <= 1e-12 * np.max(np.abs(state(n + 1)))
+
+
+def test_l1_memory_predict_returns_a_new_array():
+    rng = np.random.default_rng(33)
+    memory = L1Memory(rng.uniform(size=(4, 4)), 0.5, 0.1, 10)
+    for _ in range(4):
+        memory.append(rng.uniform(size=(4, 4)))
+        last, rows = memory.last().copy(), memory.matrix().copy()
+        guess = memory.predict()
+        assert not np.shares_memory(guess, memory.matrix())
+        guess[:] = -1.0
+        assert np.array_equal(memory.last(), last)
+        assert np.array_equal(memory.matrix(), rows)
+
+
 @pytest.mark.parametrize("alpha", [0.4, 0.6])
 def test_l1_memory_scale_and_starting_loads(alpha):
     dt, horizon = 0.01, 5

@@ -8,7 +8,16 @@ convolutions; two L1 history convolutions).  The single implementation
 that replaced them must reproduce every one bit for bit.  The
 kernel-march digests were taken while the operators still shifted arrays
 with np.roll and the conjugate-gradient updates still allocated; the
-slice-based, in-place step must reproduce them too.  Inputs come
+slice-based, in-place step must reproduce them too.
+
+The three 2D march digests were re-pinned when the 2D solve began
+from a cubic extrapolation of the last four states instead of from
+u^{n-1}.  Conjugate gradients then stop at a different iterate inside
+the same residual tolerance: the final states moved by at most 2.5e-10
+relative to their sup norm (global mass), 9.1e-11 (kernel) and 2.0e-16
+(p = 2 layer-two load, one exact preconditioned iteration either way).
+Every 1D march, operator, convolution and weight digest is unchanged,
+since 1D solves directly and never uses the guess.  Inputs come
 from numpy's PCG64 stream, whose uniform draws do not depend on the
 platform; the digests themselves are those of float64 arithmetic on
 x86-64 with numpy 2.x.
@@ -48,7 +57,7 @@ def p_laplacian_at(field: Field, p: float, m: float) -> Field:
 
 MARCHES = {
     1: "c007577ba65824e9",
-    2: "6fe2342f81f26d06",
+    2: "22f3b529a145a436",
 }
 
 
@@ -65,7 +74,7 @@ def test_global_mass_march_bits(dim):
 KERNEL_MARCHES = {
     # dim: (grid points per axis, dt, t_final, digest of the final state)
     1: (16, 0.01, 2.0, "ace2719c1644fd53"),
-    2: (32, 0.01, 0.2, "241ec6917105576b"),
+    2: (32, 0.01, 0.2, "d890484bebb273d8"),
 }
 
 
@@ -88,7 +97,7 @@ def test_kernel_march_bits(dim):
 
 LAYER_TWO_MARCHES = {
     1: "00ecada3bc8d2d41",
-    2: "9059d27143e94b2a",
+    2: "fbbb6af75e873937",
 }
 
 
