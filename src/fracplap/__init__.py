@@ -11,8 +11,7 @@ from .config import (InitialSpec, KernelSpec, RunManifest, build_initial,
 from .errors import (ConfigError, EvaluationRangeError, FracplapError,
                      GridMismatchError, HypothesisError,
                      KernelAdmissibilityError, SolverConvergenceError)
-from .fractional import (L1Weights, alikhanov_check, caputo_series,
-                         l1_weights, memory_term, mittag_leffler,
+from .fractional import (caputo_series, memory_term, mittag_leffler,
                          power_inequality_check)
 from .integrator import (RunReport, RunStatus, SolverConfig, detect_blowup,
                          linear_spectral_reference, run, step)

@@ -1,6 +1,6 @@
 """Fractional-in-time machinery: L1 discretization of the Caputo
-derivative, Mittag-Leffler evaluation, and the discrete inequality
-checkers used by the verification harness.
+derivative, Mittag-Leffler evaluation, and the discrete power-rule
+inequality checker used by the verification harness.
 
 The L1 scheme approximates the Caputo derivative of order alpha on a
 uniform grid t_n = n dt through the weights
@@ -10,7 +10,8 @@ uniform grid t_n = n dt through the weights
     D^alpha u(t_n) ~ scale * sum_{j=0}^{n-1} b_j (u^{n-j} - u^{n-j-1}).
 
 It is exact on functions affine in t and carries O(dt^{2-alpha}) error
-on smooth data.  The march keeps the sum in sum-of-exponentials form
+on smooth data.  ``caputo_series`` evaluates the sum densely for a
+scalar series; the march keeps it in sum-of-exponentials form
 (``L1Memory``).
 """
 from __future__ import annotations
@@ -31,18 +32,8 @@ SOE_TOL = 5e-11
 
 
 # --------------------------------------------------------------------------
-# L1 weights and history
+# L1 scale and history
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class L1Weights:
-    """Convolution weights of the L1 scheme for one (alpha, dt) pair."""
-
-    alpha: float
-    dt: float
-    b: np.ndarray           # b_0 = 1 > b_1 > ... > 0
-    scale: float            # dt^(-alpha) / Gamma(2 - alpha)
-
 
 def _l1_scale(alpha: float, dt: float) -> float:
     """Prefactor dt^(-alpha) / Gamma(2 - alpha) of the L1 scheme."""
@@ -51,17 +42,6 @@ def _l1_scale(alpha: float, dt: float) -> float:
     if dt <= 0 or not math.isfinite(dt):
         raise HypothesisError(f"dt must be positive and finite, got {dt}")
     return dt ** (-alpha) / _gamma(2.0 - alpha)
-
-
-def l1_weights(alpha: float, dt: float, n: int) -> L1Weights:
-    """Weights b_0..b_{n-1} and the prefactor of the L1 scheme."""
-    scale = _l1_scale(alpha, dt)
-    if n < 1:
-        raise HypothesisError(f"need at least one weight, got n={n}")
-    j = np.arange(n + 1, dtype=np.float64)
-    powers = j ** (1.0 - alpha)
-    b = powers[1:] - powers[:-1]
-    return L1Weights(alpha=alpha, dt=dt, b=b, scale=scale)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -255,23 +235,24 @@ def caputo_series(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:
 
     Returns an array of length len(values) - 1 holding the derivative
     at t_1 .. t_{N-1}.  Beyond 512 differences the convolution with the
-    weights runs by FFT (O(N log N) instead of O(N^2)).
+    weights b_0 .. b_{N-1} runs by FFT (O(N log N) instead of O(N^2)).
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0] - 1
     if n < 1:
         raise HypothesisError("need at least two samples to differentiate")
-    w = l1_weights(alpha, dt, n)
+    scale = _l1_scale(alpha, dt)
+    b = np.diff(np.arange(n + 1.0) ** (1.0 - alpha))
     diffs = np.diff(values)
     if n > 512:
         # scipy.fft, not scipy.signal: the latter takes ~1 s to import
         from scipy.fft import next_fast_len
         size = next_fast_len(2 * n - 1, True)
-        conv = np.fft.irfft(np.fft.rfft(diffs, size) * np.fft.rfft(w.b, size),
+        conv = np.fft.irfft(np.fft.rfft(diffs, size) * np.fft.rfft(b, size),
                             size)[:n]
     else:
-        conv = np.convolve(diffs, w.b)[:n]
-    return w.scale * conv
+        conv = np.convolve(diffs, b)[:n]
+    return scale * conv
 
 
 def layer_correction_weights(alpha: float, n: int, layer: int = 1) -> np.ndarray:
@@ -498,7 +479,7 @@ def mittag_leffler(alpha: float, z, beta: float = 1.0):
 
 
 # --------------------------------------------------------------------------
-# discrete inequality checkers
+# discrete inequality checker
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -510,39 +491,26 @@ class InequalityReport:
     worst: float
 
 
-def _power_rule_report(u: np.ndarray, n_exp: int, alpha: float, dt: float,
-                       magnitude: float) -> InequalityReport:
-    """Margins of u^(m-1) D^alpha u - (1/m) D^alpha u^m, m = n_exp, with
-    a rounding tolerance scaled by the L1 weight and ``magnitude``."""
-    lhs = u[1:] ** (n_exp - 1) * caputo_series(u, alpha, dt)
-    margins = lhs - caputo_series(u ** n_exp, alpha, dt) / n_exp
-    tol = 1e-12 * _l1_scale(alpha, dt) * max(1.0, magnitude)
+def power_inequality_check(u_series, m: int, alpha: float,
+                           dt: float) -> InequalityReport:
+    """Check the discrete power-rule inequality of the L1 operator,
+
+        (u^n)^(m-1) (D^alpha u)^n >= (1/m) (D^alpha u^m)^n    for every step n,
+
+    which holds structurally for decreasing positive weights: for every
+    real series at m = 2 (Alikhanov's v D^alpha v >= (1/2) D^alpha v^2),
+    for nonnegative ones at integer m >= 3.  Margins down to
+    -1e-12 scale max(1, max|u|^m), with the L1 scale, count as rounding.
+    """
+    if int(m) != m or m < 2:
+        raise HypothesisError(f"exponent must be an integer >= 2, got {m}")
+    u = np.asarray(u_series, dtype=np.float64)
+    if m > 2 and np.any(u < 0):
+        raise HypothesisError(
+            f"power inequality with m = {m} requires a nonnegative series")
+    lhs = u[1:] ** (m - 1) * caputo_series(u, alpha, dt)
+    margins = lhs - caputo_series(u ** m, alpha, dt) / m
+    tol = 1e-12 * _l1_scale(alpha, dt) * max(1.0, float(np.max(np.abs(u))) ** m)
     worst = float(np.min(margins)) if margins.size else 0.0
     return InequalityReport(passed=bool(np.all(margins >= -tol)),
                             margins=margins, worst=worst)
-
-
-def alikhanov_check(v_series, alpha: float, dt: float) -> InequalityReport:
-    """Check the discrete product inequality of the L1 operator,
-
-        v^n (D^alpha v)^n >= (1/2) (D^alpha v^2)^n      for every step n,
-
-    which holds structurally for decreasing positive weights.  Margins
-    within float rounding of zero count as passing.
-    """
-    v = np.asarray(v_series, dtype=np.float64)
-    return _power_rule_report(v, 2, alpha, dt, float(np.max(np.abs(v))) ** 2)
-
-
-def power_inequality_check(u_series, n_exp: int, alpha: float,
-                           dt: float) -> InequalityReport:
-    """Check the discrete power-rule inequality on nonnegative data,
-
-        (u^n)^(m-1) (D^alpha u)^n >= (1/m) (D^alpha u^m)^n,   m = n_exp >= 2.
-    """
-    if int(n_exp) != n_exp or n_exp < 2:
-        raise HypothesisError(f"exponent must be an integer >= 2, got {n_exp}")
-    u = np.asarray(u_series, dtype=np.float64)
-    if np.any(u < 0):
-        raise HypothesisError("power inequality requires a nonnegative series")
-    return _power_rule_report(u, n_exp, alpha, dt, float(np.max(u)) ** n_exp)

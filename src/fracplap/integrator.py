@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
 from .fractional import L1Memory, memory_term, mittag_leffler
-from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
-                    ModelParameters, reaction, validate_params)
+from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
+                    reaction, validate_params)
 from .operators import (KernelGrid, convolve_kernel, diffusion_apply,
                         face_diffusivity, global_mass, p_laplacian)
 
@@ -128,12 +128,17 @@ def _coupling_value(values: np.ndarray, params: ModelParameters,
 # frozen-diffusivity solves: direct in 1D, preconditioned CG in 2D
 # --------------------------------------------------------------------------
 
+def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
+    """Eigenvalues (2 sin(pi k / n) / h)^2, k = 0 .. n-1, of the periodic
+    3-point -Laplacian along one axis, in DFT order."""
+    return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n) / domain.h) ** 2
+
+
 @lru_cache(maxsize=8)
 def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
     """Nonnegative symbol of the 5-point -Laplacian on the 2D rfft grid (read-only)."""
-    n = domain.n
-    full = (2.0 * np.sin(np.pi * np.arange(n) / n) / domain.h) ** 2
-    symbol = full[:, None] + full[None, :n // 2 + 1]
+    full = _laplacian_axis(domain)
+    symbol = full[:, None] + full[None, :domain.n // 2 + 1]
     symbol.flags.writeable = False
     return symbol
 
@@ -305,13 +310,6 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     if u0.dim != params.dim:
         raise GridMismatchError(
             f"initial field is {u0.dim}D but params.dim = {params.dim}")
-    needs_kernel = (params.coupling_mode == COUPLING_KERNEL
-                    and params.k != 0.0 and params.mu != 0.0)
-    if needs_kernel:
-        if kernel is None:
-            raise HypothesisError("kernel coupling with k > 0 requires a kernel grid")
-        if kernel.domain != u0.domain or kernel.values.shape != u0.values.shape:
-            raise GridMismatchError("kernel and initial field live on different grids")
 
     t_start = time.perf_counter()
     dt = config.dt
@@ -319,7 +317,8 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     domain = u0.domain
     # starting corrections for the t^alpha layer and, where R is exactly
     # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer;
-    # both loads vanish identically at rest states
+    # both loads vanish identically at rest states.  coupling0 also
+    # rejects a missing kernel or one on another grid before any step
     coupling0 = _coupling_value(u0.values, params, domain, kernel)
     g1 = (p_laplacian(u0, params.p, config.eps_reg, params.m).values
           + reaction(u0.values, coupling0, params))
@@ -340,7 +339,6 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         else:
             taken[s] = t
     snapshots: List[Tuple[float, Field]] = [(0.0, Field(u0.values.copy(), domain))]
-    snapshot_steps = sorted(s for s in taken if s > 0)
 
     rows = []
 
@@ -380,8 +378,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             record(t_n, u)
             break
         memory.append(u)
-        if snapshot_steps and n == snapshot_steps[0]:
-            snapshot_steps.pop(0)
+        if n in taken:
             snapshots.append((t_n, Field(u.copy(), domain)))
         if n % config.record_every == 0 or n == n_steps:
             record(t_n, u)
@@ -405,34 +402,29 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     )
 
 
-def linear_spectral_reference(u0: Field, gamma: float, alpha: float, times,
-                              params: Optional[ModelParameters] = None):
+def linear_spectral_reference(u0: Field, params: ModelParameters, times):
     """Exact-in-time reference for the linear regime p = 2, mu = 0.
 
     Evolves each discrete Fourier mode of u0 by the Mittag-Leffler
-    propagator E_alpha((lambda_k - gamma) t^alpha), where lambda_k is
-    the exact symbol of the centered 3/5-point Laplacian stencil.  Only
-    spatially semi-discrete dynamics are referenced, so comparing a
-    time march against it isolates the temporal error.  Returns one
-    Field per requested time.
+    propagator E_alpha((lambda_k - gamma) t^alpha), with alpha and gamma
+    from ``params`` and lambda_k the exact symbol of the centered
+    3/5-point Laplacian stencil.  Only spatially semi-discrete dynamics
+    are referenced, so comparing a time march against it isolates the
+    temporal error.  Returns one Field per requested time.
     """
-    if params is not None and (params.p != 2.0 or params.mu != 0.0):
+    if params.p != 2.0 or params.mu != 0.0:
         raise HypothesisError(
             f"spectral reference is valid only for p = 2, mu = 0; got "
             f"p={params.p}, mu={params.mu}")
+    alpha = params.alpha
     if not (0.0 < alpha < 1.0 or alpha == 1.0):
         raise HypothesisError(f"alpha must lie in (0, 1], got {alpha}")
-    domain = u0.domain
-    n = domain.n
-    h = domain.h
-    lam_axis = -(2.0 * np.sin(np.pi * np.arange(n) / n) / h) ** 2
-    if u0.dim == 1:
-        lam = lam_axis
-    else:
-        lam = lam_axis[:, None] + lam_axis[None, :]
+    symbol = _laplacian_axis(u0.domain)
+    if u0.dim == 2:
+        symbol = symbol[:, None] + symbol[None, :]
     spec0 = np.fft.fftn(u0.values)
     out = []
     for t in np.atleast_1d(times):
-        mult = mittag_leffler(alpha, (lam - gamma) * float(t) ** alpha)
-        out.append(Field(np.fft.ifftn(spec0 * mult).real, domain))
+        mult = mittag_leffler(alpha, (-symbol - params.gamma) * float(t) ** alpha)
+        out.append(Field(np.fft.ifftn(spec0 * mult).real, u0.domain))
     return out

@@ -43,10 +43,6 @@ class KernelGrid:
     delta0: float
     eta: float
 
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfft of the kernel with its origin moved to index 0, computed once."""
@@ -105,17 +101,15 @@ def discretize_kernel(shape: str, delta0: float, eta: float,
     if dim not in (1, 2):
         raise KernelAdmissibilityError(f"dim must be 1 or 2, got {dim}")
 
-    x = domain.axis_coords()
+    coords = _centered_coords(domain, dim)
+    rinf = np.abs(coords[0]) if dim == 1 else np.maximum(np.abs(coords[0]),
+                                                         np.abs(coords[1]))
     if shape == "box":
-        w = _axis_trapezoid_weights(x, 2.0 * delta0)
+        w = _axis_trapezoid_weights(domain.axis_coords(), 2.0 * delta0)
         vals = w if dim == 1 else np.multiply.outer(w, w)
     elif shape == "triangle":
-        coords = _centered_coords(domain, dim)
-        rinf = np.abs(coords[0]) if dim == 1 else np.maximum(np.abs(coords[0]),
-                                                             np.abs(coords[1]))
         vals = np.maximum(0.0, 1.0 - rinf / (2.0 * delta0))
     else:
-        coords = _centered_coords(domain, dim)
         r2 = coords[0] ** 2 if dim == 1 else coords[0] ** 2 + coords[1] ** 2
         vals = np.exp(-r2 / (2.0 * delta0 ** 2))
         vals = np.where(r2 > (6.0 * delta0) ** 2, 0.0, vals)
@@ -128,9 +122,6 @@ def discretize_kernel(shape: str, delta0: float, eta: float,
     vals = vals / total
 
     # floor on the sensing box ||x||_inf <= delta0
-    coords = _centered_coords(domain, dim)
-    rinf = np.abs(coords[0]) if dim == 1 else np.maximum(np.abs(coords[0]),
-                                                         np.abs(coords[1]))
     ball = rinf <= delta0 * (1.0 + _EDGE_TOL)
     floor = float(np.min(vals[ball]))
     if not floor > eta:

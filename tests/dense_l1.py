@@ -7,7 +7,13 @@ oracle.  Memory and work grow with the step count.
 import numpy as np
 
 from fracplap.errors import GridMismatchError, HypothesisError
-from fracplap.fractional import L1Weights
+
+
+def l1_weight_table(alpha: float, n: int) -> np.ndarray:
+    """L1 weights b_j = (j+1)^(1-alpha) - j^(1-alpha), j = 0 .. n-1, one
+    scalar power at a time, apart from the package's own weight code."""
+    return np.array([(j + 1.0) ** (1.0 - alpha) - float(j) ** (1.0 - alpha)
+                     for j in range(n)])
 
 
 def memory_coefficients(b: np.ndarray, n: int) -> np.ndarray:
@@ -31,14 +37,14 @@ class HistoryBuffer:
 
     Snapshots are kept in one contiguous (capacity, size) array that
     doubles on demand; ``matrix()`` exposes the filled part without
-    copying.
+    copying.  ``b`` holds the L1 weights b_0 .. b_{N-1} of an N-step march.
     """
 
-    def __init__(self, u0: np.ndarray, weights: L1Weights):
+    def __init__(self, u0: np.ndarray, b: np.ndarray):
         u0 = np.asarray(u0, dtype=np.float64)
         self.shape = u0.shape
         self.size = u0.size
-        self.weights = weights
+        self.b = b
         self._data = np.empty((16, self.size), dtype=np.float64)
         self._n = 0
         self.append(u0)
@@ -69,4 +75,4 @@ class HistoryBuffer:
         return self._data[:self._n][i].reshape(self.shape)
 
     def coefficients(self) -> np.ndarray:
-        return memory_coefficients(self.weights.b, self._n)
+        return memory_coefficients(self.b, self._n)

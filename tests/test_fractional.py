@@ -6,18 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from dense_l1 import HistoryBuffer, memory_coefficients
+from dense_l1 import HistoryBuffer, l1_weight_table, memory_coefficients
 from fracplap import fractional
 from fracplap.errors import EvaluationRangeError, GridMismatchError, HypothesisError
 from fracplap.fractional import (
     SOE_TOL,
     L1Memory,
-    alikhanov_check,
     caputo_series,
-    l1_weights,
     layer_correction_weights,
     memory_term,
     mittag_leffler,
+    power_inequality_check,
     soe_kernel,
 )
 
@@ -26,34 +25,40 @@ from fracplap.fractional import (
 # L1 weights and history
 # ---------------------------------------------------------------------------
 
+def unit_jump_response(alpha, dt, n):
+    """caputo_series of 0, 1, 1, ..., 1 (n + 1 samples): the lone unit
+    increment leaves the weights alone, scale * (b_0, ..., b_{n-1})."""
+    return caputo_series(np.concatenate(([0.0], np.ones(n))), alpha, dt)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.99])
 def test_l1_weights_lead_entry_is_one(alpha):
-    w = l1_weights(alpha, 0.01, 20)
-    assert w.b[0] == 1.0
-    assert np.all(w.b > 0)
-    assert np.all(np.diff(w.b) < 0)
+    r = unit_jump_response(alpha, 0.01, 20)
+    assert math.isclose(r[0], 0.01 ** -alpha / math.gamma(2.0 - alpha), rel_tol=1e-14)
+    assert np.all(r > 0)
+    assert np.all(np.diff(r) < 0)
 
 
 def test_l1_weights_half_order_second_entry():
-    w = l1_weights(0.5, 0.1, 4)
-    assert math.isclose(w.b[1], math.sqrt(2.0) - 1.0, rel_tol=1e-15)
+    r = unit_jump_response(0.5, 0.1, 4)
+    assert math.isclose(r[1] / r[0], math.sqrt(2.0) - 1.0, rel_tol=1e-15)
 
 
 def test_l1_weights_scale():
-    w = l1_weights(0.3, 0.02, 4)
-    assert math.isclose(w.scale, 0.02 ** -0.3 / math.gamma(1.7), rel_tol=1e-15)
+    r = unit_jump_response(0.3, 0.02, 4)
+    assert math.isclose(r[0], 0.02 ** -0.3 / math.gamma(1.7), rel_tol=1e-15)
 
 
 def test_l1_weights_input_guards():
-    for bad in [(0.0, 0.1, 4), (1.0, 0.1, 4), (0.5, 0.0, 4),
-                (0.5, -0.1, 4), (0.5, math.inf, 4), (0.5, 0.1, 0)]:
+    for alpha, dt, n in [(0.0, 0.1, 4), (1.0, 0.1, 4), (0.5, 0.0, 4),
+                         (0.5, -0.1, 4), (0.5, math.inf, 4), (0.5, 0.1, 0)]:
         with pytest.raises(HypothesisError):
-            l1_weights(*bad)
+            unit_jump_response(alpha, dt, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_memory_coefficients_are_convex(n):
-    b = l1_weights(0.6, 0.1, n).b
+    b = l1_weight_table(0.6, n)
     c = memory_coefficients(b, n)
     assert c.shape == (n,)
     assert np.all(c > 0)
@@ -61,7 +66,7 @@ def test_memory_coefficients_are_convex(n):
 
 
 def test_memory_coefficients_range_guard():
-    b = l1_weights(0.6, 0.1, 3).b
+    b = l1_weight_table(0.6, 3)
     with pytest.raises(HypothesisError):
         memory_coefficients(b, 4)
     with pytest.raises(HypothesisError):
@@ -71,7 +76,7 @@ def test_memory_coefficients_range_guard():
 def test_history_buffer_growth_and_snapshots():
     rng = np.random.default_rng(3)
     states = [rng.standard_normal((6,)) for _ in range(40)]
-    hist = HistoryBuffer(states[0], l1_weights(0.5, 0.1, 40))
+    hist = HistoryBuffer(states[0], l1_weight_table(0.5, 40))
     for s in states[1:]:
         hist.append(s)
     assert len(hist) == 40
@@ -81,7 +86,7 @@ def test_history_buffer_growth_and_snapshots():
 
 
 def test_history_buffer_keeps_2d_shape():
-    hist = HistoryBuffer(np.zeros((4, 4)), l1_weights(0.5, 0.1, 2))
+    hist = HistoryBuffer(np.zeros((4, 4)), l1_weight_table(0.5, 2))
     hist.append(np.ones((4, 4)))
     assert hist.last().shape == (4, 4)
     with pytest.raises(GridMismatchError):
@@ -132,18 +137,18 @@ def test_dense_history_matches_series_form():
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 2.0, size=(13, 5))
     dt = 0.05
-    w = l1_weights(0.7, dt, 12)
-    hist = HistoryBuffer(vals[0], w)
+    hist = HistoryBuffer(vals[0], l1_weight_table(0.7, 12))
     for row in vals[1:-1]:
         hist.append(row)
-    point = w.scale * (vals[-1] - memory_term(hist))
+    scale = dt ** -0.7 / math.gamma(1.3)
+    point = scale * (vals[-1] - memory_term(hist))
     for j in range(5):
         col = caputo_series(vals[:, j], 0.7, dt)
         assert math.isclose(point[j], col[-1], rel_tol=1e-12)
 
 
 def test_memory_term_of_constant_history_is_the_constant():
-    hist = HistoryBuffer(np.full(3, 0.4), l1_weights(0.5, 0.1, 7))
+    hist = HistoryBuffer(np.full(3, 0.4), l1_weight_table(0.5, 7))
     for _ in range(6):
         hist.append(np.full(3, 0.4))
     assert np.allclose(memory_term(hist), 0.4, rtol=1e-14)
@@ -184,7 +189,7 @@ def test_soe_memory_term_matches_dense(alpha):
     n_steps = 2000
     rng = np.random.default_rng(5)
     states = np.cumsum(rng.standard_normal((n_steps, 6)), axis=0)
-    dense = HistoryBuffer(states[0], l1_weights(alpha, 0.01, n_steps))
+    dense = HistoryBuffer(states[0], l1_weight_table(alpha, n_steps))
     soe = L1Memory(states[0], alpha, 0.01, n_steps)
     variation = 0.0
     for k in range(1, n_steps):
@@ -265,7 +270,7 @@ def test_l1_memory_predict_returns_a_new_array():
 def test_l1_memory_scale_and_starting_loads(alpha):
     dt, horizon = 0.01, 5
     g1, g2 = np.array([1.0, -2.0]), np.array([0.5, 3.0])
-    assert L1Memory(g1, alpha, dt, horizon).scale == l1_weights(alpha, dt, 1).scale
+    assert L1Memory(g1, alpha, dt, horizon).scale == unit_jump_response(alpha, dt, 1)[0]
     # no load without R(u0), nor when R(u0) vanishes
     assert L1Memory(g1, alpha, dt, horizon, g2=g2).load() is None
     assert L1Memory(g1, alpha, dt, horizon, np.zeros(2), g2).load() is None
@@ -510,13 +515,13 @@ def test_ml_range_guards():
 def test_alikhanov_inequality_on_ramp(alpha):
     dt = 0.05
     t = dt * np.arange(25)
-    rep = alikhanov_check(t, alpha, dt)
+    rep = power_inequality_check(t, 2, alpha, dt)
     assert rep.passed
     assert rep.margins.shape == (24,)
 
 
 def test_alikhanov_equality_on_constants():
-    rep = alikhanov_check(np.full(10, 0.7), 0.5, 0.1)
+    rep = power_inequality_check(np.full(10, 0.7), 2, 0.5, 0.1)
     assert rep.passed
     assert rep.worst == 0.0
 
@@ -525,25 +530,11 @@ def test_alikhanov_on_random_walks():
     rng = np.random.default_rng(99)
     for _ in range(25):
         v = np.cumsum(rng.normal(0.0, 0.3, size=30))
-        rep = alikhanov_check(v, 0.6, 0.02)
+        rep = power_inequality_check(v, 2, 0.6, 0.02)
         assert rep.passed
 
 
-def test_power_inequality_square_matches_alikhanov():
-    rng = np.random.default_rng(5)
-    u = rng.uniform(0.0, 2.0, size=30)
-    a = alikhanov_check(u, 0.5, 0.1)
-    p = power_inequality_check_margins(u)
-    assert np.allclose(a.margins, p, rtol=1e-12, atol=1e-15)
-
-
-def power_inequality_check_margins(u):
-    from fracplap.fractional import power_inequality_check
-    return power_inequality_check(u, 2, 0.5, 0.1).margins
-
-
 def test_power_inequality_cube_holds():
-    from fracplap.fractional import power_inequality_check
     rng = np.random.default_rng(17)
     for _ in range(25):
         u = rng.uniform(0.0, 2.0, size=40)
@@ -552,8 +543,9 @@ def test_power_inequality_cube_holds():
 
 
 def test_power_inequality_guards():
-    from fracplap.fractional import power_inequality_check
     with pytest.raises(HypothesisError):
         power_inequality_check(np.ones(5), 1, 0.5, 0.1)
+    # signed data pass at m = 2, where the inequality holds for every
+    # real series, and are rejected from m = 3 on
     with pytest.raises(HypothesisError):
-        power_inequality_check(np.array([1.0, -0.5, 1.0]), 2, 0.5, 0.1)
+        power_inequality_check(np.array([1.0, -0.5, 1.0]), 3, 0.5, 0.1)

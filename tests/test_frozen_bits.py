@@ -17,7 +17,12 @@ the same residual tolerance: the final states moved by at most 2.5e-10
 relative to their sup norm (global mass), 9.1e-11 (kernel) and 2.0e-16
 (p = 2 layer-two load, one exact preconditioned iteration either way).
 Every 1D march, operator, convolution and weight digest is unchanged,
-since 1D solves directly and never uses the guess.  Inputs come
+since 1D solves directly and never uses the guess.
+
+The ``caputo_series``, inequality-margin and spectral-reference digests
+were taken while the L1 weights still had their own public builder,
+the m = 2 inequality its own checker, and the reference its own copy
+of the Laplacian symbol.  Inputs come
 from numpy's PCG64 stream, whose uniform draws do not depend on the
 platform; the digests themselves are those of float64 arithmetic on
 x86-64 with numpy 2.x.
@@ -28,8 +33,9 @@ import numpy as np
 import pytest
 
 from fracplap import operators
-from fracplap.fractional import layer_correction_weights
-from fracplap.integrator import SolverConfig, run
+from fracplap.fractional import (caputo_series, layer_correction_weights,
+                                 power_inequality_check)
+from fracplap.integrator import SolverConfig, linear_spectral_reference, run
 from fracplap.model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec,
                             Field, ModelParameters)
 
@@ -158,3 +164,50 @@ LAYER_WEIGHTS = {
 def test_layer_correction_weight_bits(n, layer):
     # 100 steps take the direct convolution, 600 the FFT one
     assert digest(layer_correction_weights(0.4, n, layer=layer)) == LAYER_WEIGHTS[n, layer]
+
+
+CAPUTO_SERIES = {
+    100: "b61d36dfc619556a",
+    600: "a442b6c87c001441",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CAPUTO_SERIES))
+def test_caputo_series_bits(n):
+    # 100 differences take the direct convolution, 600 the FFT one
+    values = np.random.default_rng(90 + n).uniform(0.0, 1.0, n + 1)
+    assert digest(caputo_series(values, 0.4, 0.01)) == CAPUTO_SERIES[n]
+
+
+INEQUALITY_MARGINS = {
+    2: "b0e4c9e28a6d7f7c",      # a signed random walk
+    3: "b04bd270f0347655",      # nonnegative samples
+}
+
+
+@pytest.mark.parametrize("m", sorted(INEQUALITY_MARGINS))
+def test_power_inequality_margin_bits(m):
+    rng = np.random.default_rng(29 + m)
+    if m == 2:
+        u = np.cumsum(rng.normal(0.0, 0.3, 60))
+        assert u.min() < 0.0
+    else:
+        u = rng.uniform(0.0, 2.0, 60)
+    report = power_inequality_check(u, m, 0.5, 0.05)
+    assert report.passed
+    assert digest(report.margins) == INEQUALITY_MARGINS[m]
+
+
+SPECTRAL_REFERENCE = {
+    1: "ed11883752313f62",
+    2: "b5dc0b5556f313f6",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(SPECTRAL_REFERENCE))
+def test_linear_spectral_reference_bits(dim):
+    params = ModelParameters(alpha=0.6, p=2.0, mu=0.0, k=0.0, gamma=0.5, dim=dim)
+    rng = np.random.default_rng(100 + dim)
+    u0 = Field(rng.uniform(0.2, 1.0, DOMAIN.shape(dim)), DOMAIN)
+    out = linear_spectral_reference(u0, params, [0.5, 2.0])
+    assert digest(np.stack([f.values for f in out])) == SPECTRAL_REFERENCE[dim]

@@ -285,7 +285,7 @@ def test_temporal_order_against_spectral_oracle(alpha):
     x = domain.axis_coords()
     u0 = Field(np.exp(-x ** 2 / (2 * 0.3 ** 2)), domain)
     params = ModelParameters(alpha=alpha, p=2.0, mu=0.0, k=0.0, gamma=1.0)
-    ref = linear_spectral_reference(u0, 1.0, alpha, [1.0], params=params)[0]
+    ref = linear_spectral_reference(u0, params, [1.0])[0]
     steps = (50, 100, 200)
     errs = []
     for nst in steps:
@@ -477,7 +477,8 @@ def test_run_status_flags():
 def test_spectral_reference_keeps_constants():
     domain = DomainSpec(half_width=1.0, n=16)
     u0 = Field.constant(domain, 0.8)
-    out = linear_spectral_reference(u0, 0.0, 0.5, [0.5, 1.0])
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.0)
+    out = linear_spectral_reference(u0, params, [0.5, 1.0])
     for f in out:
         assert np.allclose(f.values, 0.8, rtol=1e-12)
 
@@ -486,7 +487,8 @@ def test_spectral_reference_classical_heat_limit():
     domain = DomainSpec(half_width=1.0, n=32)
     x = domain.axis_coords()
     u0 = Field(np.sin(np.pi * x), domain)
-    (out,) = linear_spectral_reference(u0, 0.0, 1.0, [0.1])
+    heat = ModelParameters(alpha=1.0, p=2.0, mu=0.0, k=0.0, gamma=0.0)
+    (out,) = linear_spectral_reference(u0, heat, [0.1])
     # mode kappa = 1 of the DFT: exact factor exp(lam_1 t)
     lam1 = -(2.0 * np.sin(np.pi * 1.0 / 32.0) / domain.h) ** 2
     assert np.allclose(out.values, math.exp(lam1 * 0.1) * u0.values,
@@ -497,9 +499,8 @@ def test_spectral_reference_rejects_nonlinear_sets():
     domain = DomainSpec(half_width=1.0, n=8)
     u0 = Field.constant(domain, 0.5)
     with pytest.raises(HypothesisError):
-        linear_spectral_reference(u0, 0.0, 0.5, [1.0],
-                                  params=ModelParameters(alpha=0.5, p=1.5,
-                                                         mu=0.0, k=0.0,
-                                                         gamma=0.0))
+        linear_spectral_reference(
+            u0, ModelParameters(alpha=0.5, p=1.5, mu=0.0, k=0.0, gamma=0.0), [1.0])
     with pytest.raises(HypothesisError):
-        linear_spectral_reference(u0, 0.0, 1.5, [1.0])
+        linear_spectral_reference(
+            u0, ModelParameters(alpha=1.5, p=2.0, mu=0.0, k=0.0, gamma=0.0), [1.0])

@@ -37,7 +37,7 @@ def test_box_kernel_height_matches_support():
 def test_kernel_unit_integral(shape, dim, n):
     d = DomainSpec(half_width=4.0, n=n)
     kern = discretize_kernel(shape, 0.5, 1e-4, d, dim=dim)
-    assert kern.dim == dim
+    assert kern.values.ndim == dim
     assert np.all(kern.values >= 0.0)
     assert math.isclose(float(np.sum(kern.values)) * d.h ** dim, 1.0,
                         rel_tol=1e-13)
