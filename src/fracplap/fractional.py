@@ -114,6 +114,8 @@ def soe_kernel(alpha: float, n: int):
 # coefficients of d1, d2, d3 in the extrapolation of order 0 .. 3:
 # (-1)^(j-1) binomial(order, j)
 _EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+# increments an L1Memory holds before it folds them into its sums
+_FOLD = 16
 
 
 class L1Memory:
@@ -128,16 +130,28 @@ class L1Memory:
     (Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
 
         sum_{j=1}^{n-1} b_j (u^{n-j} - u^{n-j-1}) = beta . A,
-        A_l <- exp(-s_l) A_l + (u^n - u^{n-1})               on append,
-        beta_l = w_l (1-alpha) exp(-s_l) (1 - exp(-s_l)) / s_l,
+        A_l <- d_l A_l + (u^n - u^{n-1})                      on append,
+        d_l = exp(-s_l),  beta_l = w_l (1-alpha) d_l (1 - d_l) / s_l,
 
-    so the memory term is u^{n-1} - beta . A.  The rows held are u^{n-1}
-    followed by the K sums A_l; a constant history has A = 0 and
-    reproduces the constant exactly.  Memory and work are O(K size).
+    so the memory term is u^{n-1} - beta . A.  A constant history has
+    A = 0 and reproduces the constant exactly.
 
-    The last three increments d1, d2, d3 (newest first) are kept as
-    well: ``predict`` extrapolates them to a guess of u^n, which the 2D
-    step uses as the first iterate of its solve.
+    The recurrence is applied in blocks of R = 16 appends.  Each append
+    only stores its increment delta_j = u^n - u^{n-1}; with r increments
+    pending since the sums A(n0) were last brought up to date,
+
+        A(n0 + r) = D^r A(n0) + sum_{j<r} D^(r-1-j) delta_j,   D = diag(d),
+
+    which the coefficients of step r fold into the memory term, and the
+    R-th append folds the block into the sums with one matrix product,
+    A <- D^R A + G delta, G_lj = d_l^(R-1-j).  The rows held are
+    u^{n-1}, the K sums and a ring of R increments (``matrix``), so an
+    append writes O(size) and the sums are rewritten once per R steps;
+    memory is O((K + R) size).
+
+    The ring also gives the last three increments d1, d2, d3 (newest
+    first): ``predict`` extrapolates them to a guess of u^n, which the
+    2D step uses as the first iterate of its solve.
 
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
@@ -155,14 +169,27 @@ class L1Memory:
         self.horizon = horizon
         self.scale = _l1_scale(alpha, dt)
         nodes, w = soe_kernel(alpha, horizon)
+        k = nodes.size
         decay = np.exp(-nodes)
         beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
-        self._decay = decay[:, None]
-        self._coefficients = np.concatenate(([1.0], -beta))
-        self._data = np.zeros((nodes.size + 1, self.size), dtype=np.float64)
+        powers = decay ** np.arange(_FOLD + 1.0)[:, None]      # d^0 .. d^R
+        # with r increments pending: 1, -beta d^r, then -beta . d^(r-1-j)
+        # for increment j < r
+        table = np.zeros((_FOLD, 1 + k + _FOLD))
+        table[:, 0] = 1.0
+        table[:, 1:1 + k] = -beta * powers[:_FOLD]
+        decayed = powers[:_FOLD - 1] @ beta
+        for r in range(1, _FOLD):
+            table[r, 1 + k:1 + k + r] = -decayed[r - 1::-1]
+        self._coefficients = tuple(table[r, :1 + k + r] for r in range(_FOLD))
+        self._fold_decay = powers[_FOLD][:, None]
+        self._fold_gather = powers[_FOLD - 1::-1].T
+        self._data = np.zeros((1 + k + _FOLD, self.size), dtype=np.float64)
         self._data[0] = u0.ravel()
+        self._sums = self._data[1:1 + k]
+        self._ring = self._data[1 + k:]
+        self._pending = 0
         self._states = 1
-        self._increments = []       # u^{n-1} - u^{n-2}, ... newest first, at most 3
         self._g1 = self._g2 = None
         if g1 is not None and np.any(g1 != 0.0):
             self._g1 = g1
@@ -180,13 +207,15 @@ class L1Memory:
             raise GridMismatchError(
                 f"snapshot shape {u.shape} does not match history shape {self.shape}")
         flat = u.ravel()
-        increment = flat - self._data[0]
-        sums = self._data[1:]
-        sums *= self._decay
-        sums += increment
-        self._data[0] = flat
+        last = self._data[0]
+        np.subtract(flat, last, out=self._ring[self._pending])
+        last[...] = flat
         self._states += 1
-        self._increments = [increment] + self._increments[:2]
+        self._pending += 1
+        if self._pending == _FOLD:
+            self._sums *= self._fold_decay
+            self._sums += self._fold_gather @ self._ring
+            self._pending = 0
 
     def predict(self) -> np.ndarray:
         """A guess of the next state: the backward-difference extrapolation
@@ -195,12 +224,15 @@ class L1Memory:
         the order they allow: u^{n-1}, then u^{n-1} + d1, then
         u^{n-1} + 2 d1 - d2.  Returns a new array."""
         guess = self._data[0].copy()
-        for c, d in zip(_EXTRAPOLATION[len(self._increments)], self._increments):
-            guess += c * d
+        for i, c in enumerate(_EXTRAPOLATION[min(self._states - 1, 3)]):
+            guess += c * self._ring[self._pending - 1 - i]     # wraps below 0
         return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:
-        """Rows u^{n-1}, A_1 .. A_K, shape (K + 1, size)."""
+        """Rows u^{n-1}, A_1 .. A_K at the last fold, then the ring of R
+        increments, shape (1 + K + R, size).  Only the first
+        ``coefficients().size`` rows, those with the pending increments,
+        enter the memory term."""
         return self._data
 
     def last(self) -> np.ndarray:
@@ -210,7 +242,7 @@ class L1Memory:
         if self._states > self.horizon:
             raise HypothesisError(
                 f"step index {self._states} outside the kernel horizon {self.horizon}")
-        return self._coefficients
+        return self._coefficients[self._pending]
 
     def load(self) -> Optional[np.ndarray]:
         """Starting load of the next step, or None when there is none."""
@@ -225,9 +257,10 @@ class L1Memory:
 
 def memory_term(memory) -> np.ndarray:
     """Past part of the L1 update: the memory's coefficients applied to
-    the rows it holds, so that the L1 value at step n is
+    the leading rows it holds, so that the L1 value at step n is
     scale * (u^n - memory_term)."""
-    return (memory.coefficients() @ memory.matrix()).reshape(memory.shape)
+    coefficients = memory.coefficients()
+    return (coefficients @ memory.matrix()[:coefficients.size]).reshape(memory.shape)
 
 
 def caputo_series(values: np.ndarray, alpha: float, dt: float) -> np.ndarray:

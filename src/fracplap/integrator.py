@@ -11,10 +11,12 @@ tridiagonal solve plus a Sherman-Morrison correction) and by
 FFT-preconditioned conjugate gradients in 2D, started from the cubic
 extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
-``L1Memory`` keeps it in sum-of-exponentials form, the last state plus
-K exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
-steps), so a step costs O(K size) work and memory; it also holds the
-scale and the starting loads.
+``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
+exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
+steps) and the up to 16 increments taken since those sums were last
+updated, which every 16th step folds into them with one matrix
+product.  A step costs O((K + 16) size) work and memory, whatever the
+step count; the memory also holds the scale and the starting loads.
 """
 from __future__ import annotations
 
@@ -143,6 +145,14 @@ def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
     return symbol
 
 
+@lru_cache(maxsize=1)
+def _dgtsv():
+    """LAPACK dgtsv, looked up on the first 1D solve: the 2D path never
+    imports scipy.linalg (~60 ms)."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
 def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
                               b: np.ndarray) -> np.ndarray:
     """Solve (shift I - D(a)) x = b exactly for the 1D periodic operator.
@@ -155,27 +165,30 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     v = e_0 + (c / gamma) e_{n-1}, where the tridiagonal T differs only
     in its two corner diagonal entries (and stays SPD).  One dgtsv call
     solves T y = b and T z = u together; x = y - (v.y) / (1 + v.z) z.
+    The scalar arithmetic runs on Python floats, which round as numpy's
+    float64 scalars do at a fraction of their cost.
     """
-    from scipy.linalg.lapack import dgtsv
     diag = shift + a            # + roll(a, 1), by slices: np.roll costs ~10 us
     diag[1:] += a[:-1]
     diag[0] += a[-1]
     off = -a[:-1]
-    corner = -a[-1]
-    gamma = -diag[0]
+    corner = -float(a[-1])
+    gamma = -float(diag[0])
     diag[0] -= gamma
     diag[-1] -= corner * corner / gamma
     rhs = np.zeros((2, b.size)).T       # Fortran order: LAPACK works in place
     rhs[:, 0] = b
     rhs[0, 1] = gamma
     rhs[-1, 1] = corner
-    _, _, _, yz, info = dgtsv(off, diag, off, rhs, 0, 1, 0, 1)   # overwrite d, b
+    _, _, _, yz, info = _dgtsv()(off, diag, off, rhs, 0, 1, 0, 1)   # overwrite d, b
     if info != 0:
         raise SolverConvergenceError(
             f"frozen-diffusivity tridiagonal solve failed (LAPACK dgtsv info = {info})")
     y, z = yz[:, 0], yz[:, 1]
     ratio = corner / gamma
-    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
+    weight = ((float(y[0]) + ratio * float(y[-1]))
+              / (1.0 + float(z[0]) + ratio * float(z[-1])))
+    return y - weight * z
 
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
@@ -256,9 +269,12 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
 
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
-    growth = params.mu * u_prev ** 2 * (1.0 - params.k * coupling)
+    growth = np.square(u_prev)
+    growth *= params.mu
+    growth *= 1.0 - params.k * coupling
     shift = scale + params.gamma
-    b = scale * mem + growth
+    b = np.multiply(mem, scale, out=mem)
+    b += growth
     load = memory.load()
     if load is not None:
         b += load
@@ -299,8 +315,11 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     second snapshot.  The march halts early
     with a ``blowup`` or ``nonfinite`` status when detect_blowup fires,
     and with ``solver_failed`` when a step's solve raises
-    SolverConvergenceError: the report then ends at the last accepted
-    state and carries the solver's message in ``warnings``.
+    SolverConvergenceError.  A ``blowup`` report ends at the state past
+    the threshold; ``nonfinite`` and ``solver_failed`` ones end at the
+    last accepted, finite state, count only the accepted steps, and
+    give the failed step's time as the halt time (``solver_failed``
+    carries the solver's message in ``warnings``).
     Negative excursions below -1e-8 are reported in ``warnings``; the
     state itself is never clamped.
     """
@@ -357,18 +376,18 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         t_n = n * dt
         try:
             u_next = step(memory, params, domain, config, kernel)
+            flag = detect_blowup(u_next, config.blowup_threshold)
         except SolverConvergenceError as exc:
-            status = RunStatus("solver_failed", time=t_n)
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
+            flag = "solver_failed"
+        if flag in ("solver_failed", "nonfinite"):
+            # the report ends at the last accepted state, which is finite
+            status = RunStatus(flag, time=t_n)
             if steps_done % config.record_every:
                 record(steps_done * dt, u)
             break
         u = u_next
         steps_done = n
-        flag = detect_blowup(u, config.blowup_threshold)
-        if flag == "nonfinite":
-            status = RunStatus("nonfinite", time=t_n)
-            break
         mn = float(u.min())
         if mn < worst_negative:
             worst_negative = mn

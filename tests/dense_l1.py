@@ -1,12 +1,16 @@
-"""Dense L1 history: the exact L1 sum over every past state.
+"""Reference L1 histories for the tests.
 
-The march keeps the same sum in sum-of-exponentials form
-(``fracplap.fractional.L1Memory``); the tests check it against this
-oracle.  Memory and work grow with the step count.
+``HistoryBuffer`` is the dense L1 history: the exact L1 sum over every
+past state, whose memory and work grow with the step count.  The march
+keeps the same sum in sum-of-exponentials form
+(``fracplap.fractional.L1Memory``), folding its increments into the
+sums in blocks; ``RecurrenceMemory`` applies that recurrence one step
+at a time.
 """
 import numpy as np
 
 from fracplap.errors import GridMismatchError, HypothesisError
+from fracplap.fractional import soe_kernel
 
 
 def l1_weight_table(alpha: float, n: int) -> np.ndarray:
@@ -76,3 +80,34 @@ class HistoryBuffer:
 
     def coefficients(self) -> np.ndarray:
         return memory_coefficients(self.b, self._n)
+
+
+class RecurrenceMemory:
+    """The sum-of-exponentials L1 history updated on every append,
+    A_l <- d_l A_l + (u^n - u^{n-1}) with d_l = exp(-s_l), read by
+    ``fracplap.fractional.memory_term`` through the rows u^{n-1},
+    A_1 .. A_K and the coefficients 1, -beta."""
+
+    def __init__(self, u0: np.ndarray, alpha: float, horizon: int):
+        u0 = np.asarray(u0, dtype=np.float64)
+        self.shape = u0.shape
+        nodes, w = soe_kernel(alpha, horizon)
+        decay = np.exp(-nodes)
+        beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
+        self._decay = decay[:, None]
+        self._coefficients = np.concatenate(([1.0], -beta))
+        self._data = np.zeros((nodes.size + 1, u0.size), dtype=np.float64)
+        self._data[0] = u0.ravel()
+
+    def append(self, u: np.ndarray) -> None:
+        flat = np.asarray(u, dtype=np.float64).ravel()
+        sums = self._data[1:]
+        sums *= self._decay
+        sums += flat - self._data[0]
+        self._data[0] = flat
+
+    def matrix(self) -> np.ndarray:
+        return self._data
+
+    def coefficients(self) -> np.ndarray:
+        return self._coefficients

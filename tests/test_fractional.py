@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dense_l1 import HistoryBuffer, l1_weight_table, memory_coefficients
+from dense_l1 import (HistoryBuffer, RecurrenceMemory, l1_weight_table,
+                      memory_coefficients)
 from fracplap import fractional
 from fracplap.errors import EvaluationRangeError, GridMismatchError, HypothesisError
 from fracplap.fractional import (
@@ -219,6 +220,58 @@ def test_soe_history_guards():
     hist.append(np.ones(4))
     with pytest.raises(HypothesisError):
         memory_term(hist)
+
+
+# a horizon that is not a whole number of folds: three full folds and a
+# partial block
+BLOCKED_HORIZON = 3 * fractional._FOLD + 5
+
+
+def wandering_states(shape, count, seed):
+    """States near 1 that drift and jitter from step to step."""
+    rng = np.random.default_rng(seed)
+    return 1.0 + np.cumsum(rng.normal(0.0, 0.05, (count,) + shape), axis=0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_blocked_memory_term_matches_the_step_by_step_recurrence(shape):
+    states = wandering_states(shape, BLOCKED_HORIZON, 41)
+    blocked = L1Memory(states[0], 0.6, 0.01, BLOCKED_HORIZON)
+    reference = RecurrenceMemory(states[0], 0.6, BLOCKED_HORIZON)
+    # step n finds (n - 1) mod R increments pending: every count from 0
+    # to R - 1, before and after each of the three folds
+    for n in range(1, BLOCKED_HORIZON + 1):
+        expected = memory_term(reference)
+        gap = np.max(np.abs(memory_term(blocked) - expected))
+        assert gap <= 1e-13 * np.max(np.abs(expected)), n
+        if n < BLOCKED_HORIZON:
+            blocked.append(states[n])
+            reference.append(states[n])
+    assert np.array_equal(blocked.last(), states[-1])
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_l1_memory_predict_across_folds(shape):
+    states = wandering_states(shape, 2 * fractional._FOLD + 4, 42)
+    memory = L1Memory(states[0], 0.6, 0.01, states.shape[0])
+    for n in range(1, states.shape[0]):
+        memory.append(states[n])
+        if n >= 3:
+            d1, d2, d3 = (states[n - i] - states[n - i - 1] for i in range(3))
+            expected = states[n] + 3.0 * d1 - 3.0 * d2 + d3
+            # a few roundings of numbers of order one
+            assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_l1_memory_horizon_guard_off_the_fold_grid(shape):
+    states = wandering_states(shape, BLOCKED_HORIZON + 1, 43)
+    memory = L1Memory(states[0], 0.6, 0.01, BLOCKED_HORIZON)
+    for n in range(1, BLOCKED_HORIZON + 1):
+        memory_term(memory)             # step n is inside the horizon
+        memory.append(states[n])
+    with pytest.raises(HypothesisError):
+        memory_term(memory)             # step horizon + 1 is not
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])

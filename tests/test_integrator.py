@@ -464,6 +464,21 @@ def test_solver_failure_keeps_the_partial_run(monkeypatch):
     assert any("step 7" in w and "missed residual" in w for w in report.warnings)
 
 
+def test_nonfinite_halt_keeps_the_last_finite_state():
+    # u' ~ u^2 from u0 = 2 overflows to inf near t = 0.064 without ever
+    # passing the threshold while finite
+    domain = DomainSpec(half_width=4.0, n=8)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=0.0, gamma=0.0)
+    cfg = SolverConfig(dt=1e-3, t_final=0.1, blowup_threshold=1.7e308)
+    report = run(Field.constant(domain, 2.0), params, cfg)
+    assert report.status == RunStatus("nonfinite", time=0.064)
+    assert report.steps == 63
+    assert np.all(np.isfinite(report.final.values))
+    # the series ends at the last finite state, t = 0.063
+    assert math.isclose(report.times[-1], 0.063, rel_tol=1e-12)
+    assert report.sup_series[-1] == report.final.sup_norm()
+
+
 def test_run_status_flags():
     done = RunStatus("completed")
     assert done.completed
