@@ -7,8 +7,10 @@ Each step solves the L1 discretization
 with the diffusion taken implicitly at frozen (lagged) diffusivity, the
 death term implicitly and the growth term explicitly.  The frozen
 system is solved directly in 1D (cyclic tridiagonal: one LAPACK
-tridiagonal solve plus a Sherman-Morrison correction) and by
-FFT-preconditioned conjugate gradients in 2D, started from the cubic
+tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
+p = 2, m = 1, where its coefficients are constant and one forward and
+one inverse FFT invert it.  Other 2D systems are solved by
+FFT-preconditioned conjugate gradients, started from the cubic
 extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
@@ -127,7 +129,8 @@ def _coupling_value(values: np.ndarray, params: ModelParameters,
 
 
 # --------------------------------------------------------------------------
-# frozen-diffusivity solves: direct in 1D, preconditioned CG in 2D
+# frozen-diffusivity solves: direct in 1D and at constant 2D
+# coefficients, preconditioned CG otherwise
 # --------------------------------------------------------------------------
 
 def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
@@ -191,6 +194,11 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     return y - weight * z
 
 
+def _fft_solve(b: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Solve the periodic 2D system whose matrix has rfft symbol ``symbol``."""
+    return np.fft.irfftn(np.fft.rfftn(b) / symbol, s=b.shape, axes=(0, 1))
+
+
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
          maxiter: int):
     """Preconditioned CG from a copy of x0; returns (x, iterations).
@@ -242,18 +250,19 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     ((scale + gamma) I - div(a grad)) u^n
         = scale memory + growth(u^{n-1}) + load.
     In 1D the matrix is cyclic tridiagonal and
-    ``_cyclic_tridiagonal_solve`` solves it directly in O(N); in 2D
-    preconditioned conjugate gradients solve it (constant-coefficient
-    FFT preconditioner, residual 1e-10 max(1, |b|), at most 10 N
-    iterations).  A solve of k iterations makes k + 1 operator products
-    and k preconditioner calls.  CG starts from ``memory.predict()``,
-    u^{n-1} + 3 d1 - 3 d2 + d3 with d_j the last increments (lower
-    order over the first three steps): the states are smooth in time,
-    so the guess leaves far less residual than u^{n-1} does.  At
-    p = 2, m = 1 the face coefficients are exact ones
-    (``face_diffusivity`` builds no gradients there), the
-    preconditioner inverts the operator and one iteration suffices
-    from any start.
+    ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
+    p = 2, m = 1 every face coefficient is one, so the matrix is
+    (scale + gamma) I minus the 5-point Laplacian, diagonal in Fourier
+    space: one rfft, a division by its symbol and one inverse rfft solve
+    it exactly, with no face coefficients, guess or iteration.  Other 2D
+    systems are solved by preconditioned conjugate gradients
+    (constant-coefficient FFT preconditioner, residual
+    1e-10 max(1, |b|), at most 10 N iterations).  A solve of k
+    iterations makes k + 1 operator products and k preconditioner calls.
+    CG starts from ``memory.predict()``, u^{n-1} + 3 d1 - 3 d2 + d3 with
+    d_j the last increments (lower order over the first three steps):
+    the states are smooth in time, so the guess leaves far less
+    residual than u^{n-1} does.
     ``memory`` supplies the memory term, the scale and the load, the
     starting correction s_n R(u^0): solutions leave t = 0 like
     t^alpha, which caps the uncorrected history quadrature at first
@@ -267,8 +276,6 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     coupling = _coupling_value(u_prev, params, domain, kernel)
     scale = memory.scale
 
-    coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
-                              m=params.m)
     growth = np.square(u_prev)
     growth *= params.mu
     growth *= 1.0 - params.k * coupling
@@ -279,6 +286,10 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     if load is not None:
         b += load
 
+    if u_prev.ndim == 2 and params.p == 2.0 and params.m == 1.0:
+        return _fft_solve(b, shift + _laplacian_symbol(domain))
+    coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
+                              m=params.m)
     if u_prev.ndim == 1:
         return _cyclic_tridiagonal_solve(coeffs[0] / domain.h ** 2, shift, b)
 
@@ -291,12 +302,9 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     abar = float(np.mean([np.mean(c) for c in coeffs]))
     symbol = shift + abar * _laplacian_symbol(domain)
 
-    def precond(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape, axes=(0, 1))
-
     tol_abs = _CG_TOL * max(1.0, float(np.linalg.norm(b.ravel())))
-    x, _ = _pcg(apply_a, b, memory.predict(), precond, tol_abs,
-                maxiter=10 * u_prev.size)
+    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _fft_solve(r, symbol),
+                tol_abs, maxiter=10 * u_prev.size)
     return x
 
 

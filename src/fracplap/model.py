@@ -93,8 +93,14 @@ class Field:
         return float(np.min(self.values))
 
     def l2_norm(self) -> float:
+        """sqrt(h^dim sum u^2), summed over u / 2^e with 2^e the sup norm's
+        power of two, so squaring neither overflows nor underflows on a
+        finite state; the scaling is exact, so the bits are those of the
+        unscaled sum wherever that stays in range."""
         h = self.domain.h
-        return float(np.sqrt(np.sum(self.values ** 2) * h ** self.dim))
+        _, e = math.frexp(self.sup_norm())
+        scaled = np.ldexp(self.values, -e)
+        return math.ldexp(float(np.sqrt(np.sum(scaled ** 2) * h ** self.dim)), e)
 
     def l1_norm(self) -> float:
         h = self.domain.h

@@ -16,7 +16,7 @@ import fracplap
 PACKAGE = Path(fracplap.__file__).resolve().parent
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply"),
-    "integrator.py": ("step", "_pcg"),
+    "integrator.py": ("step", "_pcg", "_fft_solve"),
 }
 
 

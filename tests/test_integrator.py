@@ -23,7 +23,8 @@ from fracplap.model import (
     ModelParameters,
     equilibrium_roots,
 )
-from fracplap.operators import diffusion_apply, discretize_kernel, face_diffusivity
+from fracplap.operators import (convolve_kernel, diffusion_apply, discretize_kernel,
+                                face_diffusivity)
 
 ALLEE = ModelParameters(alpha=0.5, p=1.5, mu=1.0, k=1.0, gamma=3.0 / 16.0)
 
@@ -223,6 +224,79 @@ def test_2d_solves_start_from_the_extrapolated_state(monkeypatch):
                  kernel=kern)
     assert report.status.completed and report.steps == 60
     assert calls[0] <= 750
+
+
+def test_2d_constant_coefficient_step_solves_its_system_exactly():
+    # p = 2, m = 1 with kernel competition, after three steps: the frozen
+    # system ((scale + gamma) I - Laplacian_h) x = b is solved to rounding.
+    # At amplitude 1e-12 (a state near extinction) the guess already met
+    # CG's absolute floor of 1e-10 and was returned unsolved, a few
+    # percent off the solution
+    domain = DomainSpec(half_width=4.0, n=16)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=2.0, gamma=0.3, dim=2)
+    kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+    config = SolverConfig(dt=0.01, t_final=1.0)
+    wave = np.cos(np.pi * domain.axis_coords() / 4.0)
+    shape = 1.0 + 0.5 * wave[:, None] * wave[None, :]
+    ones = [np.ones(shape.shape)] * 2
+    laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape), domain).ravel()
+                                 for e in np.eye(shape.size)])
+    for amplitude in (1.0, 1e-12):
+        memory = L1Memory(amplitude * shape, params.alpha, config.dt, 100)
+        for _ in range(3):
+            memory.append(step(memory, params, domain, config, kern))
+        u = memory.last()
+        coupling = convolve_kernel(Field(u, domain), kern).values
+        b = (memory.scale * integrator.memory_term(memory)
+             + params.mu * u ** 2 * (1.0 - params.k * coupling)).ravel()
+        matrix = (memory.scale + params.gamma) * np.eye(shape.size) - laplacian
+        exact = np.linalg.solve(matrix, b)
+        x = step(memory, params, domain, config, kern).ravel()
+        assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+        assert np.linalg.norm(b - matrix @ x) <= 1e-12 * max(1.0, np.linalg.norm(b))
+
+
+def test_2d_solve_path_follows_p_and_m(monkeypatch):
+    """p = 2, m = 1 marches build no face coefficients, make no guess and
+    never reach CG; p < 2 and m != 1 still solve by PCG."""
+    calls = {"step": 0, "memory_term": 0, "_pcg": 0}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constant-coefficient 2D step did iterative work")
+
+    for name in ("_pcg", "face_diffusivity"):
+        monkeypatch.setattr(integrator, name, forbidden)
+    monkeypatch.setattr(L1Memory, "predict", forbidden)
+    for name in ("step", "memory_term"):
+        def counted(*args, _real=getattr(integrator, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, name, counted)
+    domain = DomainSpec(half_width=4.0, n=16)
+    kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+    u0 = Field(np.full((16, 16), 0.4), domain)
+    u0.values[3:6, 4:9] = 0.7
+    cfg = SolverConfig(dt=0.01, t_final=0.1)
+    linear = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=1.0, gamma=0.2, dim=2)
+    assert run(u0, linear, cfg, kernel=kern).steps == 10
+    assert calls == {"step": 10, "memory_term": 10, "_pcg": 0}
+
+    monkeypatch.undo()
+    real_pcg = integrator._pcg
+
+    def counted_pcg(*args, **kwargs):
+        calls["_pcg"] += 1
+        return real_pcg(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "_pcg", counted_pcg)
+    nonlinear = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=1.0, gamma=0.2, dim=2)
+    porous = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=1.0, gamma=1.0, m=1.5,
+                             dim=2, coupling_mode=COUPLING_GLOBAL_MASS)
+    for params in (nonlinear, porous):
+        calls["_pcg"] = 0
+        assert run(u0, params, cfg, kernel=kern).steps == 10
+        assert calls["_pcg"] == 10
 
 
 # ---------------------------------------------------------------------------

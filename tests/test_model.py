@@ -273,6 +273,24 @@ def test_field_norms_on_known_data():
     assert math.isclose(f.l2_norm(), math.sqrt(5.25 * 0.25), rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("level", [1e200, 1e-200, -1e300])
+def test_field_l2_norm_of_extreme_finite_states(level, dim):
+    # squaring overflows past ~1.3e154 and underflows below ~1e-162
+    d = DomainSpec(half_width=3.0, n=16)
+    f = Field.constant(d, level, dim=dim)
+    assert math.isclose(f.l2_norm(), abs(level) * math.sqrt(6.0 ** dim),
+                        rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_l2_norm_keeps_the_plain_formula_bits(dim):
+    d = DomainSpec(half_width=3.0, n=16)
+    values = np.random.default_rng(5 + dim).uniform(-3.0, 7.0, d.shape(dim))
+    plain = float(np.sqrt(np.sum(values ** 2) * d.h ** dim))
+    assert Field(values, d).l2_norm() == plain
+
+
 def test_field_constant_and_shape_guard():
     from fracplap.errors import GridMismatchError
 
