@@ -8,9 +8,10 @@ with the diffusion taken implicitly at frozen (lagged) diffusivity, the
 death term implicitly and the growth term explicitly.  The frozen
 system is solved directly in 1D (cyclic tridiagonal: one LAPACK
 tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
-p = 2, m = 1, where its coefficients are constant and one forward and
-one inverse FFT invert it.  Other 2D systems are solved by
-FFT-preconditioned conjugate gradients, started from the cubic
+p = 2, m = 1, where its coefficients are constant and four dense
+products in the real eigenbasis of the periodic Laplacian invert it
+(``_eigen_solve``).  Other 2D systems are solved by conjugate gradients
+preconditioned by that same solve, started from the cubic
 extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
@@ -140,10 +141,30 @@ def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _laplacian_basis(n: int) -> np.ndarray:
+    """Real orthonormal eigenbasis Q of the n-point periodic 3-point
+    Laplacian (read-only).
+
+    Columns, in order: the constant, cos/sin pairs of wavenumber
+    j = 1 .. n/2 - 1 and the Nyquist mode (-1)^i, so column c has the
+    eigenvalue of wavenumber (c + 1) // 2.  Angles are reduced mod n
+    before the cosine, which keeps Q^T Q = I to rounding."""
+    i = np.arange(n)
+    wave = (i + 1) // 2
+    angle = (2.0 * np.pi / n) * ((i[:, None] * wave[None, :]) % n)
+    q = np.where(i % 2 == 1, np.cos(angle), np.sin(angle)) * math.sqrt(2.0 / n)
+    q[:, 0] = q[:, -1] = math.sqrt(1.0 / n)
+    q[1::2, -1] *= -1.0
+    q.flags.writeable = False
+    return q
+
+
+@lru_cache(maxsize=8)
 def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
-    """Nonnegative symbol of the 5-point -Laplacian on the 2D rfft grid (read-only)."""
-    full = _laplacian_axis(domain)
-    symbol = full[:, None] + full[None, :domain.n // 2 + 1]
+    """Nonnegative symbol lambda_i + lambda_j of the 5-point -Laplacian
+    in the basis ``_laplacian_basis`` on both axes (read-only)."""
+    axis = _laplacian_axis(domain)[(np.arange(domain.n) + 1) // 2]
+    symbol = axis[:, None] + axis[None, :]
     symbol.flags.writeable = False
     return symbol
 
@@ -194,9 +215,17 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     return y - weight * z
 
 
-def _fft_solve(b: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Solve the periodic 2D system whose matrix has rfft symbol ``symbol``."""
-    return np.fft.irfftn(np.fft.rfftn(b) / symbol, s=b.shape, axes=(0, 1))
+def _eigen_solve(b: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Solve the periodic 2D system Q diag(symbol) Q^T on both axes,
+    ``symbol`` in the column order of Q = ``_laplacian_basis``.
+
+    The fast diagonalization method (Lynch, Rice & Thomas, Numer. Math.
+    6, 1964): x = Q ((Q^T b Q) / symbol) Q^T, four dense n x n products.
+    That is O(n^3) against the FFT's O(n^2 log n), yet at n <= 64 it
+    takes about half the time of numpy's rfftn/irfftn pair; the two
+    break even near n = 128 (README)."""
+    q = _laplacian_basis(b.shape[0])
+    return q @ ((q.T @ b @ q) / symbol) @ q.T
 
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
@@ -252,12 +281,13 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coefficient is one, so the matrix is
-    (scale + gamma) I minus the 5-point Laplacian, diagonal in Fourier
-    space: one rfft, a division by its symbol and one inverse rfft solve
-    it exactly, with no face coefficients, guess or iteration.  Other 2D
-    systems are solved by preconditioned conjugate gradients
-    (constant-coefficient FFT preconditioner, residual
-    1e-10 max(1, |b|), at most 10 N iterations).  A solve of k
+    (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
+    cos/sin eigenbasis Q of the periodic Laplacian: ``_eigen_solve``
+    (Q^T b Q, a division by the symbol, Q (.) Q^T) solves it exactly,
+    with no face coefficients, guess or iteration.  Other 2D systems are
+    solved by preconditioned conjugate gradients (the same solve with
+    the mean face coefficient as preconditioner, residual 1e-10 |b|, at
+    most 10 N iterations; b = 0 returns zeros).  A solve of k
     iterations makes k + 1 operator products and k preconditioner calls.
     CG starts from ``memory.predict()``, u^{n-1} + 3 d1 - 3 d2 + d3 with
     d_j the last increments (lower order over the first three steps):
@@ -287,7 +317,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         b += load
 
     if u_prev.ndim == 2 and params.p == 2.0 and params.m == 1.0:
-        return _fft_solve(b, shift + _laplacian_symbol(domain))
+        return _eigen_solve(b, shift + _laplacian_symbol(domain))
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
     if u_prev.ndim == 1:
@@ -302,9 +332,11 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     abar = float(np.mean([np.mean(c) for c in coeffs]))
     symbol = shift + abar * _laplacian_symbol(domain)
 
-    tol_abs = _CG_TOL * max(1.0, float(np.linalg.norm(b.ravel())))
-    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _fft_solve(r, symbol),
-                tol_abs, maxiter=10 * u_prev.size)
+    b_norm = float(np.linalg.norm(b.ravel()))
+    if b_norm == 0.0:
+        return np.zeros_like(b)
+    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _eigen_solve(r, symbol),
+                _CG_TOL * b_norm, maxiter=10 * u_prev.size)
     return x
 
 

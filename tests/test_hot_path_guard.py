@@ -4,7 +4,8 @@ A roll copies its whole input (about 10 us at n = 16, more than the
 arithmetic of a small step); the slice helper
 ``operators._periodic_diff`` gives the same bits without the copy.  The
 check walks the syntax tree, so nested functions count and comments do
-not.
+not.  The integrator's part of the path makes no ``np.fft`` call either:
+its 2D solves are dense products in the Laplacian eigenbasis.
 """
 import ast
 from pathlib import Path
@@ -16,7 +17,7 @@ import fracplap
 PACKAGE = Path(fracplap.__file__).resolve().parent
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply"),
-    "integrator.py": ("step", "_pcg", "_fft_solve"),
+    "integrator.py": ("step", "_pcg", "_eigen_solve"),
 }
 
 
@@ -34,3 +35,10 @@ def test_hot_path_has_no_roll(module, name):
              if isinstance(node, ast.Attribute) and node.attr == "roll"
              or isinstance(node, ast.Name) and node.id == "roll"]
     assert rolls == [], f"np.roll in {module}:{name} at lines {rolls}"
+
+
+@pytest.mark.parametrize("name", HOT_PATH["integrator.py"])
+def test_integrator_hot_path_has_no_fft(name):
+    ffts = [node.lineno for node in ast.walk(functions("integrator.py")[name])
+            if isinstance(node, ast.Attribute) and node.attr == "fft"]
+    assert ffts == [], f"np.fft in integrator.py:{name} at lines {ffts}"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,7 +165,8 @@ def test_1d_direct_march_matches_pcg_march_at_degenerate_p():
 
 def _counted_pcg_system(n=8):
     """A 2D frozen system with varying face coefficients, as ``step``
-    builds it, and its FFT preconditioner, each wrapped with a call counter."""
+    builds it, and the integrator's constant-coefficient preconditioner,
+    each wrapped with a call counter."""
     domain = DomainSpec(half_width=4.0, n=n)
     rng = np.random.default_rng(11)
     coeffs = [rng.uniform(0.5, 2.0, (n, n)) for _ in range(2)]
@@ -176,7 +180,7 @@ def _counted_pcg_system(n=8):
 
     def precond(r):
         calls["precond"] += 1
-        return np.fft.irfftn(np.fft.rfftn(r) / symbol, s=r.shape, axes=(0, 1))
+        return integrator._eigen_solve(r, symbol)
 
     b = rng.standard_normal((n, n))
     return apply_a, precond, b, calls
@@ -297,6 +301,106 @@ def test_2d_solve_path_follows_p_and_m(monkeypatch):
         calls["_pcg"] = 0
         assert run(u0, params, cfg, kernel=kern).steps == 10
         assert calls["_pcg"] == 10
+
+
+def _dense_system(coeffs, shift, domain):
+    """The frozen 2D matrix shift I - div(a grad), column by column."""
+    eye = np.eye(domain.n ** 2)
+    div = np.column_stack([diffusion_apply(coeffs, e.reshape(domain.n, domain.n),
+                                           domain).ravel() for e in eye])
+    return shift * eye - div
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_laplacian_basis_is_an_orthonormal_eigenbasis(n):
+    domain = DomainSpec(half_width=3.0, n=n)
+    q = integrator._laplacian_basis(n)
+    assert not q.flags.writeable
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+    # column c holds wavenumber (c + 1) // 2: the constant, cos/sin pairs, Nyquist
+    lam = integrator._laplacian_axis(domain)[(np.arange(n) + 1) // 2]
+    tq = (2.0 * q - np.roll(q, 1, axis=0) - np.roll(q, -1, axis=0)) / domain.h ** 2
+    assert np.max(np.abs(tq - q * lam)) <= 1e-14 * lam.max()
+    symbol = integrator._laplacian_symbol(domain)
+    assert np.array_equal(symbol, lam[:, None] + lam[None, :])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("shift,abar", [(0.1, 1.0), (3.0, 0.7), (1e3, 2.5)])
+def test_eigen_solve_matches_the_dense_5_point_system(n, shift, abar):
+    domain = DomainSpec(half_width=4.0, n=n)
+    b = np.random.default_rng(n).standard_normal((n, n))
+    x = integrator._eigen_solve(b, shift + abar * integrator._laplacian_symbol(domain))
+    exact = np.linalg.solve(_dense_system([np.full((n, n), abar)] * 2, shift, domain),
+                            b.ravel())
+    assert np.linalg.norm(x.ravel() - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_small_2d_state_is_solved_to_a_relative_tolerance():
+    # a p = 1.8 first step from 1e-8 exp(-r^2 / 0.5): with CG stopping at
+    # 1e-10 max(1, |b|), absolute below |b| = 1, it came back 4e-6 off
+    domain = DomainSpec(half_width=2.0, n=16)
+    params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=2.0, gamma=0.3, dim=2)
+    kern = discretize_kernel("box", 0.25, 0.2, domain, dim=2)
+    config = SolverConfig(dt=0.01, t_final=1.0)
+    x = domain.axis_coords()
+    u0 = 1e-8 * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 0.5)
+    memory = L1Memory(u0, params.alpha, config.dt, 100)
+    coeffs = face_diffusivity(u0, domain, params.p, config.eps_reg)
+    coupling = convolve_kernel(Field(u0, domain), kern).values
+    b = (memory.scale * integrator.memory_term(memory)
+         + params.mu * u0 ** 2 * (1.0 - params.k * coupling))
+    exact = np.linalg.solve(_dense_system(coeffs, memory.scale + params.gamma, domain),
+                            b.ravel())
+    got = step(memory, params, domain, config, kern).ravel()
+    assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+def test_zero_2d_right_hand_side_gives_exact_zeros(monkeypatch):
+    # a relative tolerance is zero here, which CG from a nonzero guess
+    # cannot meet: it iterates until p.Ap underflows and breaks down
+    domain = DomainSpec(half_width=2.0, n=16)
+    params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.0, gamma=0.3, dim=2)
+    zeros = np.zeros((16, 16))
+    memory = SimpleNamespace(last=lambda: zeros, scale=10.0, load=lambda: None,
+                             predict=lambda: np.random.default_rng(3).random((16, 16)))
+    monkeypatch.setattr(integrator, "memory_term", lambda memory: zeros.copy())
+    x = step(memory, params, domain, SolverConfig(dt=0.01, t_final=1.0))
+    assert np.array_equal(x, zeros)
+
+
+_THREAD_MARCHES = """
+import hashlib
+import numpy as np
+from fracplap.integrator import SolverConfig, run
+from fracplap.model import DomainSpec, Field, ModelParameters
+from fracplap.operators import discretize_kernel
+domain = DomainSpec(half_width=4.0, n=64)
+x = domain.axis_coords()
+u0 = Field(0.2 + 0.5 * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2)), domain)
+kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+digests = []
+for p, steps in ((2.0, 8), (1.5, 4)):
+    params = ModelParameters(alpha=0.5, p=p, mu=1.0, k=1.0, gamma=0.2, dim=2)
+    report = run(u0, params, SolverConfig(dt=0.01, t_final=0.01 * steps), kernel=kern)
+    assert report.status.completed and report.steps == steps
+    digests.append(hashlib.sha256(report.final.values.tobytes()).hexdigest())
+"""
+
+
+def test_2d_marches_do_not_depend_on_the_blas_thread_count():
+    # the eigenbasis solve runs on dgemm: one BLAS thread must give the
+    # same bits as this process's default, for the direct p = 2 step and
+    # for the preconditioned p = 1.5 solve
+    import fracplap
+    here = {}
+    exec(_THREAD_MARCHES, here)
+    src = os.path.dirname(os.path.dirname(fracplap.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c",
+                          _THREAD_MARCHES + "print(' '.join(digests))"],
+                         env=env, check=True, timeout=120, capture_output=True, text=True)
+    assert out.stdout.split() == here["digests"]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +648,8 @@ def test_nonfinite_halt_keeps_the_last_finite_state():
     domain = DomainSpec(half_width=4.0, n=8)
     params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=0.0, gamma=0.0)
     cfg = SolverConfig(dt=1e-3, t_final=0.1, blowup_threshold=1.7e308)
-    report = run(Field.constant(domain, 2.0), params, cfg)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = run(Field.constant(domain, 2.0), params, cfg)
     assert report.status == RunStatus("nonfinite", time=0.064)
     assert report.steps == 63
     assert np.all(np.isfinite(report.final.values))
