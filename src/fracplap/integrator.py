@@ -10,9 +10,10 @@ system is solved directly in 1D (cyclic tridiagonal: one LAPACK
 tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
 p = 2, m = 1, where its coefficients are constant and four dense
 products in the real eigenbasis of the periodic Laplacian invert it
-(``_eigen_solve``).  Other 2D systems are solved by conjugate gradients
-preconditioned by that same solve, started from the cubic
-extrapolation of the last four states (``L1Memory.predict``).
+(``_eigen_solve``; the kernel convolution shares that basis,
+``operators._laplacian_basis``).  Other 2D systems are solved by
+conjugate gradients preconditioned by that same solve, started from
+the cubic extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -35,8 +36,8 @@ from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
 from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
                     reaction, validate_params)
-from .operators import (KernelGrid, convolve_kernel, diffusion_apply,
-                        face_diffusivity, global_mass, p_laplacian)
+from .operators import (KernelGrid, _laplacian_basis, convolve_kernel,
+                        diffusion_apply, face_diffusivity, global_mass, p_laplacian)
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -138,25 +139,6 @@ def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
     """Eigenvalues (2 sin(pi k / n) / h)^2, k = 0 .. n-1, of the periodic
     3-point -Laplacian along one axis, in DFT order."""
     return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n) / domain.h) ** 2
-
-
-@lru_cache(maxsize=8)
-def _laplacian_basis(n: int) -> np.ndarray:
-    """Real orthonormal eigenbasis Q of the n-point periodic 3-point
-    Laplacian (read-only).
-
-    Columns, in order: the constant, cos/sin pairs of wavenumber
-    j = 1 .. n/2 - 1 and the Nyquist mode (-1)^i, so column c has the
-    eigenvalue of wavenumber (c + 1) // 2.  Angles are reduced mod n
-    before the cosine, which keeps Q^T Q = I to rounding."""
-    i = np.arange(n)
-    wave = (i + 1) // 2
-    angle = (2.0 * np.pi / n) * ((i[:, None] * wave[None, :]) % n)
-    q = np.where(i % 2 == 1, np.cos(angle), np.sin(angle)) * math.sqrt(2.0 / n)
-    q[:, 0] = q[:, -1] = math.sqrt(1.0 / n)
-    q[1::2, -1] *= -1.0
-    q.flags.writeable = False
-    return q
 
 
 @lru_cache(maxsize=8)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class KernelGrid:
     ``values`` puts the kernel origin at index n//2 along every axis
     (the grid point x = 0).  Admissibility: nonnegative values, unit
     discrete integral, and a strict floor eta on the sensing box
-    ||x||_inf <= delta0.
+    ||x||_inf <= delta0.  ``operator`` caches the dense convolution.
     """
 
     values: np.ndarray
@@ -44,16 +44,51 @@ class KernelGrid:
     eta: float
 
     @cached_property
-    def spectrum(self) -> np.ndarray:
-        """rfft of the kernel with its origin moved to index 0, computed once."""
-        return _origin_spectrum(self.values)
+    def operator(self) -> np.ndarray:
+        """The kernel's circulant (1D) or eigenvalues (2D), computed once."""
+        return _convolution_operator(self.values, self.domain.h)
 
 
-def _origin_spectrum(centered: np.ndarray) -> np.ndarray:
-    """rfft of samples whose origin sits at index n//2, moved to index 0."""
-    for ax in range(centered.ndim):
-        centered = np.roll(centered, -(centered.shape[ax] // 2), axis=ax)
-    return np.fft.rfftn(centered)
+@lru_cache(maxsize=8)
+def _laplacian_basis(n: int) -> np.ndarray:
+    """Real orthonormal eigenbasis Q of the n-point periodic 3-point
+    Laplacian (read-only).
+
+    Columns, in order: the constant, cos/sin pairs of wavenumber
+    j = 1 .. n/2 - 1 and the Nyquist mode (-1)^i, so column c has the
+    eigenvalue of wavenumber (c + 1) // 2.  Angles are reduced mod n
+    before the cosine, which keeps Q^T Q = I to rounding."""
+    i = np.arange(n)
+    wave = (i + 1) // 2
+    angle = (2.0 * np.pi / n) * ((i[:, None] * wave[None, :]) % n)
+    q = np.where(i % 2 == 1, np.cos(angle), np.sin(angle)) * math.sqrt(2.0 / n)
+    q[:, 0] = q[:, -1] = math.sqrt(1.0 / n)
+    q[1::2, -1] *= -1.0
+    q.flags.writeable = False
+    return q
+
+
+def _convolution_operator(centered: np.ndarray, h: float) -> np.ndarray:
+    """Convolution with samples g centered at index n//2, as
+    ``_periodic_convolve`` applies it (read-only): the circulant
+    C[i, j] = g[(n//2 + i - j) mod n] h in 1D; in 2D its eigenvalues in
+    ``_laplacian_basis`` on both axes (Davis, Circulant Matrices, 1979),
+    the real DFT of the origin-first g times h^2 in the basis' column
+    order.  That holds only for g even along each axis; 2D samples whose
+    DFT along an axis is not real raise KernelAdmissibilityError."""
+    n = centered.shape[0]
+    if centered.ndim == 1:
+        op = centered[(n // 2 + np.arange(n)[:, None] - np.arange(n)) % n] * h
+    else:
+        g = np.roll(centered, -(n // 2), axis=(0, 1))
+        odd = max(float(np.max(np.abs(np.fft.rfft(g, axis=ax).imag))) for ax in (0, 1))
+        if odd > 1e-12 * float(np.sum(np.abs(g))):
+            raise KernelAdmissibilityError(
+                f"2D kernel is not even along each axis (odd DFT part {odd:.3g})")
+        wave = (np.arange(n) + 1) // 2
+        op = np.fft.rfftn(g).real[wave][:, wave] * h ** 2
+    op.flags.writeable = False
+    return op
 
 
 def _centered_coords(domain: DomainSpec, dim: int):
@@ -139,23 +174,21 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
             f"{b_domain} {b_shape}")
 
 
-def _periodic_convolve(field: Field, spectrum: np.ndarray) -> Field:
-    """sum_y g(x - y) u(y) h^dim for g given by its origin-first rfft
-    (1D calls rfft/irfft, which rfftn/irfftn only wrap in argument handling)."""
-    values = field.values
+def _periodic_convolve(field: Field, operator: np.ndarray) -> Field:
+    """sum_y g(x - y) u(y) h^dim for g given by ``_convolution_operator``:
+    a circulant product in 1D, Q ((Q^T u Q) * eigenvalues) Q^T in 2D; at
+    n <= 64 (1D: 256) both undercut numpy's FFT pair (README)."""
     if field.dim == 1:
-        out = np.fft.irfft(np.fft.rfft(values) * spectrum, values.shape[0])
-    else:
-        out = np.fft.irfftn(np.fft.rfftn(values) * spectrum, s=values.shape, axes=(0, 1))
-    out *= field.domain.h ** field.dim
-    return Field(out, field.domain)
+        return Field(operator @ field.values, field.domain)
+    q = _laplacian_basis(field.domain.n)
+    return Field(q @ ((q.T @ field.values @ q) * operator) @ q.T, field.domain)
 
 
 def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
-    """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim via FFT."""
+    """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim."""
     _check_same_grid(field.domain, kernel.domain, field.values.shape,
                      kernel.values.shape)
-    return _periodic_convolve(field, kernel.spectrum)
+    return _periodic_convolve(field, kernel.operator)
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +323,7 @@ def box_window_integral(field: Field, delta: float) -> Field:
 
     Uses the trapezoid convention on the window edge (half weight at
     exactly delta), so a constant field integrates to (2 delta)^dim c
-    exactly when delta is a grid multiple.  Evaluated by periodic FFT
+    exactly when delta is a grid multiple.  Evaluated by the periodic
     convolution with the unnormalized window.
     """
     domain = field.domain
@@ -300,4 +333,4 @@ def box_window_integral(field: Field, delta: float) -> Field:
             f"L = {domain.half_width}")
     w = _axis_trapezoid_weights(domain.axis_coords(), delta)
     window = w if field.dim == 1 else np.multiply.outer(w, w)
-    return _periodic_convolve(field, _origin_spectrum(window))
+    return _periodic_convolve(field, _convolution_operator(window, domain.h))

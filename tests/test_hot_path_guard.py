@@ -4,8 +4,11 @@ A roll copies its whole input (about 10 us at n = 16, more than the
 arithmetic of a small step); the slice helper
 ``operators._periodic_diff`` gives the same bits without the copy.  The
 check walks the syntax tree, so nested functions count and comments do
-not.  The integrator's part of the path makes no ``np.fft`` call either:
-its 2D solves are dense products in the Laplacian eigenbasis.
+not.  The integrator's part of the path and the kernel convolution make
+no ``np.fft`` call either: 2D solves and 2D convolutions are dense
+products in the Laplacian eigenbasis, and a 1D convolution is one
+product with the kernel's cached circulant (numpy's FFT call overhead
+outweighs the arithmetic of a 16-point convolution several times).
 """
 import ast
 from pathlib import Path
@@ -16,7 +19,8 @@ import fracplap
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
 HOT_PATH = {
-    "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply"),
+    "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
+                     "convolve_kernel", "_periodic_convolve"),
     "integrator.py": ("step", "_pcg", "_eigen_solve"),
 }
 
@@ -37,8 +41,18 @@ def test_hot_path_has_no_roll(module, name):
     assert rolls == [], f"np.roll in {module}:{name} at lines {rolls}"
 
 
+def fft_lines(module: str, name: str) -> list:
+    return [node.lineno for node in ast.walk(functions(module)[name])
+            if isinstance(node, ast.Attribute) and node.attr == "fft"]
+
+
 @pytest.mark.parametrize("name", HOT_PATH["integrator.py"])
 def test_integrator_hot_path_has_no_fft(name):
-    ffts = [node.lineno for node in ast.walk(functions("integrator.py")[name])
-            if isinstance(node, ast.Attribute) and node.attr == "fft"]
+    ffts = fft_lines("integrator.py", name)
     assert ffts == [], f"np.fft in integrator.py:{name} at lines {ffts}"
+
+
+@pytest.mark.parametrize("name", ("convolve_kernel", "_periodic_convolve"))
+def test_kernel_convolution_has_no_fft(name):
+    ffts = fft_lines("operators.py", name)
+    assert ffts == [], f"np.fft in operators.py:{name} at lines {ffts}"

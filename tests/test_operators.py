@@ -139,12 +139,53 @@ def test_periodic_diff_matches_roll_forms(form, dim, axis, n):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_kernel_spectrum_is_computed_once_and_bit_exact(dim):
+def test_kernel_operator_is_built_once(dim):
     d = DomainSpec(half_width=2.0, n=16)
     kern = discretize_kernel("gaussian", 0.3, 1e-6, d, dim=dim)
-    shifted = np.roll(kern.values, -(d.n // 2), axis=tuple(range(dim)))
-    assert np.array_equal(kern.spectrum, np.fft.rfftn(shifted))
-    assert kern.spectrum is kern.spectrum
+    assert kern.operator is kern.operator
+    assert not kern.operator.flags.writeable
+
+
+def direct_convolution(g: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+    """sum_y g(x - y) u(y) h^dim point by point, g centered at index n//2."""
+    n = u.shape[0]
+    out = np.empty_like(u)
+    for point in np.ndindex(u.shape):
+        rows = [(n // 2 + i - np.arange(n)) % n for i in point]
+        out[point] = np.sum(g[np.ix_(*rows)] * u) * h ** u.ndim
+    return out
+
+
+@pytest.mark.parametrize("which", KERNEL_SHAPES + ("window",))
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (1, 256), (2, 16), (2, 64)])
+def test_convolution_matches_a_direct_sum_to_rounding(which, dim, n):
+    d = DomainSpec(half_width=4.0, n=n)
+    u = np.random.default_rng(n + dim).uniform(0.2, 1.0, d.shape(dim))
+    if which == "window":
+        out = box_window_integral(Field(u, d), 1.0)
+        x = np.abs(d.axis_coords())
+        w = np.where(x < 1.0 - 1e-12, 1.0, np.where(x <= 1.0 + 1e-12, 0.5, 0.0))
+        g = w if dim == 1 else np.multiply.outer(w, w)
+    else:
+        kern = discretize_kernel(which, 0.5, 1e-6, d, dim=dim)
+        out = convolve_kernel(Field(u, d), kern)
+        g = kern.values
+    want = direct_convolution(g, u, d.h)
+    assert np.max(np.abs(out.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("support", ["one-sided", "diagonal"])
+def test_2d_kernel_that_is_not_even_along_each_axis_is_rejected(support):
+    # the eigenbasis holds only kernels with J(x, y) = J(-x, y) = J(x, -y);
+    # a diagonal support is symmetric about the origin and still fails
+    d = DomainSpec(half_width=2.0, n=16)
+    values = np.zeros((16, 16))
+    offsets = range(3) if support == "one-sided" else range(-1, 2)
+    for a in offsets:
+        values[8 + a, 8 + (a if support == "diagonal" else 0)] = 1.0 / (3.0 * d.h ** 2)
+    kern = operators.KernelGrid(values, d, delta0=0.1, eta=1e-3)
+    with pytest.raises(KernelAdmissibilityError, match="even"):
+        convolve_kernel(Field.constant(d, 1.0, dim=2), kern)
 
 
 def test_convolution_grid_guard():
