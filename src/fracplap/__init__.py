@@ -23,7 +23,7 @@ from .model import (AnalysisConstants, DomainSpec, EquilibriumRoots, Field,
                     sup_norm_bound, validate_params)
 from .operators import (KernelGrid, box_window_integral, convolve_kernel,
                         diffusion_apply, discretize_kernel, face_diffusivity,
-                        global_mass, p_laplacian)
+                        global_mass)
 from .verify import SUITES, Check, run_suite
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
                     reaction, validate_params)
 from .operators import (KernelGrid, _laplacian_basis, convolve_kernel,
-                        diffusion_apply, face_diffusivity, global_mass, p_laplacian)
+                        diffusion_apply, face_diffusivity, global_mass)
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -357,16 +357,16 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     n_steps = max(1, int(round(config.t_final / dt)))
     domain = u0.domain
     # starting corrections for the t^alpha layer and, where R is exactly
-    # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer;
-    # both loads vanish identically at rest states.  coupling0 also
-    # rejects a missing kernel or one on another grid before any step
+    # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer, with
+    # the march's own diffusion frozen at u0; both vanish at rest states.
+    # coupling0 also rejects a missing kernel or one on another grid
     coupling0 = _coupling_value(u0.values, params, domain, kernel)
-    g1 = (p_laplacian(u0, params.p, config.eps_reg, params.m).values
+    coeffs0 = face_diffusivity(u0.values, domain, params.p, config.eps_reg, m=params.m)
+    g1 = (diffusion_apply(coeffs0, u0.values, domain)
           + reaction(u0.values, coupling0, params))
     g2 = None
     if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
-        g2 = (p_laplacian(Field(g1, domain), params.p, config.eps_reg).values
-              + reaction(g1, 0.0, params))
+        g2 = diffusion_apply(coeffs0, g1, domain) + reaction(g1, 0.0, params)
     memory = L1Memory(u0.values, params.alpha, dt, n_steps, g1, g2)
 
     warnings = []

@@ -235,13 +235,14 @@ def _face_gradient_norm_sq(values: np.ndarray, h: float):
 
 def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
                      eps_reg: float, m: float = 1.0):
-    """Per-axis face coefficients of the regularized p-Laplacian.
+    """Per-axis face coefficients of the regularized p-Laplacian of u^m;
+    with ``diffusion_apply``, the one discretization of Delta_p u^m.
 
     For m = 1 the coefficient is (|grad u|^2 + eps^2)^((p-2)/2) on each
-    face.  For m != 1 the operator acts on v = u^m and the returned
-    coefficient carries the chain factor m * u_face^(m-1) so that
-    div(coef * grad u) linearizes div(|grad v|^(p-2) grad v); negative
-    cell values are clamped to zero inside the powers only.
+    face.  For m > 1 the gradient is that of v = u^m and the coefficient
+    carries the chain factor m * u_face^(m-1), so div(coef * grad u) is
+    the lagged chain form of div(|grad v|^(p-2) grad v) (O(h^2) apart);
+    negative cells are clamped to zero inside the powers, and m < 1 is rejected.
 
     At p = 2 the exponent is 0 and every face coefficient is
     (g2 + eps^2) ** 0.0, which is exactly 1.0 for every float64 g2,
@@ -253,6 +254,8 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     if eps_reg < 0 or (eps_reg == 0 and p < 2.0):
         raise HypothesisError(
             f"eps_reg must be positive for p < 2, got {eps_reg}")
+    if not m >= 1.0:
+        raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
     if p == 2.0:
@@ -284,25 +287,6 @@ def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
         div /= h
         out += div
     return out
-
-
-def p_laplacian(field: Field, p: float, eps_reg: float = 1e-6,
-                m: float = 1.0) -> Field:
-    """Regularized p-Laplacian of v = u^m in flux form,
-    div((|grad v|^2 + eps^2)^((p-2)/2) grad v).
-
-    m = 1 acts on u itself; for m > 1 negative u is clamped to zero
-    inside the power only (the field itself is never modified), and
-    m < 1 is rejected.  At p = 2 the coefficient is exactly one and the
-    operator reduces to the standard centered Laplacian stencil of v.
-    """
-    if m < 1.0:
-        raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
-    v = field.values
-    if m != 1.0:
-        v = np.where(v > 0.0, v, 0.0) ** m
-    coeffs = face_diffusivity(v, field.domain, p, eps_reg)
-    return Field(diffusion_apply(coeffs, v, field.domain), field.domain)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from fracplap import integrator
 from fracplap.errors import (GridMismatchError, HypothesisError,
                              SolverConvergenceError)
-from fracplap.fractional import L1Memory, mittag_leffler
+from fracplap.fractional import L1Memory, layer_correction_weights, mittag_leffler
 from fracplap.integrator import (
     RunStatus,
     SolverConfig,
@@ -25,9 +25,10 @@ from fracplap.model import (
     Field,
     ModelParameters,
     equilibrium_roots,
+    reaction,
 )
 from fracplap.operators import (convolve_kernel, diffusion_apply, discretize_kernel,
-                                face_diffusivity)
+                                face_diffusivity, global_mass)
 
 ALLEE = ModelParameters(alpha=0.5, p=1.5, mu=1.0, k=1.0, gamma=3.0 / 16.0)
 
@@ -261,17 +262,17 @@ def test_2d_constant_coefficient_step_solves_its_system_exactly():
 
 
 def test_2d_solve_path_follows_p_and_m(monkeypatch):
-    """p = 2, m = 1 marches build no face coefficients, make no guess and
-    never reach CG; p < 2 and m != 1 still solve by PCG."""
-    calls = {"step": 0, "memory_term": 0, "_pcg": 0}
+    """p = 2, m = 1 steps build no face coefficients, make no guess and
+    never reach CG; p < 2 and m != 1 still solve by PCG.  The one face
+    coefficient call is the set-up's, for the starting load."""
+    calls = {"step": 0, "memory_term": 0, "face_diffusivity": 0, "_pcg": 0}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("constant-coefficient 2D step did iterative work")
 
-    for name in ("_pcg", "face_diffusivity"):
-        monkeypatch.setattr(integrator, name, forbidden)
+    monkeypatch.setattr(integrator, "_pcg", forbidden)
     monkeypatch.setattr(L1Memory, "predict", forbidden)
-    for name in ("step", "memory_term"):
+    for name in ("step", "memory_term", "face_diffusivity"):
         def counted(*args, _real=getattr(integrator, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -284,7 +285,7 @@ def test_2d_solve_path_follows_p_and_m(monkeypatch):
     cfg = SolverConfig(dt=0.01, t_final=0.1)
     linear = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=1.0, gamma=0.2, dim=2)
     assert run(u0, linear, cfg, kernel=kern).steps == 10
-    assert calls == {"step": 10, "memory_term": 10, "_pcg": 0}
+    assert calls == {"step": 10, "memory_term": 10, "face_diffusivity": 1, "_pcg": 0}
 
     monkeypatch.undo()
     real_pcg = integrator._pcg
@@ -525,6 +526,29 @@ def test_global_mass_coupling_runs():
     assert report.status.completed
     assert np.all(np.isfinite(report.final.values))
     assert report.sup_series[-1] > 0
+
+
+def test_first_starting_load_applies_the_march_operator(monkeypatch):
+    """g1 = R(u0) takes its diffusion from the march's own operator, the
+    lagged chain form frozen at u0, not from a separate form of u0^m."""
+    loads = []
+
+    def record_load(memory, *args, _real=integrator.step, **kwargs):
+        loads.append(memory.load())
+        return _real(memory, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step", record_load)
+    domain = DomainSpec(half_width=4.0, n=16)
+    params = ModelParameters(alpha=0.6, p=1.8, mu=1.0, k=1.0, gamma=1.0,
+                             m=2.5, coupling_mode=COUPLING_GLOBAL_MASS)
+    u0 = np.random.default_rng(41).uniform(0.0, 1.0, domain.n)
+    assert run(Field(u0, domain), params, SolverConfig(dt=0.01, t_final=0.1)).steps == 10
+    coeffs = face_diffusivity(u0, domain, params.p, 1e-6, m=params.m)
+    g1 = (diffusion_apply(coeffs, u0, domain)
+          + reaction(u0, global_mass(Field(u0, domain)), params))
+    expected = layer_correction_weights(params.alpha, 10)[0] * g1
+    np.testing.assert_allclose(loads[0], expected, rtol=1e-13,
+                               atol=1e-13 * float(np.max(np.abs(expected))))
 
 
 def test_snapshot_times_are_honored():

@@ -14,7 +14,6 @@ from fracplap.operators import (
     discretize_kernel,
     face_diffusivity,
     global_mass,
-    p_laplacian,
 )
 
 
@@ -202,11 +201,16 @@ def test_convolution_grid_guard():
 # flux-form diffusion
 # ---------------------------------------------------------------------------
 
+def flux_form(u, d, p, eps_reg=1e-6, m=1.0):
+    """The march's Delta_p u^m: chain-form face coefficients applied to u."""
+    return diffusion_apply(face_diffusivity(u, d, p, eps_reg, m=m), u, d)
+
+
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
 def test_p_laplacian_of_constant_vanishes(p):
     d = domain_1d()
-    out = p_laplacian(Field.constant(d, 1.3), p)
-    assert np.allclose(out.values, 0.0, atol=1e-14)
+    out = flux_form(np.full(d.n, 1.3), d, p)
+    assert np.allclose(out, 0.0, atol=1e-14)
 
 
 def test_p2_matches_spectral_symbol():
@@ -214,41 +218,54 @@ def test_p2_matches_spectral_symbol():
     x = d.axis_coords()
     kappa = 3
     u = np.sin(np.pi * kappa * x / d.half_width)
-    out = p_laplacian(Field(u, d), 2.0, eps_reg=1.0)  # eps is inert at p = 2
+    out = flux_form(u, d, 2.0, eps_reg=1.0)  # eps is inert at p = 2
     lam = -(2.0 * np.sin(np.pi * kappa / d.n) / d.h) ** 2
-    assert np.allclose(out.values, lam * u, rtol=1e-11, atol=1e-11)
+    assert np.allclose(out, lam * u, rtol=1e-11, atol=1e-11)
 
 
 def test_p2_is_the_centered_stencil():
     d = domain_1d(n=32)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(d.n)
-    out = p_laplacian(Field(u, d), 2.0)
+    out = flux_form(u, d, 2.0)
     stencil = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / d.h ** 2
-    assert np.allclose(out.values, stencil, rtol=1e-12, atol=1e-12)
+    assert np.allclose(out, stencil, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
 def test_p_laplacian_conserves_mass(dim, n):
     d = DomainSpec(half_width=4.0, n=n)
     rng = np.random.default_rng(100)
-    for _ in range(20):
-        u = rng.uniform(0.0, 2.0, d.shape(dim))
-        out = p_laplacian(Field(u, d), 1.5, eps_reg=1e-6)
-        total = float(np.sum(out.values)) * d.h ** dim
-        scale = float(np.sum(np.abs(out.values))) * d.h ** dim
-        assert abs(total) <= 1e-12 * max(1.0, scale)
+    for m in (1.0, 2.5):
+        for _ in range(20):
+            u = rng.uniform(0.0, 2.0, d.shape(dim))
+            out = flux_form(u, d, 1.5, m=m)
+            total = float(np.sum(out)) * d.h ** dim
+            scale = float(np.sum(np.abs(out))) * d.h ** dim
+            assert abs(total) <= 1e-12 * max(1.0, scale)
 
 
 def test_p_laplacian_rejects_bad_exponent():
     d = domain_1d()
-    f = Field.constant(d, 1.0)
+    u = np.ones(d.n)
     with pytest.raises(HypothesisError):
-        p_laplacian(f, 1.0)
+        face_diffusivity(u, d, 1.0, 1e-6)
     with pytest.raises(HypothesisError):
-        p_laplacian(f, 2.5)
+        face_diffusivity(u, d, 2.5, 1e-6)
     with pytest.raises(HypothesisError):
-        p_laplacian(f, 1.5, eps_reg=0.0)
+        face_diffusivity(u, d, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("m", [0.5, math.nan])
+def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
+    # u_face^(m - 1) is infinite at a zero face value: m < 1 used to
+    # return NaN coefficients with only a RuntimeWarning
+    d = domain_1d()
+    u = np.zeros(d.n)
+    u[10:20] = 0.5
+    with pytest.raises(HypothesisError, match="porous-medium exponent"):
+        face_diffusivity(u, d, p, 1e-6, m=m)
 
 
 @pytest.mark.parametrize("m", [1.0, 2.5])
@@ -287,48 +304,41 @@ def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m, monkeypatch
         assert g.tobytes() == e.tobytes()
 
 
-def test_power_form_falls_through_at_m_one():
-    # m = 1 is the flux form on u itself: no clamp of negative values
-    d = domain_1d(n=32)
-    rng = np.random.default_rng(4)
-    u = rng.uniform(-0.5, 1.0, d.n)
-    a = p_laplacian(Field(u, d), 1.5, m=1.0)
-    b = diffusion_apply(face_diffusivity(u, d, 1.5, 1e-6), u, d)
-    assert np.array_equal(a.values, b)
-
-
 def test_power_form_is_stencil_of_the_cube():
-    # at p = 2 the coefficient is identically one, so the operator is
-    # the plain centered Laplacian applied to u^3
-    d = domain_1d(n=48)
-    x = d.axis_coords()
-    u = 1.0 + 0.1 * np.sin(np.pi * x / d.half_width)
-    out = p_laplacian(Field(u, d), 2.0, m=3.0)
-    v = u ** 3
-    stencil = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / d.h ** 2
-    assert np.allclose(out.values, stencil, rtol=1e-12, atol=1e-12)
+    # at p = 2 the chain form div(3 u_face^2 grad u), with u_face the mean
+    # of the two cells, matches the centered Laplacian of u^3 to O(h^2)
+    errors, bounds = [], []
+    for n in (48, 96):
+        d = domain_1d(n=n)
+        x = d.axis_coords()
+        u = 1.0 + 0.1 * np.sin(np.pi * x / d.half_width)
+        out = flux_form(u, d, 2.0, m=3.0)
+        v = u ** 3
+        stencil = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / d.h ** 2
+        errors.append(float(np.max(np.abs(out - stencil))))
+        bounds.append(0.01 * d.h ** 2 * float(np.max(np.abs(stencil))))
+    assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
+    assert 1.9 <= math.log2(errors[0] / errors[1]) <= 2.1
 
 
 def test_power_form_constant_and_negatives():
     d = domain_1d()
-    assert np.allclose(p_laplacian(Field.constant(d, 0.8), 1.5, m=2.5).values,
-                       0.0, atol=1e-14)
+    assert np.allclose(flux_form(np.full(d.n, 0.8), d, 1.5, m=2.5), 0.0, atol=1e-14)
+    # negative cells enter the coefficients only through the clamp
     rng = np.random.default_rng(6)
     u = rng.standard_normal(d.n)
-    out = p_laplacian(Field(u, d), 1.5, m=2.0)
-    clamped = p_laplacian(Field(np.maximum(u, 0.0), d), 1.5, m=2.0)
-    assert np.allclose(out.values, clamped.values, rtol=1e-13, atol=1e-13)
-    with pytest.raises(HypothesisError):
-        p_laplacian(Field(u, d), 1.5, m=0.5)
+    got = face_diffusivity(u, d, 1.5, 1e-6, m=2.0)
+    clamped = face_diffusivity(np.maximum(u, 0.0), d, 1.5, 1e-6, m=2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(got, clamped))
 
 
 def test_power_form_conserves_mass():
     d = DomainSpec(half_width=4.0, n=32)
     rng = np.random.default_rng(7)
     u = rng.uniform(0.0, 2.0, (d.n, d.n))
-    out = p_laplacian(Field(u, d), 1.8, m=2.5)
-    total = float(np.sum(out.values)) * d.h ** 2
-    scale = float(np.sum(np.abs(out.values))) * d.h ** 2
+    out = flux_form(u, d, 1.8, m=2.5)
+    total = float(np.sum(out)) * d.h ** 2
+    scale = float(np.sum(np.abs(out))) * d.h ** 2
     assert abs(total) <= 1e-12 * max(1.0, scale)
 
 
