@@ -10,8 +10,8 @@ system is solved directly in 1D (cyclic tridiagonal: one LAPACK
 tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
 p = 2, m = 1, where its coefficients are constant and four dense
 products in the real eigenbasis of the periodic Laplacian invert it
-(``_eigen_solve``; the kernel convolution shares that basis,
-``operators._laplacian_basis``).  Other 2D systems are solved by
+(``operators._eigen_product`` with ``np.divide``, the product the 2D
+kernel convolution makes).  Other 2D systems are solved by
 conjugate gradients preconditioned by that same solve, started from
 the cubic extrapolation of the last four states (``L1Memory.predict``).
 The memory term is a convex combination of all past states.  One
@@ -36,8 +36,8 @@ from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
 from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
                     reaction, validate_params)
-from .operators import (KernelGrid, _laplacian_basis, convolve_kernel,
-                        diffusion_apply, face_diffusivity, global_mass)
+from .operators import (KernelGrid, _eigen_product, _laplacian_axis, _laplacian_symbol,
+                        convolve_kernel, diffusion_apply, face_diffusivity, global_mass)
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -58,16 +58,17 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.t_final >= self.dt):
+        if not self.dt <= self.t_final < math.inf:
             raise ValueError(
-                f"t_final must be at least one step, got {self.t_final} with dt={self.dt}")
+                f"t_final must be finite and at least one step, got {self.t_final} "
+                f"with dt={self.dt}")
         ratio = self.t_final / self.dt
         if abs(ratio - round(ratio)) > _HORIZON_RTOL * ratio:
             raise ValueError(
                 f"t_final = {self.t_final} is not a whole number of steps of dt = "
                 f"{self.dt} (ratio {ratio:.12g})")
-        if not self.eps_reg >= 0:
-            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if not 0 <= self.eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
         if not self.blowup_threshold > 0:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if int(self.record_every) != self.record_every or self.record_every < 1:
@@ -135,22 +136,6 @@ def _coupling_value(values: np.ndarray, params: ModelParameters,
 # coefficients, preconditioned CG otherwise
 # --------------------------------------------------------------------------
 
-def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
-    """Eigenvalues (2 sin(pi k / n) / h)^2, k = 0 .. n-1, of the periodic
-    3-point -Laplacian along one axis, in DFT order."""
-    return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n) / domain.h) ** 2
-
-
-@lru_cache(maxsize=8)
-def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
-    """Nonnegative symbol lambda_i + lambda_j of the 5-point -Laplacian
-    in the basis ``_laplacian_basis`` on both axes (read-only)."""
-    axis = _laplacian_axis(domain)[(np.arange(domain.n) + 1) // 2]
-    symbol = axis[:, None] + axis[None, :]
-    symbol.flags.writeable = False
-    return symbol
-
-
 @lru_cache(maxsize=1)
 def _dgtsv():
     """LAPACK dgtsv, looked up on the first 1D solve: the 2D path never
@@ -195,19 +180,6 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     weight = ((float(y[0]) + ratio * float(y[-1]))
               / (1.0 + float(z[0]) + ratio * float(z[-1])))
     return y - weight * z
-
-
-def _eigen_solve(b: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Solve the periodic 2D system Q diag(symbol) Q^T on both axes,
-    ``symbol`` in the column order of Q = ``_laplacian_basis``.
-
-    The fast diagonalization method (Lynch, Rice & Thomas, Numer. Math.
-    6, 1964): x = Q ((Q^T b Q) / symbol) Q^T, four dense n x n products.
-    That is O(n^3) against the FFT's O(n^2 log n), yet at n <= 64 it
-    takes about half the time of numpy's rfftn/irfftn pair; the two
-    break even near n = 128 (README)."""
-    q = _laplacian_basis(b.shape[0])
-    return q @ ((q.T @ b @ q) / symbol) @ q.T
 
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
@@ -264,9 +236,10 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coefficient is one, so the matrix is
     (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
-    cos/sin eigenbasis Q of the periodic Laplacian: ``_eigen_solve``
-    (Q^T b Q, a division by the symbol, Q (.) Q^T) solves it exactly,
-    with no face coefficients, guess or iteration.  Other 2D systems are
+    cos/sin eigenbasis Q of the periodic Laplacian:
+    ``_eigen_product(b, symbol, np.divide)`` (Q^T b Q, a division by the
+    symbol, Q (.) Q^T) solves it exactly, with no face coefficients,
+    guess or iteration.  Other 2D systems are
     solved by preconditioned conjugate gradients (the same solve with
     the mean face coefficient as preconditioner, residual 1e-10 |b|, at
     most 10 N iterations; b = 0 returns zeros).  A solve of k
@@ -299,7 +272,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         b += load
 
     if u_prev.ndim == 2 and params.p == 2.0 and params.m == 1.0:
-        return _eigen_solve(b, shift + _laplacian_symbol(domain))
+        return _eigen_product(b, shift + _laplacian_symbol(domain), np.divide)
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
     if u_prev.ndim == 1:
@@ -317,7 +290,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _eigen_solve(r, symbol),
+    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _eigen_product(r, symbol, np.divide),
                 _CG_TOL * b_norm, maxiter=10 * u_prev.size)
     return x
 

@@ -1,6 +1,8 @@
 """Spatial operators on the periodic grid: competition-kernel
 discretization and convolution, the regularized p-Laplacian in flux
-form, and windowed local integrals.
+form, windowed local integrals, and the real eigenbasis of the periodic
+Laplacian with its one dense product (``_eigen_product``), which serves
+the 2D convolution here and the integrator's 2D solves.
 
 All operators work on 1D (n,) or 2D (n, n) samples of the periodic box
 (-L, L)^dim.  Fluxes live on faces (between cell i and i+1 along each
@@ -33,15 +35,12 @@ class KernelGrid:
     """Competition kernel sampled on the centered grid.
 
     ``values`` puts the kernel origin at index n//2 along every axis
-    (the grid point x = 0).  Admissibility: nonnegative values, unit
-    discrete integral, and a strict floor eta on the sensing box
-    ||x||_inf <= delta0.  ``operator`` caches the dense convolution.
+    (the grid point x = 0); ``discretize_kernel`` checks its
+    admissibility.  ``operator`` caches the dense convolution.
     """
 
     values: np.ndarray
     domain: DomainSpec
-    delta0: float
-    eta: float
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -66,6 +65,34 @@ def _laplacian_basis(n: int) -> np.ndarray:
     q[1::2, -1] *= -1.0
     q.flags.writeable = False
     return q
+
+
+def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
+    """Eigenvalues (2 sin(pi k / n) / h)^2, k = 0 .. n-1, of the periodic
+    3-point -Laplacian along one axis, in DFT order."""
+    return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n) / domain.h) ** 2
+
+
+@lru_cache(maxsize=8)
+def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
+    """Nonnegative symbol lambda_i + lambda_j of the 5-point -Laplacian
+    in the basis ``_laplacian_basis`` on both axes (read-only)."""
+    axis = _laplacian_axis(domain)[(np.arange(domain.n) + 1) // 2]
+    symbol = axis[:, None] + axis[None, :]
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _eigen_product(values: np.ndarray, diagonal: np.ndarray, op=np.multiply) -> np.ndarray:
+    """Q op(Q^T v Q, diagonal) Q^T for Q = ``_laplacian_basis`` on both
+    axes and ``diagonal`` in Q's column order: np.multiply applies the
+    periodic operator with those eigenvalues (the 2D convolution),
+    np.divide solves its system (the fast diagonalization method, Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964).  Four dense n x n products,
+    O(n^3) against the FFT's O(n^2 log n), yet at n <= 64 about half the
+    time of numpy's rfftn/irfftn pair; they break even near n = 128 (README)."""
+    q = _laplacian_basis(values.shape[0])
+    return q @ op(q.T @ values @ q, diagonal) @ q.T
 
 
 def _convolution_operator(centered: np.ndarray, h: float) -> np.ndarray:
@@ -163,7 +190,7 @@ def discretize_kernel(shape: str, delta0: float, eta: float,
         raise KernelAdmissibilityError(
             f"kernel floor {floor:.6g} on the sensing box does not exceed "
             f"eta = {eta}; choose a smaller eta (or a larger kernel)")
-    return KernelGrid(values=vals, domain=domain, delta0=delta0, eta=eta)
+    return KernelGrid(values=vals, domain=domain)
 
 
 def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
@@ -176,12 +203,11 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
 
 def _periodic_convolve(field: Field, operator: np.ndarray) -> Field:
     """sum_y g(x - y) u(y) h^dim for g given by ``_convolution_operator``:
-    a circulant product in 1D, Q ((Q^T u Q) * eigenvalues) Q^T in 2D; at
-    n <= 64 (1D: 256) both undercut numpy's FFT pair (README)."""
+    a circulant product in 1D, ``_eigen_product`` with the eigenvalues in
+    2D; at n <= 64 (1D: 256) both undercut numpy's FFT pair (README)."""
     if field.dim == 1:
         return Field(operator @ field.values, field.domain)
-    q = _laplacian_basis(field.domain.n)
-    return Field(q @ ((q.T @ field.values @ q) * operator) @ q.T, field.domain)
+    return Field(_eigen_product(field.values, operator), field.domain)
 
 
 def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
@@ -246,23 +272,20 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
 
     At p = 2 the exponent is 0 and every face coefficient is
     (g2 + eps^2) ** 0.0, which is exactly 1.0 for every float64 g2,
-    NaN and inf included; the face gradients are then skipped and the
-    coefficients are ones, the same bits as the general formula.
+    NaN and inf included: the linear case is the general formula, with
+    no branch.  eps must be finite, and positive for p < 2.
     """
     if not (1.0 < p <= 2.0):
         raise HypothesisError(f"p must lie in (1, 2], got {p}")
-    if eps_reg < 0 or (eps_reg == 0 and p < 2.0):
+    if not 0.0 <= eps_reg < math.inf or (eps_reg == 0 and p < 2.0):
         raise HypothesisError(
-            f"eps_reg must be positive for p < 2, got {eps_reg}")
+            f"eps_reg must be finite, and positive for p < 2, got {eps_reg}")
     if not m >= 1.0:
         raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
-    if p == 2.0:
-        coeffs = [np.ones_like(values) for _ in range(values.ndim)]
-    else:
-        norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, domain.h)
-        coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
+    norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, domain.h)
+    coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
     if m != 1.0:
         for ax, c in enumerate(coeffs):
             face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)

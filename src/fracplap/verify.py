@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -48,8 +49,6 @@ def _check(name: str, passed: bool, detail: str) -> Check:
 # shared simulation runs (cached so allee/lyapunov/determinism reuse them)
 # --------------------------------------------------------------------------
 
-_run_cache: Dict[tuple, object] = {}
-
 # Bistable benchmark: mu=1, k=1, gamma=3/16 puts the rest states at
 # a=0.25 and A=0.75.  The grid is chosen so the analysis window
 # delta = h/2 makes the trapezoid window integral exact.
@@ -67,12 +66,9 @@ def _allee_params(alpha: float) -> ModelParameters:
     return ModelParameters(alpha=alpha, p=1.5, mu=1.0, k=1.0, gamma=3.0 / 16.0)
 
 
-def _allee_kernel(dim: int = 1):
-    key = ("allee-kernel", dim)
-    if key not in _run_cache:
-        _run_cache[key] = discretize_kernel("box", _ALLEE_KERNEL_RADIUS,
-                                            _ALLEE_ETA, _ALLEE_DOMAIN, dim=dim)
-    return _run_cache[key]
+@lru_cache(maxsize=None)
+def _allee_kernel():
+    return discretize_kernel("box", _ALLEE_KERNEL_RADIUS, _ALLEE_ETA, _ALLEE_DOMAIN)
 
 
 def _allee_config() -> SolverConfig:
@@ -80,16 +76,10 @@ def _allee_config() -> SolverConfig:
                         snapshot_times=tuple(float(t) for t in range(0, 201, 10)))
 
 
-def _allee_run(alpha: float, u0_value: float, fresh: bool = False):
-    key = ("allee-run", alpha, u0_value)
-    if fresh or key not in _run_cache:
-        u0 = Field.constant(_ALLEE_DOMAIN, u0_value)
-        report = run(u0, _allee_params(alpha), _allee_config(),
-                     kernel=_allee_kernel())
-        if fresh:
-            return report
-        _run_cache[key] = report
-    return _run_cache[key]
+@lru_cache(maxsize=None)
+def _allee_run(alpha: float, u0_value: float):
+    return run(Field.constant(_ALLEE_DOMAIN, u0_value), _allee_params(alpha),
+               _allee_config(), kernel=_allee_kernel())
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +246,7 @@ def verify_lyapunov_monotonicity() -> List[Check]:
 
 def verify_determinism() -> List[Check]:
     first = _allee_run(0.5, 0.20)
-    second = _allee_run(0.5, 0.20, fresh=True)
+    second = _allee_run.__wrapped__(0.5, 0.20)      # uncached: a second run
     csv_a = format_series(first)
     csv_b = format_series(second)
     same_csv = csv_a == csv_b
@@ -498,4 +488,5 @@ def run_suite(name: str) -> List[Check]:
     try:
         return SUITES[name]()
     finally:
-        _run_cache.clear()
+        _allee_kernel.cache_clear()
+        _allee_run.cache_clear()

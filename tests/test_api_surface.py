@@ -24,6 +24,7 @@ import fracplap
 from fracplap.config import InitialSpec, KernelSpec
 from fracplap.integrator import SolverConfig
 from fracplap.model import AnalysisConstants, DomainSpec, ModelParameters
+from fracplap.operators import KernelGrid
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
 
@@ -69,7 +70,7 @@ def test_every_public_definition_is_used_inside_the_package():
 
 
 INPUT_TYPES = (ModelParameters, DomainSpec, SolverConfig, AnalysisConstants,
-               KernelSpec, InitialSpec)
+               KernelSpec, InitialSpec, KernelGrid)
 # functions that only copy an input back into a manifest
 WRITERS = ("serialize_config",)
 

@@ -57,9 +57,8 @@ def test_minimal_manifest_defaults():
 
 def test_default_kernel_is_admissible():
     m = parse(MINIMAL)
-    kern = discretize_kernel(m.kernel.shape, m.kernel.delta0, m.kernel.eta,
-                             m.domain)
-    assert kern.delta0 == 0.5
+    discretize_kernel(m.kernel.shape, m.kernel.delta0, m.kernel.eta, m.domain)
+    assert m.kernel.delta0 == 0.5
 
 
 def test_missing_required_sections():
@@ -277,9 +276,9 @@ def test_non_finite_numbers_are_rejected(section, value, pointer):
 def test_default_kernel_is_admissible_in_2d(half_width):
     m = parse({"model": {**MINIMAL["model"], "dim": 2},
                "domain": {"half_width": half_width, "n": 64}})
-    kern = discretize_kernel(m.kernel.shape, m.kernel.delta0, m.kernel.eta,
-                             m.domain, dim=2)
-    assert kern.delta0 == half_width / 8.0
+    discretize_kernel(m.kernel.shape, m.kernel.delta0, m.kernel.eta,
+                      m.domain, dim=2)
+    assert m.kernel.delta0 == half_width / 8.0
     assert m.kernel.eta == 0.5 / (4.0 * m.kernel.delta0) ** 2
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fracplap import integrator
+from fracplap import integrator, operators
 from fracplap.errors import (GridMismatchError, HypothesisError,
                              SolverConvergenceError)
 from fracplap.fractional import L1Memory, layer_correction_weights, mittag_leffler
@@ -68,6 +68,8 @@ def test_solver_config_defaults():
     dict(dt=0.1, t_final=1.0, snapshot_times=(float("nan"),)),
     dict(dt=0.01, t_final=1.0, eps_reg=float("nan")),
     dict(dt=0.01, t_final=1.0, blowup_threshold=float("nan")),
+    dict(dt=0.1, t_final=math.inf),
+    dict(dt=0.01, t_final=1.0, eps_reg=math.inf),
 ])
 def test_solver_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -172,7 +174,7 @@ def _counted_pcg_system(n=8):
     rng = np.random.default_rng(11)
     coeffs = [rng.uniform(0.5, 2.0, (n, n)) for _ in range(2)]
     shift = 3.0
-    symbol = shift + integrator._laplacian_symbol(domain)
+    symbol = shift + operators._laplacian_symbol(domain)
     calls = {"apply_a": 0, "precond": 0}
 
     def apply_a(x):
@@ -181,7 +183,7 @@ def _counted_pcg_system(n=8):
 
     def precond(r):
         calls["precond"] += 1
-        return integrator._eigen_solve(r, symbol)
+        return operators._eigen_product(r, symbol, np.divide)
 
     b = rng.standard_normal((n, n))
     return apply_a, precond, b, calls
@@ -310,31 +312,6 @@ def _dense_system(coeffs, shift, domain):
     div = np.column_stack([diffusion_apply(coeffs, e.reshape(domain.n, domain.n),
                                            domain).ravel() for e in eye])
     return shift * eye - div
-
-
-@pytest.mark.parametrize("n", [8, 16, 64])
-def test_laplacian_basis_is_an_orthonormal_eigenbasis(n):
-    domain = DomainSpec(half_width=3.0, n=n)
-    q = integrator._laplacian_basis(n)
-    assert not q.flags.writeable
-    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
-    # column c holds wavenumber (c + 1) // 2: the constant, cos/sin pairs, Nyquist
-    lam = integrator._laplacian_axis(domain)[(np.arange(n) + 1) // 2]
-    tq = (2.0 * q - np.roll(q, 1, axis=0) - np.roll(q, -1, axis=0)) / domain.h ** 2
-    assert np.max(np.abs(tq - q * lam)) <= 1e-14 * lam.max()
-    symbol = integrator._laplacian_symbol(domain)
-    assert np.array_equal(symbol, lam[:, None] + lam[None, :])
-
-
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("shift,abar", [(0.1, 1.0), (3.0, 0.7), (1e3, 2.5)])
-def test_eigen_solve_matches_the_dense_5_point_system(n, shift, abar):
-    domain = DomainSpec(half_width=4.0, n=n)
-    b = np.random.default_rng(n).standard_normal((n, n))
-    x = integrator._eigen_solve(b, shift + abar * integrator._laplacian_symbol(domain))
-    exact = np.linalg.solve(_dense_system([np.full((n, n), abar)] * 2, shift, domain),
-                            b.ravel())
-    assert np.linalg.norm(x.ravel() - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_small_2d_state_is_solved_to_a_relative_tolerance():

@@ -182,9 +182,39 @@ def test_2d_kernel_that_is_not_even_along_each_axis_is_rejected(support):
     offsets = range(3) if support == "one-sided" else range(-1, 2)
     for a in offsets:
         values[8 + a, 8 + (a if support == "diagonal" else 0)] = 1.0 / (3.0 * d.h ** 2)
-    kern = operators.KernelGrid(values, d, delta0=0.1, eta=1e-3)
+    kern = operators.KernelGrid(values, d)
     with pytest.raises(KernelAdmissibilityError, match="even"):
         convolve_kernel(Field.constant(d, 1.0, dim=2), kern)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_laplacian_basis_is_an_orthonormal_eigenbasis(n):
+    domain = DomainSpec(half_width=3.0, n=n)
+    q = operators._laplacian_basis(n)
+    assert not q.flags.writeable
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+    # column c holds wavenumber (c + 1) // 2: the constant, cos/sin pairs, Nyquist
+    lam = operators._laplacian_axis(domain)[(np.arange(n) + 1) // 2]
+    tq = (2.0 * q - np.roll(q, 1, axis=0) - np.roll(q, -1, axis=0)) / domain.h ** 2
+    assert np.max(np.abs(tq - q * lam)) <= 1e-14 * lam.max()
+    symbol = operators._laplacian_symbol(domain)
+    assert np.array_equal(symbol, lam[:, None] + lam[None, :])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("shift,abar", [(0.1, 1.0), (3.0, 0.7), (1e3, 2.5)])
+def test_eigen_solve_matches_the_dense_5_point_system(n, shift, abar):
+    # _eigen_product with np.divide solves (shift I - abar Laplacian_h) x = b
+    domain = DomainSpec(half_width=4.0, n=n)
+    b = np.random.default_rng(n).standard_normal((n, n))
+    x = operators._eigen_product(b, shift + abar * operators._laplacian_symbol(domain),
+                                 np.divide)
+    coeffs = [np.full((n, n), abar)] * 2
+    eye = np.eye(n * n)
+    matrix = shift * eye - np.column_stack(
+        [diffusion_apply(coeffs, e.reshape(n, n), domain).ravel() for e in eye])
+    exact = np.linalg.solve(matrix, b.ravel())
+    assert np.linalg.norm(x.ravel() - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_convolution_grid_guard():
@@ -257,6 +287,15 @@ def test_p_laplacian_rejects_bad_exponent():
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("eps_reg", [math.nan, math.inf])
+def test_face_diffusivity_rejects_non_finite_regularization(eps_reg, p):
+    # NaN gave NaN coefficients, and inf zero ones at p < 2 (no diffusion)
+    d = domain_1d()
+    with pytest.raises(HypothesisError, match="eps_reg"):
+        face_diffusivity(np.linspace(0.0, 1.0, d.n), d, p, eps_reg)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
 @pytest.mark.parametrize("m", [0.5, math.nan])
 def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
     # u_face^(m - 1) is infinite at a zero face value: m < 1 used to
@@ -270,10 +309,10 @@ def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
 
 @pytest.mark.parametrize("m", [1.0, 2.5])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m, monkeypatch):
-    """At p = 2 the face coefficients skip the gradients: (g2 + eps^2) ** 0.0
-    is 1.0 for every float64 g2, so they are the general formula's bits,
-    also where the sample holds NaN, infinities and overflowing gradients."""
+def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m):
+    """At p = 2 (g2 + eps^2) ** 0.0 is 1.0 for every float64 g2, so the
+    face coefficients are exact ones times the chain factor, also where
+    the sample holds NaN, infinities and overflowing gradients."""
     d = DomainSpec(half_width=4.0, n=16)
     rng = np.random.default_rng(12)
     u = rng.uniform(-0.5, 2.0, d.shape(dim))
@@ -292,16 +331,12 @@ def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m, monkeypatch
             for ax, c in enumerate(expected):
                 face_u = 0.5 * (np.roll(clamped, -1, axis=ax) + clamped)
                 c *= m * face_u ** (m - 1.0)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("face gradients built at p = 2")
-
-        monkeypatch.setattr(operators, "_face_gradient_norm_sq", forbidden)
         got = face_diffusivity(u, d, 2.0, eps, m=m)
     assert len(got) == dim
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape
         assert g.tobytes() == e.tobytes()
+        assert m != 1.0 or np.all(g == 1.0)
 
 
 def test_power_form_is_stencil_of_the_cube():
