@@ -12,7 +12,9 @@ uniform grid t_n = n dt through the weights
 It is exact on functions affine in t and carries O(dt^{2-alpha}) error
 on smooth data.  ``caputo_series`` evaluates the sum densely for a
 scalar series; the march keeps it in sum-of-exponentials form
-(``L1Memory``).
+(``L1Memory``), whose K sums are projected once every 16 steps so that
+each step's memory term reads only the last state, the increments
+since and one projection.
 """
 from __future__ import annotations
 
@@ -114,6 +116,8 @@ def soe_kernel(alpha: float, n: int):
 # coefficients of d1, d2, d3 in the extrapolation of order 0 .. 3:
 # (-1)^(j-1) binomial(order, j)
 _EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+# increments predict reads at the highest order
+_RECENT = len(_EXTRAPOLATION) - 1
 # increments an L1Memory holds before it folds them into its sums
 _FOLD = 16
 
@@ -142,16 +146,22 @@ class L1Memory:
 
         A(n0 + r) = D^r A(n0) + sum_{j<r} D^(r-1-j) delta_j,   D = diag(d),
 
-    which the coefficients of step r fold into the memory term, and the
-    R-th append folds the block into the sums with one matrix product,
-    A <- D^R A + G delta, G_lj = d_l^(R-1-j).  The rows held are
-    u^{n-1}, the K sums and a ring of R increments (``matrix``), so an
-    append writes O(size) and the sums are rewritten once per R steps;
-    memory is O((K + R) size).
+    so the memory term is u^{n-1} - sum_{j<r} (beta . d^(r-1-j)) delta_j
+    - P_r with P_r = (beta d^r) . A(n0).  The R-th append folds the block
+    into the sums with one matrix product, A <- D^R A + G delta,
+    G_lj = d_l^(R-1-j), and a second writes each P_r into ring slot r,
+    which the fold has just emptied and the r-th append overwrites with
+    delta_r.  The memory term thus reads 2 + r rows, u^{n-1},
+    delta_0 .. delta_{r-1} and P_r, whatever K.  The rows held are
+    u^{n-1}, the ring of R slots and the K sums (``matrix``): an append
+    writes O(size), and the sums are rewritten and projected once per R
+    steps; memory is O((K + R) size).
 
     The ring also gives the last three increments d1, d2, d3 (newest
     first): ``predict`` extrapolates them to a guess of u^n, which the
-    2D step uses as the first iterate of its solve.
+    2D step uses as the first iterate of its solve.  So the fold leaves
+    the last three slots alone, and the third append after it projects
+    them.
 
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
@@ -173,21 +183,19 @@ class L1Memory:
         decay = np.exp(-nodes)
         beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
         powers = decay ** np.arange(_FOLD + 1.0)[:, None]      # d^0 .. d^R
-        # with r increments pending: 1, -beta d^r, then -beta . d^(r-1-j)
-        # for increment j < r
-        table = np.zeros((_FOLD, 1 + k + _FOLD))
-        table[:, 0] = 1.0
-        table[:, 1:1 + k] = -beta * powers[:_FOLD]
+        # with r increments pending: 1, -beta . d^(r-1-j) for increment
+        # j < r, then -1 for P_r
         decayed = powers[:_FOLD - 1] @ beta
-        for r in range(1, _FOLD):
-            table[r, 1 + k:1 + k + r] = -decayed[r - 1::-1]
-        self._coefficients = tuple(table[r, :1 + k + r] for r in range(_FOLD))
+        self._coefficients = tuple(
+            np.concatenate(([1.0], -decayed[:r][::-1], [-1.0]))
+            for r in range(_FOLD))
         self._fold_decay = powers[_FOLD][:, None]
         self._fold_gather = powers[_FOLD - 1::-1].T
-        self._data = np.zeros((1 + k + _FOLD, self.size), dtype=np.float64)
+        self._fold_project = beta * powers[:_FOLD]            # row r: beta d^r
+        self._data = np.zeros((1 + _FOLD + k, self.size), dtype=np.float64)
         self._data[0] = u0.ravel()
-        self._sums = self._data[1:1 + k]
-        self._ring = self._data[1 + k:]
+        self._ring = self._data[1:1 + _FOLD]
+        self._sums = self._data[1 + _FOLD:]
         self._pending = 0
         self._states = 1
         self._g1 = self._g2 = None
@@ -216,6 +224,11 @@ class L1Memory:
             self._sums *= self._fold_decay
             self._sums += self._fold_gather @ self._ring
             self._pending = 0
+            # predict still reads the last _RECENT slots until _RECENT
+            # appends on
+            np.matmul(self._fold_project[:-_RECENT], self._sums, out=self._ring[:-_RECENT])
+        elif self._pending == _RECENT:
+            np.matmul(self._fold_project[-_RECENT:], self._sums, out=self._ring[-_RECENT:])
 
     def predict(self) -> np.ndarray:
         """A guess of the next state: the backward-difference extrapolation
@@ -224,15 +237,16 @@ class L1Memory:
         the order they allow: u^{n-1}, then u^{n-1} + d1, then
         u^{n-1} + 2 d1 - d2.  Returns a new array."""
         guess = self._data[0].copy()
-        for i, c in enumerate(_EXTRAPOLATION[min(self._states - 1, 3)]):
+        for i, c in enumerate(_EXTRAPOLATION[min(self._states - 1, _RECENT)]):
             guess += c * self._ring[self._pending - 1 - i]     # wraps below 0
         return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:
-        """Rows u^{n-1}, A_1 .. A_K at the last fold, then the ring of R
-        increments, shape (1 + K + R, size).  Only the first
-        ``coefficients().size`` rows, those with the pending increments,
-        enter the memory term."""
+        """Rows u^{n-1}, the ring of R slots, then A_1 .. A_K at the last
+        fold, shape (1 + R + K, size).  With r increments pending, ring
+        slots 0 .. r-1 hold them and slot r holds the projection P_r;
+        only these first ``coefficients().size`` = 2 + r rows enter the
+        memory term."""
         return self._data
 
     def last(self) -> np.ndarray:
@@ -257,8 +271,9 @@ class L1Memory:
 
 def memory_term(memory) -> np.ndarray:
     """Past part of the L1 update: the memory's coefficients applied to
-    the leading rows it holds, so that the L1 value at step n is
-    scale * (u^n - memory_term)."""
+    the leading rows it holds (2 + r rows of an ``L1Memory`` with r
+    increments pending, whatever its K), so that the L1 value at step n
+    is scale * (u^n - memory_term)."""
     coefficients = memory.coefficients()
     return (coefficients @ memory.matrix()[:coefficients.size]).reshape(memory.shape)
 

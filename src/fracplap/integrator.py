@@ -18,9 +18,11 @@ The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
 steps) and the up to 16 increments taken since those sums were last
-updated, which every 16th step folds into them with one matrix
-product.  A step costs O((K + 16) size) work and memory, whatever the
-step count; the memory also holds the scale and the starting loads.
+updated, which every 16th step folds into them and projects onto the
+memory-term weights of the next 16 steps, two matrix products.  A
+step's memory term reads at most 17 rows, the fold costs O(K size)
+work a step amortized, and the memory holds O((K + 16) size), whatever
+the step count; it also holds the scale and the starting loads.
 """
 from __future__ import annotations
 
@@ -67,8 +69,8 @@ class SolverConfig:
             raise ValueError(
                 f"t_final = {self.t_final} is not a whole number of steps of dt = "
                 f"{self.dt} (ratio {ratio:.12g})")
-        if not 0 <= self.eps_reg < math.inf:
-            raise ValueError(f"eps_reg must be finite and >= 0, got {self.eps_reg}")
+        if not (0 <= self.eps_reg and self.eps_reg * self.eps_reg < math.inf):
+            raise ValueError(f"eps_reg must be >= 0 with a finite square, got {self.eps_reg}")
         if not self.blowup_threshold > 0:
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if int(self.record_every) != self.record_every or self.record_every < 1:

@@ -273,13 +273,13 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     At p = 2 the exponent is 0 and every face coefficient is
     (g2 + eps^2) ** 0.0, which is exactly 1.0 for every float64 g2,
     NaN and inf included: the linear case is the general formula, with
-    no branch.  eps must be finite, and positive for p < 2.
+    no branch.  eps^2 must be finite, and eps positive for p < 2.
     """
     if not (1.0 < p <= 2.0):
         raise HypothesisError(f"p must lie in (1, 2], got {p}")
-    if not 0.0 <= eps_reg < math.inf or (eps_reg == 0 and p < 2.0):
+    if not (0.0 <= eps_reg and eps_reg * eps_reg < math.inf) or (eps_reg == 0 and p < 2.0):
         raise HypothesisError(
-            f"eps_reg must be finite, and positive for p < 2, got {eps_reg}")
+            f"eps_reg must have a finite square, and be positive for p < 2, got {eps_reg}")
     if not m >= 1.0:
         raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
     if m != 1.0:

@@ -250,6 +250,51 @@ def test_blocked_memory_term_matches_the_step_by_step_recurrence(shape):
     assert np.array_equal(blocked.last(), states[-1])
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_memory_term_matches_the_recurrence_at_every_step_of_four_folds(alpha):
+    # steps 1 .. 4R find every pending count r < R, in each of four blocks
+    horizon = 4 * fractional._FOLD
+    states = wandering_states((5,), horizon, 44)
+    blocked = L1Memory(states[0], alpha, 0.01, horizon)
+    reference = RecurrenceMemory(states[0], alpha, horizon)
+    constant = L1Memory(np.full(5, 0.4), alpha, 0.01, horizon)
+    variation = 0.0
+    for n in range(1, horizon + 1):
+        gap = np.max(np.abs(memory_term(blocked) - memory_term(reference)))
+        assert gap <= 1e-10 * variation, n
+        assert np.array_equal(memory_term(constant), np.full(5, 0.4)), n
+        if n < horizon:
+            blocked.append(states[n])
+            reference.append(states[n])
+            constant.append(np.full(5, 0.4))
+            variation += float(np.max(np.abs(states[n] - states[n - 1])))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("horizon", [100, 1000, 20000])
+def test_memory_term_reads_two_plus_pending_rows_whatever_k(alpha, horizon):
+    memory = L1Memory(np.zeros(3), alpha, 0.01, horizon)
+    for n in range(1, 2 * fractional._FOLD + 1):
+        # u^{n-1}, the r pending increments and the projection P_r
+        assert memory.coefficients().size == 2 + (n - 1) % fractional._FOLD, n
+        memory.append(np.full(3, float(n)))
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+def test_l1_memory_predict_right_after_a_fold(fold):
+    # the fold must leave the three increments predict reads until the
+    # third append after it
+    states = wandering_states((6,), fold * fractional._FOLD + 4, 45)
+    memory = L1Memory(states[0], 0.6, 0.01, states.shape[0])
+    # the last four appends leave 0, 1, 2 and 3 increments pending
+    for n in range(1, states.shape[0]):
+        memory.append(states[n])
+        if n >= fold * fractional._FOLD:
+            d1, d2, d3 = (states[n - i] - states[n - i - 1] for i in range(3))
+            expected = states[n] + 3.0 * d1 - 3.0 * d2 + d3
+            assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
+
+
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])
 def test_l1_memory_predict_across_folds(shape):
     states = wandering_states(shape, 2 * fractional._FOLD + 4, 42)

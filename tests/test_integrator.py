@@ -70,6 +70,7 @@ def test_solver_config_defaults():
     dict(dt=0.01, t_final=1.0, blowup_threshold=float("nan")),
     dict(dt=0.1, t_final=math.inf),
     dict(dt=0.01, t_final=1.0, eps_reg=math.inf),
+    dict(dt=0.01, t_final=1.0, eps_reg=1e200),        # eps_reg ** 2 overflows
 ])
 def test_solver_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):

@@ -296,6 +296,14 @@ def test_face_diffusivity_rejects_non_finite_regularization(eps_reg, p):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
+def test_face_diffusivity_rejects_a_regularization_whose_square_overflows(p):
+    # eps_reg ** 2 raised OverflowError from the Python float power
+    d = domain_1d()
+    with pytest.raises(HypothesisError, match="eps_reg"):
+        face_diffusivity(np.linspace(0.0, 1.0, d.n), d, p, 1e200)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
 @pytest.mark.parametrize("m", [0.5, math.nan])
 def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
     # u_face^(m - 1) is infinite at a zero face value: m < 1 used to
