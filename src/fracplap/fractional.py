@@ -196,6 +196,7 @@ class L1Memory:
         self._data[0] = u0.ravel()
         self._ring = self._data[1:1 + _FOLD]
         self._sums = self._data[1 + _FOLD:]
+        self._last = self._data[0].reshape(self.shape)     # a view: appends update it
         self._pending = 0
         self._states = 1
         self._g1 = self._g2 = None
@@ -250,7 +251,7 @@ class L1Memory:
         return self._data
 
     def last(self) -> np.ndarray:
-        return self._data[0].reshape(self.shape)
+        return self._last
 
     def coefficients(self) -> np.ndarray:
         if self._states > self.horizon:

@@ -39,7 +39,8 @@ from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
                     reaction, validate_params)
 from .operators import (KernelGrid, _eigen_product, _laplacian_axis, _laplacian_symbol,
-                        convolve_kernel, diffusion_apply, face_diffusivity, global_mass)
+                        _periodic_convolve, convolve_kernel, diffusion_apply,
+                        face_diffusivity)
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -107,10 +108,13 @@ class RunReport:
     snapshots: List[Tuple[float, Field]] = dc_field(default_factory=list)
     warnings: List[str] = dc_field(default_factory=list)
     history_rows: int = 0           # state rows the L1 history held at its peak
+    worst_negative: float = 0.0     # lowest value of an accepted state, if below 0
+    worst_negative_time: Optional[float] = None
 
 
 def detect_blowup(values: np.ndarray, threshold: float) -> Optional[str]:
-    """Classify a state: ``"nonfinite"`` wins over ``"blowup"``; None is fine."""
+    """Classify a state: ``"nonfinite"`` wins over ``"blowup"``; None is fine.
+    ``run`` calls it only when its min/max pre-check fails."""
     if np.abs(values).max() <= threshold:       # False for a NaN peak
         return None
     if not np.all(np.isfinite(values)):
@@ -124,13 +128,15 @@ def detect_blowup(values: np.ndarray, threshold: float) -> Optional[str]:
 
 def _coupling_value(values: np.ndarray, params: ModelParameters,
                     domain: DomainSpec, kernel: Optional[KernelGrid]):
+    """The global mass sum(u) h^dim, or J * u as a new array; builds no
+    Field and leaves the kernel's grid to ``run``, which checks it once."""
     if params.coupling_mode == COUPLING_GLOBAL_MASS:
-        return global_mass(Field(values, domain))
+        return float(np.sum(values)) * domain.h ** values.ndim
     if params.k == 0.0 or params.mu == 0.0:
         return 0.0          # coupling multiplies k*mu; skip the convolution
     if kernel is None:
         raise HypothesisError("kernel coupling requested but no kernel supplied")
-    return convolve_kernel(Field(values, domain), kernel).values
+    return _periodic_convolve(values, kernel.operator)
 
 
 # --------------------------------------------------------------------------
@@ -158,30 +164,31 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     v = e_0 + (c / gamma) e_{n-1}, where the tridiagonal T differs only
     in its two corner diagonal entries (and stays SPD).  One dgtsv call
     solves T y = b and T z = u together; x = y - (v.y) / (1 + v.z) z.
-    The scalar arithmetic runs on Python floats, which round as numpy's
-    float64 scalars do at a fraction of their cost.
+    The code works on the negated system (off-diagonal a[:-1], corner
+    a[-1], gamma d_0, -b and -u): negation is exact and commutes with
+    dgtsv's partial pivoting, so x keeps its bits.  Scalars are Python
+    floats (``item``, ``tolist``), which round as numpy's do, but cheaper.
     """
-    diag = shift + a            # + roll(a, 1), by slices: np.roll costs ~10 us
-    diag[1:] += a[:-1]
-    diag[0] += a[-1]
-    off = -a[:-1]
-    corner = -float(a[-1])
-    gamma = -float(diag[0])
-    diag[0] -= gamma
-    diag[-1] -= corner * corner / gamma
-    rhs = np.zeros((2, b.size)).T       # Fortran order: LAPACK works in place
-    rhs[:, 0] = b
-    rhs[0, 1] = gamma
-    rhs[-1, 1] = corner
-    _, _, _, yz, info = _dgtsv()(off, diag, off, rhs, 0, 1, 0, 1)   # overwrite d, b
+    n = b.size
+    diag = np.subtract(-shift, a)   # - roll(a, 1), by slices: np.roll costs ~10 us
+    np.subtract(diag[1:], a[:-1], diag[1:])
+    corner = a.item(-1)
+    gamma = -(diag.item(0) - corner)
+    diag[0] = -gamma - gamma
+    diag[-1] = diag.item(-1) - corner * corner / gamma
+    rhs = np.zeros((2, n))      # its transpose is in Fortran order: LAPACK works in place
+    np.negative(b, rhs[0])
+    rhs[1, 0] = gamma
+    rhs[1, -1] = corner
+    _, _, _, yz, info = _dgtsv()(a[:-1], diag, a[:-1], rhs.T, 0, 1, 0, 1)   # overwrite d, b
     if info != 0:
         raise SolverConvergenceError(
             f"frozen-diffusivity tridiagonal solve failed (LAPACK dgtsv info = {info})")
-    y, z = yz[:, 0], yz[:, 1]
+    (y0, z0), (y1, z1) = yz[::n - 1].tolist()
     ratio = corner / gamma
-    weight = ((float(y[0]) + ratio * float(y[-1]))
-              / (1.0 + float(z[0]) + ratio * float(z[-1])))
-    return y - weight * z
+    x = yz[:, 1]                # x = y - weight z, in place
+    np.multiply(x, -(y0 + ratio * y1) / (1.0 + z0 + ratio * z1), x)
+    return np.add(x, yz[:, 0], x)
 
 
 def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
@@ -259,26 +266,27 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     the lagged chain form div(a m u^{m-1} grad u).
     """
     u_prev = memory.last()
-    mem = memory_term(memory)
-    coupling = _coupling_value(u_prev, params, domain, kernel)
     scale = memory.scale
-
-    growth = np.square(u_prev)
-    growth *= params.mu
-    growth *= 1.0 - params.k * coupling
     shift = scale + params.gamma
-    b = np.multiply(mem, scale, out=mem)
-    b += growth
+    b = memory_term(memory)
+    np.multiply(b, scale, b)
+    if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
+        coupling = _coupling_value(u_prev, params, domain, kernel)
+        growth = np.square(u_prev)
+        np.multiply(growth, params.mu, growth)
+        np.multiply(growth, 1.0 - params.k * coupling, growth)
+        np.add(b, growth, b)
     load = memory.load()
     if load is not None:
-        b += load
+        np.add(b, load, b)
 
     if u_prev.ndim == 2 and params.p == 2.0 and params.m == 1.0:
         return _eigen_product(b, shift + _laplacian_symbol(domain), np.divide)
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
     if u_prev.ndim == 1:
-        return _cyclic_tridiagonal_solve(coeffs[0] / domain.h ** 2, shift, b)
+        return _cyclic_tridiagonal_solve(np.divide(coeffs[0], domain.h ** 2, coeffs[0]),
+                                         shift, b)
 
     # A x, div(a grad x) and diffusion_apply's two work arrays, once per step
     ax, div, *work = np.empty((4,) + b.shape)
@@ -286,7 +294,8 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         diffusion_apply(coeffs, x, domain, out=div, work=work)
         return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
 
-    abar = float(np.mean([np.mean(c) for c in coeffs]))
+    # the mean of the axes' means, summed as np.mean sums, at a third of its cost
+    abar = sum(np.add.reduce(c, axis=None) / c.size for c in coeffs) / 2.0
     symbol = shift + abar * _laplacian_symbol(domain)
 
     b_norm = float(np.linalg.norm(b.ravel()))
@@ -309,16 +318,18 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     initial and final states; snapshots are stored at t = 0 and at the
     steps nearest each requested snapshot time.  A requested time whose
     step another requested time already holds adds a warning, not a
-    second snapshot.  The march halts early
-    with a ``blowup`` or ``nonfinite`` status when detect_blowup fires,
-    and with ``solver_failed`` when a step's solve raises
+    second snapshot.  Each state's min and max are checked against
+    +-blowup_threshold (a NaN fails too) and only a failing state goes
+    to detect_blowup; the march halts early with its ``blowup`` or
+    ``nonfinite`` status, and with ``solver_failed`` when a step's solve raises
     SolverConvergenceError.  A ``blowup`` report ends at the state past
     the threshold; ``nonfinite`` and ``solver_failed`` ones end at the
     last accepted, finite state, count only the accepted steps, and
     give the failed step's time as the halt time (``solver_failed``
     carries the solver's message in ``warnings``).
-    Negative excursions below -1e-8 are reported in ``warnings``; the
-    state itself is never clamped.
+    The lowest accepted value below zero and its time are kept as
+    ``worst_negative``/``worst_negative_time``, and excursions below -1e-8
+    are also reported in ``warnings``; the state itself is never clamped.
     """
     violations = validate_params(params)
     if violations:
@@ -334,8 +345,10 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     # starting corrections for the t^alpha layer and, where R is exactly
     # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer, with
     # the march's own diffusion frozen at u0; both vanish at rest states.
-    # coupling0 also rejects a missing kernel or one on another grid
+    # coupling0 also rejects a missing kernel; convolve_kernel, one on another grid
     coupling0 = _coupling_value(u0.values, params, domain, kernel)
+    if np.ndim(coupling0):
+        coupling0 = convolve_kernel(u0, kernel).values
     coeffs0 = face_diffusivity(u0.values, domain, params.p, config.eps_reg, m=params.m)
     g1 = (diffusion_apply(coeffs0, u0.values, domain)
           + reaction(u0.values, coupling0, params))
@@ -368,12 +381,15 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     worst_negative_t = None
     u = u0.values
     steps_done = 0
+    threshold = config.blowup_threshold
 
     for n in range(1, n_steps + 1):
         t_n = n * dt
         try:
             u_next = step(memory, params, domain, config, kernel)
-            flag = detect_blowup(u_next, config.blowup_threshold)
+            low, high = u_next.min(), u_next.max()      # a NaN fails both bounds
+            flag = (None if -threshold <= low and high <= threshold
+                    else detect_blowup(u_next, threshold))
         except SolverConvergenceError as exc:
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
             flag = "solver_failed"
@@ -385,9 +401,8 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             break
         u = u_next
         steps_done = n
-        mn = float(u.min())
-        if mn < worst_negative:
-            worst_negative = mn
+        if low < worst_negative:
+            worst_negative = float(low)
             worst_negative_t = t_n
         if flag == "blowup":
             status = RunStatus("blowup", time=t_n)
@@ -415,6 +430,8 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         snapshots=snapshots,
         warnings=warnings,
         history_rows=len(memory),
+        worst_negative=worst_negative,
+        worst_negative_time=worst_negative_t,
     )
 
 

@@ -88,6 +88,8 @@ def summarize_run(report: RunReport) -> dict:
         "min_value_final": float(report.min_series[-1]) if n_rec else None,
         "warnings": list(report.warnings),
         "history_rows": report.history_rows,
+        "worst_negative": report.worst_negative,
+        "worst_negative_time": report.worst_negative_time,
     }
     if report.status.time is not None:
         summary["halt_time"] = report.status.time

@@ -201,20 +201,20 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
             f"{b_domain} {b_shape}")
 
 
-def _periodic_convolve(field: Field, operator: np.ndarray) -> Field:
-    """sum_y g(x - y) u(y) h^dim for g given by ``_convolution_operator``:
+def _periodic_convolve(values: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    """New array sum_y g(x - y) u(y) h^dim, g from ``_convolution_operator``:
     a circulant product in 1D, ``_eigen_product`` with the eigenvalues in
     2D; at n <= 64 (1D: 256) both undercut numpy's FFT pair (README)."""
-    if field.dim == 1:
-        return Field(operator @ field.values, field.domain)
-    return Field(_eigen_product(field.values, operator), field.domain)
+    if values.ndim == 1:
+        return operator @ values
+    return _eigen_product(values, operator)
 
 
 def convolve_kernel(field: Field, kernel: KernelGrid) -> Field:
     """Periodic convolution (J * u)(x) = sum_y J(x - y) u(y) h^dim."""
     _check_same_grid(field.domain, kernel.domain, field.values.shape,
                      kernel.values.shape)
-    return _periodic_convolve(field, kernel.operator)
+    return Field(_periodic_convolve(field.values, kernel.operator), field.domain)
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +226,8 @@ def _periodic_diff(values: np.ndarray, axis: int, out: np.ndarray,
     """out[i] = op(v[i + hi], v[i + lo]) along ``axis``, periodic, -1 <= lo < hi <= 1:
     (0, 1) is np.roll(v, -1, axis) - v, (-1, 0) is v - np.roll(v, 1, axis) and
     (-1, 1) the centered difference.  Slices give the roll forms' bits without
-    their copies (a roll costs ~10 us at n = 16)."""
-    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    their copies (a roll costs ~10 us at n = 16); axis 0 skips the swaps."""
+    v, o = (values, out) if axis == 0 else (values.swapaxes(0, axis), out.swapaxes(0, axis))
     op(v[hi - lo:], v[:lo - hi], o[-lo:-hi or None])
     if lo:      # i = 0 wraps below
         op(v[hi:hi + 1], v[-1:], o[:1])
@@ -246,9 +246,8 @@ def _face_gradient_norm_sq(values: np.ndarray, h: float):
     (equivalently the mean of the four adjacent one-sided differences).
     """
     norm_sq = [_periodic_diff(values, ax, np.empty_like(values)) for ax in range(values.ndim)]
-    for normal in norm_sq:
-        normal /= h
-        normal **= 2
+    for normal in norm_sq:      # ufuncs given out: /= with a Python float costs ~2x at n = 16
+        np.square(np.divide(normal, h, normal), normal)
     if values.ndim == 1:
         return norm_sq
     centered, pair_sum = np.empty((2,) + values.shape)
@@ -285,12 +284,13 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
     norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, domain.h)
-    coeffs = [(g2 + eps_reg ** 2) ** ((p - 2.0) / 2.0) for g2 in norm_sq]
+    for g2 in norm_sq:      # in place: the gradients are this call's own arrays
+        np.power(np.add(g2, eps_reg ** 2, g2), (p - 2.0) / 2.0, g2)
     if m != 1.0:
-        for ax, c in enumerate(coeffs):
+        for ax, c in enumerate(norm_sq):
             face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)
             c *= m * face_u ** (m - 1.0)
-    return coeffs
+    return norm_sq
 
 
 def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
@@ -340,4 +340,5 @@ def box_window_integral(field: Field, delta: float) -> Field:
             f"L = {domain.half_width}")
     w = _axis_trapezoid_weights(domain.axis_coords(), delta)
     window = w if field.dim == 1 else np.multiply.outer(w, w)
-    return _periodic_convolve(field, _convolution_operator(window, domain.h))
+    return Field(_periodic_convolve(field.values, _convolution_operator(window, domain.h)),
+                 domain)

@@ -22,7 +22,7 @@ from .analysis import (VERDICT_PASS, allee_classify, admissible_window_radius,
                        lyapunov_monitor)
 from .fractional import caputo_series, mittag_leffler, power_inequality_check
 from .integrator import SolverConfig, linear_spectral_reference, run
-from .io import format_series
+from .io import format_series, summarize_run
 from .model import (AnalysisConstants, DomainSpec, Field, ModelParameters,
                     competition_threshold, decay_margin, equilibrium_roots,
                     sup_norm_bound)
@@ -250,12 +250,13 @@ def verify_determinism() -> List[Check]:
     csv_a = format_series(first)
     csv_b = format_series(second)
     same_csv = csv_a == csv_b
-    same_final = np.array_equal(first.final.values, second.final.values)
+    same_final = (np.array_equal(first.final.values, second.final.values)
+                  and summarize_run(first) == summarize_run(second))
     return [_check(
         "repeat-run-bit-identical", same_csv and same_final,
         f"CSV bytes {'identical' if same_csv else 'DIFFER'} "
-        f"({len(csv_a)} chars), final state "
-        f"{'bit-identical' if same_final else 'DIFFERS'}")]
+        f"({len(csv_a)} chars), final state and report.json summary "
+        f"{'bit-identical' if same_final else 'DIFFER'}")]
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ product with the kernel's cached circulant (numpy's FFT call overhead
 outweighs the arithmetic of a 16-point convolution several times).
 Those dense products are one function, ``operators._eigen_product``;
 other modules reach the basis through it and ``_laplacian_symbol``,
-never through ``_laplacian_basis``.
+never through ``_laplacian_basis``.  Nor does the step wrap its arrays in
+``Field``s: a construction and its grid check cost ~1 us each, and the
+march checks its kernel's grid once per run instead.
 """
 import ast
 from pathlib import Path
@@ -25,8 +27,10 @@ PACKAGE = Path(fracplap.__file__).resolve().parent
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "convolve_kernel", "_periodic_convolve", "_eigen_product"),
-    "integrator.py": ("step", "_pcg"),
+    "integrator.py": ("step", "_pcg", "_coupling_value", "_cyclic_tridiagonal_solve"),
 }
+NO_FIELD = (("integrator.py", "step"), ("integrator.py", "_coupling_value"),
+            ("integrator.py", "_cyclic_tridiagonal_solve"), ("operators.py", "_periodic_convolve"))
 
 
 def functions(module: str) -> dict:
@@ -70,3 +74,12 @@ def test_only_operators_references_the_laplacian_basis():
         or isinstance(node, ast.Attribute) and node.attr == "_laplacian_basis"
         or isinstance(node, ast.alias) and node.name == "_laplacian_basis")
     assert users == [], f"_laplacian_basis referenced outside operators.py: {users}"
+
+
+@pytest.mark.parametrize("module,name", NO_FIELD)
+def test_step_path_builds_no_field(module, name):
+    calls = [node.lineno for node in ast.walk(functions(module)[name])
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == "Field"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "Field")]
+    assert calls == [], f"Field built in {module}:{name} at lines {calls}"

@@ -11,6 +11,7 @@ from fracplap import integrator, operators
 from fracplap.errors import (GridMismatchError, HypothesisError,
                              SolverConvergenceError)
 from fracplap.fractional import L1Memory, layer_correction_weights, mittag_leffler
+from fracplap.io import format_series, summarize_run
 from fracplap.integrator import (
     RunStatus,
     SolverConfig,
@@ -658,6 +659,75 @@ def test_nonfinite_halt_keeps_the_last_finite_state():
     # the series ends at the last finite state, t = 0.063
     assert math.isclose(report.times[-1], 0.063, rel_tol=1e-12)
     assert report.sup_series[-1] == report.final.sup_norm()
+
+
+def corrupt_step(monkeypatch, at, cell, value):
+    """Make the step ``at`` return its state with ``cell`` set to ``value``;
+    returns the states the real step produced, in order."""
+    states = []
+    real = integrator.step
+
+    def corrupted(*args, **kwargs):
+        u = real(*args, **kwargs)
+        states.append(u.copy())
+        if len(states) == at:
+            u = u.copy()
+            u[cell] = value
+        return u
+
+    monkeypatch.setattr(integrator, "step", corrupted)
+    return states
+
+
+def test_run_halts_on_a_nan_below_the_threshold(monkeypatch):
+    # min and max of the state are NaN, so the bound check fails and the
+    # state is classified, although every other value is far below the threshold
+    states = corrupt_step(monkeypatch, 4, 5, math.nan)
+    domain, kern = allee_setup(n=16)
+    cfg = SolverConfig(dt=0.01, t_final=0.1, record_every=2)
+    report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
+    assert report.status == RunStatus("nonfinite", time=4 * cfg.dt)
+    assert report.steps == 3
+    assert np.array_equal(report.final.values, states[2])
+    assert np.allclose(report.times, [0.0, 0.02, 0.03], rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(report.sup_series))
+
+
+def test_run_halts_on_a_value_below_minus_the_threshold(monkeypatch):
+    # the state's max stays at ~0.3: only its min crosses -threshold
+    cfg = SolverConfig(dt=0.01, t_final=0.1, record_every=2)
+    corrupt_step(monkeypatch, 4, 5, -2.0 * cfg.blowup_threshold)
+    domain, kern = allee_setup(n=16)
+    report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
+    assert report.status == RunStatus("blowup", time=4 * cfg.dt)
+    assert report.steps == 4
+    # a blowup report ends at the state past the threshold
+    assert report.final.values[5] == -2.0 * cfg.blowup_threshold
+    assert report.min_series[-1] == -2.0 * cfg.blowup_threshold
+    assert report.times[-1] == 4 * cfg.dt
+
+
+def test_run_reports_its_worst_negative_excursion():
+    # a linear decay from a sign-changing state: the lowest value of any
+    # accepted state, and its time, reach the report and report.json
+    domain = DomainSpec(half_width=1.0, n=16)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=1.0)
+    u0 = Field(np.cos(np.pi * domain.axis_coords()) - 0.2, domain)
+    cfg = SolverConfig(dt=0.01, t_final=0.2, record_every=1)
+    report = run(u0, params, cfg)
+    low = int(np.argmin(report.min_series[1:])) + 1
+    assert report.worst_negative == report.min_series[low] < 0.0
+    assert report.worst_negative_time == report.times[low]
+    assert any("dipped to" in w for w in report.warnings)
+    summary = summarize_run(report)
+    assert summary["worst_negative"] == report.worst_negative
+    assert summary["worst_negative_time"] == report.worst_negative_time
+    again = run(u0, params, cfg)
+    assert format_series(again) == format_series(report)
+    assert summarize_run(again) == summary
+    # a run that stays nonnegative reports 0.0 and no time
+    rest = run(Field.constant(domain, 0.5), params, cfg)
+    assert (rest.worst_negative, rest.worst_negative_time) == (0.0, None)
 
 
 def test_run_status_flags():
