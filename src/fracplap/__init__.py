@@ -2,8 +2,7 @@
 model: Caputo time derivative, p-Laplacian diffusion, and logistic growth
 saturated by nonlocal competition."""
 
-from .analysis import (AlleeVerdict, BoundednessResult, EnvelopeResult,
-                       LyapunovSeries, admissible_window_radius,
+from .analysis import (AlleeVerdict, Verdict, admissible_window_radius,
                        allee_classify, boundedness_check, decay_envelope_check,
                        lyapunov_density, lyapunov_monitor, lyapunov_potential)
 from .config import (InitialSpec, KernelSpec, RunManifest, build_initial,

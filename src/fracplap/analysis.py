@@ -3,15 +3,16 @@ dichotomy classification, Mittag-Leffler decay envelopes, a priori
 boundedness, and the windowed Lyapunov monitor for the extinction
 branch.
 
-Checks return verdict objects rather than raising on mathematical
+Checks return a ``Verdict`` rather than raising on mathematical
 failure; structured errors are reserved for inputs that violate the
-hypotheses a quantity needs to be defined at all.
+hypotheses a quantity needs to be defined at all.  ``allee_classify``
+alone returns its own ``AlleeVerdict``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +28,40 @@ VERDICT_UNDECIDED = "undecided"
 
 _LYAPUNOV_SLACK = 1e-6
 _ENVELOPE_SLACK = 1.05
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a check that passes when ``quantity <= limit``."""
+
+    status: str                 # pass | fail | undecided
+    quantity: float
+    limit: float
+    detail: str = ""
+
+    @property
+    def ratio(self) -> float:
+        """quantity / limit; zero data under a zero bound read 0."""
+        if self.limit == 0.0:
+            return 0.0 if self.quantity == 0.0 else math.inf
+        return self.quantity / self.limit
+
+
+def _halted(report: RunReport) -> bool:
+    """Whether the run stopped early, neither completed nor blown up: its
+    recorded history says nothing about the horizon."""
+    return report.status.kind not in ("completed", "blowup")
+
+
+def _judge(report: RunReport, quantity: float, limit: float,
+           detail: str = "") -> Verdict:
+    """Pass when quantity <= limit; undecided when the run halted early
+    or either side is NaN (a hypothesis the comparison needs is unmet)."""
+    if _halted(report) or math.isnan(quantity) or math.isnan(limit):
+        status = VERDICT_UNDECIDED
+    else:
+        status = VERDICT_PASS if quantity <= limit else VERDICT_FAIL
+    return Verdict(status, quantity, limit, detail)
 
 
 # --------------------------------------------------------------------------
@@ -58,48 +93,34 @@ def lyapunov_potential(field: Field, roots: EquilibriumRoots, delta: float) -> F
     return box_window_integral(Field(dens, field.domain), delta)
 
 
-@dataclass
-class LyapunovSeries:
-    """max_x H sampled on the stored snapshots."""
-
-    times: np.ndarray
-    max_potential: np.ndarray
-    verdict: str
-    violating_time: Optional[float] = None
-
-
 def lyapunov_monitor(report: RunReport, roots: EquilibriumRoots,
-                     delta: float) -> LyapunovSeries:
+                     delta: float) -> Verdict:
     """Monitor max_x H(x, t) over a run's snapshots.
 
     H is the potential of window radius ``delta``; mu and k enter only
     through ``roots`` and the choice of ``delta`` (see
-    ``admissible_window_radius``).  Passes when the max never exceeds
-    its initial value beyond 1e-6 relative slack.  If any snapshot
-    reaches the lower root the potential stops being defined there and
-    the verdict is undecided, carrying the first violating time.
+    ``admissible_window_radius``).  The quantity is the peak of max H,
+    the limit its initial value plus 1e-6 relative slack.  If any
+    snapshot reaches the lower root the potential stops being defined
+    there and the verdict is undecided; the detail names that time, or
+    the first time max H rose above the limit.
     """
     if not report.snapshots:
         raise HypothesisError("run stored no snapshots; set snapshot_times")
-    times, hmax = [], []
+    hmax = []
     for t, snap in report.snapshots:
         sup = float(np.max(snap.values))
         if sup >= roots.lower:
-            return LyapunovSeries(
-                times=np.asarray(times), max_potential=np.asarray(hmax),
-                verdict=VERDICT_UNDECIDED, violating_time=t)
-        pot = lyapunov_potential(snap, roots, delta)
-        times.append(t)
-        hmax.append(float(np.max(pot.values)))
-    hmax_arr = np.asarray(hmax)
-    ok = bool(np.all(hmax_arr <= hmax_arr[0] * (1.0 + _LYAPUNOV_SLACK) + 1e-300))
-    bad = None
-    if not ok:
-        bad = float(np.asarray(times)[hmax_arr > hmax_arr[0] * (1.0 + _LYAPUNOV_SLACK)][0])
-    return LyapunovSeries(
-        times=np.asarray(times), max_potential=hmax_arr,
-        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-        violating_time=bad)
+            return _judge(report, math.nan, math.nan,
+                          f"snapshot at t = {t} reaches the lower root a = {roots.lower:.6g}")
+        hmax.append(float(np.max(lyapunov_potential(snap, roots, delta).values)))
+    limit = hmax[0] * (1.0 + _LYAPUNOV_SLACK) + 1e-300
+    above = [t for (t, _), h in zip(report.snapshots, hmax) if h > limit]
+    detail = (f"max potential starts at {hmax[0]:.6e}, peaks at {max(hmax):.6e} "
+              f"over {len(hmax)} snapshots")
+    if above:
+        detail += f", first above the start at t = {above[0]}"
+    return _judge(report, max(hmax), limit, detail)
 
 
 def admissible_window_radius(roots: EquilibriumRoots, mu: float, k: float,
@@ -134,49 +155,32 @@ def admissible_window_radius(roots: EquilibriumRoots, mu: float, k: float,
 # decay envelope
 # --------------------------------------------------------------------------
 
-def _reached_verdict(report: RunReport) -> bool:
-    """Whether the run's history can be judged: it completed or blew up."""
-    return report.status.kind in ("completed", "blowup")
-
-
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Outcome of the Mittag-Leffler decay-envelope comparison."""
-
-    status: str                 # pass | fail | undecided
-    worst_ratio: float          # max over recorded times of sup / envelope
-    exponential_holds: bool     # informational: the literal exp(-sigma^(1/alpha) t) bound
-
-
 def decay_envelope_check(report: RunReport, sigma: float,
-                         alpha: float) -> EnvelopeResult:
+                         alpha: float) -> Verdict:
     """Check recorded sup-norms against ||u0|| E_alpha(-sigma t^alpha).
 
     The envelope is the comparison solution of the linearized decay;
-    a 5% slack absorbs discretization error.  sigma <= 0 leaves the
-    hypothesis unmet, hence undecided.  The literal exponential
-    envelope exp(-sigma^(1/alpha) t) is evaluated as well but reported
-    informationally only: the Mittag-Leffler decay is algebraic in the
-    tail, so the exponential form cannot hold at late times.  A run that
-    halted early (neither completed nor blown up) is undecided: its
-    recorded history says nothing about the horizon.
+    the quantity is the worst sup / envelope ratio over recorded times
+    and the limit a 5% slack for discretization error.  sigma <= 0
+    leaves the hypothesis unmet, hence undecided.  The literal
+    exponential envelope exp(-sigma^(1/alpha) t) is evaluated as well
+    but reported in the detail only: the Mittag-Leffler decay is
+    algebraic in the tail, so the exponential form cannot hold at late
+    times.
     """
-    if sigma <= 0 or not _reached_verdict(report):
-        return EnvelopeResult(status=VERDICT_UNDECIDED, worst_ratio=math.nan,
-                              exponential_holds=False)
+    if sigma <= 0:
+        return _judge(report, math.nan, _ENVELOPE_SLACK, f"sigma = {sigma} is not positive")
     u0_sup = float(report.sup_series[0])
     if u0_sup == 0.0:
-        return EnvelopeResult(status=VERDICT_PASS, worst_ratio=0.0,
-                              exponential_holds=True)
+        return _judge(report, 0.0, _ENVELOPE_SLACK, "zero data")
     times = np.asarray(report.times, dtype=np.float64)
     sup = np.asarray(report.sup_series, dtype=np.float64)
     env = u0_sup * mittag_leffler(alpha, -sigma * times ** alpha)
-    worst = float(np.max(sup / env))
     exp_ok = bool(np.all(sup <= u0_sup * np.exp(-sigma ** (1.0 / alpha) * times)
                          * _ENVELOPE_SLACK))
-    status = VERDICT_PASS if worst <= _ENVELOPE_SLACK else VERDICT_FAIL
-    return EnvelopeResult(status=status, worst_ratio=worst,
-                          exponential_holds=exp_ok)
+    return _judge(report, float(np.max(sup / env)), _ENVELOPE_SLACK,
+                  "pure-exponential envelope "
+                  + ("also holds" if exp_ok else "fails, as expected"))
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def allee_classify(report: RunReport, roots: EquilibriumRoots,
     terminal = float(report.sup_series[-1])
     if report.status.kind == "blowup":
         verdict = "blowup"
-    elif report.status.kind != "completed":
+    elif _halted(report):
         verdict = VERDICT_UNDECIDED
     elif terminal < tol_ext:
         verdict = "extinction"
@@ -220,25 +224,11 @@ def allee_classify(report: RunReport, roots: EquilibriumRoots,
                         tol_extinction=tol_ext, tol_persistence=tol_per)
 
 
-@dataclass(frozen=True)
-class BoundednessResult:
-    status: str                 # pass | fail | undecided
-    ratio: float                # max recorded sup / bound
+def boundedness_check(report: RunReport, bound: SupBound) -> Verdict:
+    """Compare the recorded peak sup-norm against an a priori bound.
 
-
-def boundedness_check(report: RunReport, bound: SupBound) -> BoundednessResult:
-    """Compare the recorded sup-norm history against an a priori bound.
-
-    A degenerate bound (failure marker) propagates as undecided rather
-    than pass or fail, and so does a run that halted early (neither
-    completed nor blown up).
+    A degenerate bound (failure marker) has no limit, so the verdict is
+    undecided with the marker as its detail.
     """
-    if not bound.ok:
-        return BoundednessResult(status=VERDICT_UNDECIDED, ratio=math.nan)
-    peak = float(np.max(report.sup_series))
-    ratio = peak / bound.value if bound.value > 0 else math.inf
-    if not _reached_verdict(report):
-        status = VERDICT_UNDECIDED
-    else:
-        status = VERDICT_PASS if peak <= bound.value else VERDICT_FAIL
-    return BoundednessResult(status=status, ratio=ratio)
+    return _judge(report, float(np.max(report.sup_series)),
+                  bound.value if bound.ok else math.nan, bound.failure or "")

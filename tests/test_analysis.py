@@ -18,12 +18,14 @@ from fracplap.analysis import (
 from fracplap.errors import HypothesisError
 from fracplap.integrator import RunReport, RunStatus, SolverConfig, run
 from fracplap.model import (
+    AnalysisConstants,
     DomainSpec,
     EquilibriumRoots,
     Field,
     ModelParameters,
     SupBound,
     equilibrium_roots,
+    sup_norm_bound,
 )
 from fracplap.operators import discretize_kernel
 
@@ -100,28 +102,29 @@ def test_monitor_passes_on_relaxing_run():
     cfg = SolverConfig(dt=0.01, t_final=2.0, record_every=50,
                        snapshot_times=tuple(np.linspace(0.0, 2.0, 9)))
     report = run(Field.constant(domain, 0.1), params, cfg, kernel=kern)
-    series = lyapunov_monitor(report, roots, delta=0.25)
-    assert series.verdict == VERDICT_PASS
-    assert series.violating_time is None
-    assert len(series.times) == len(series.max_potential)
+    res = lyapunov_monitor(report, roots, delta=0.25)
+    assert res.status == VERDICT_PASS
+    assert res.quantity <= res.limit
+    assert res.detail.endswith("over 9 snapshots")
 
 
 def test_monitor_flags_growth():
     d = DomainSpec(half_width=2.0, n=16)
     snaps = [(0.0, Field.constant(d, 0.05)), (1.0, Field.constant(d, 0.10))]
     rep = fake_report([0.05, 0.10], snapshots=snaps, domain=d)
-    series = lyapunov_monitor(rep, ROOTS, delta=0.5)
-    assert series.verdict == VERDICT_FAIL
-    assert series.violating_time == 1.0
+    res = lyapunov_monitor(rep, ROOTS, delta=0.5)
+    assert res.status == VERDICT_FAIL
+    assert res.quantity > res.limit
+    assert res.detail.endswith("first above the start at t = 1.0")
 
 
 def test_monitor_undecided_past_lower_root():
     d = DomainSpec(half_width=2.0, n=16)
     snaps = [(0.0, Field.constant(d, 0.05)), (1.0, Field.constant(d, 0.30))]
     rep = fake_report([0.05, 0.30], snapshots=snaps, domain=d)
-    series = lyapunov_monitor(rep, ROOTS, delta=0.5)
-    assert series.verdict == VERDICT_UNDECIDED
-    assert series.violating_time == 1.0
+    res = lyapunov_monitor(rep, ROOTS, delta=0.5)
+    assert res.status == VERDICT_UNDECIDED
+    assert res.detail.startswith("snapshot at t = 1.0 reaches the lower root")
 
 
 def test_monitor_needs_snapshots():
@@ -160,30 +163,39 @@ def test_envelope_zero_data_passes():
     rep = fake_report([0.0, 0.0, 0.0])
     res = decay_envelope_check(rep, 1.0, 0.5)
     assert res.status == VERDICT_PASS
-    assert res.worst_ratio == 0.0
+    assert res.quantity == 0.0
 
 
 def test_envelope_nonpositive_sigma_is_undecided():
     rep = fake_report([1.0, 0.5])
     res = decay_envelope_check(rep, 0.0, 0.5)
     assert res.status == VERDICT_UNDECIDED
-    assert math.isnan(res.worst_ratio)
+    assert math.isnan(res.quantity)
 
 
 def test_envelope_flat_series_fails():
     rep = fake_report([1.0, 1.0, 1.0])
     res = decay_envelope_check(rep, 1.0, 0.5)
     assert res.status == VERDICT_FAIL
-    assert res.worst_ratio > 1.05
-    assert not res.exponential_holds
+    assert res.quantity > res.limit == 1.05
+    assert res.detail == "pure-exponential envelope fails, as expected"
 
 
 @pytest.mark.parametrize("kind", ["solver_failed", "nonfinite"])
 def test_envelope_halted_run_is_undecided(kind):
-    rep = fake_report([0.5, 0.2], status_kind=kind, status_time=1.0)
-    res = decay_envelope_check(rep, 1.0, 0.5)
-    assert res.status == VERDICT_UNDECIDED
-    assert math.isnan(res.worst_ratio)
+    """A run that halted early is undecided under all four classifiers,
+    the envelope check among them, whatever its history shows."""
+    d = DomainSpec(half_width=2.0, n=16)
+    snaps = [(0.0, Field.constant(d, 0.2)), (1.0, Field.constant(d, 1e-6))]
+    rep = fake_report([0.2, 1e-6], status_kind=kind, status_time=1.0,
+                      snapshots=snaps, domain=d)
+    statuses = {
+        "envelope": decay_envelope_check(rep, 1.0, 0.5).status,
+        "boundedness": boundedness_check(rep, SupBound(value=1.0)).status,
+        "lyapunov": lyapunov_monitor(rep, ROOTS, delta=0.5).status,
+        "allee": allee_classify(rep, ROOTS).verdict,
+    }
+    assert statuses == dict.fromkeys(statuses, VERDICT_UNDECIDED)
 
 
 def test_envelope_tracks_linear_relaxation_run():
@@ -193,9 +205,9 @@ def test_envelope_tracks_linear_relaxation_run():
     report = run(Field.constant(domain, 0.5), params, cfg)
     res = decay_envelope_check(report, 1.0, 0.5)
     assert res.status == VERDICT_PASS
-    assert res.worst_ratio <= 1.05
+    assert res.quantity <= 1.05
     # the pure-exponential envelope is too strong for fractional decay
-    assert not res.exponential_holds
+    assert res.detail == "pure-exponential envelope fails, as expected"
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +263,18 @@ def test_boundedness_degenerate_bound_is_undecided():
                             SupBound(value=None, failure="bracket collapsed"))
     assert res.status == VERDICT_UNDECIDED
     assert math.isnan(res.ratio)
+    assert res.detail == "bracket collapsed"
+
+
+def test_boundedness_zero_data_passes_with_finite_ratio():
+    # zero data give a zero bound; 0 <= 0 passes, and 0/0 must not read inf
+    bound = sup_norm_bound(ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=12.0,
+                                           gamma=0.1, dim=2),
+                           AnalysisConstants(), 0.0, 10.0)
+    res = boundedness_check(fake_report([0.0, 0.0]), bound)
+    assert bound.value == 0.0
+    assert res.status == VERDICT_PASS
+    assert 0.0 <= res.ratio <= 1.0
 
 
 @pytest.mark.parametrize("kind", ["solver_failed", "nonfinite"])

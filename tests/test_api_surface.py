@@ -6,16 +6,18 @@ function or class of the package, must be referenced in the code of
 some module of the package other than ``__init__.py``: a public symbol
 that only the tests call is dead weight.  References are names and attribute accesses
 in the syntax tree, so a mention in a docstring or comment does not
-count.  Every field of an input type is read somewhere other than where
-a manifest is written back out: a setting nothing reads changes
-nothing.  The third-party modules the package imports anywhere, inside
-functions too, are exactly the runtime dependencies in
-``pyproject.toml``.
+count.  Every field of an input type is read, through a receiver of
+that type, somewhere other than where a manifest is written back out:
+a setting nothing reads changes nothing.  The third-party modules the
+package imports anywhere, inside functions too, are exactly the runtime
+dependencies in ``pyproject.toml``.
 """
 import ast
 import dataclasses
+import importlib
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -75,24 +77,64 @@ INPUT_TYPES = (ModelParameters, DomainSpec, SolverConfig, AnalysisConstants,
 WRITERS = ("serialize_config",)
 
 
-def attributes_read() -> set:
-    names = set()
+def _hint(obj, name):
+    """The class a type hint of ``obj`` names, Optional unwrapped."""
+    try:
+        hint = typing.get_type_hints(obj).get(name)
+    except (NameError, TypeError):
+        return None
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if typing.get_origin(hint) is typing.Union and len(args) == 1 else hint
+
+
+def field_reads() -> set:
+    """(class, attribute) for every attribute read whose receiver has a
+    known input type: a parameter annotated with it, ``self`` in its
+    methods, a name assigned from its constructor or from a function
+    annotated to return it, or a dataclass field annotated with it."""
+    reads = set()
     for path in PACKAGE.glob("*.py"):
+        name = "fracplap" if path.stem == "__init__" else f"fracplap.{path.stem}"
+        scope = vars(importlib.import_module(name))
+
+        def type_of(node, env):
+            if isinstance(node, ast.Name):
+                return env.get(node.id)
+            if isinstance(node, ast.Attribute):
+                owner = type_of(node.value, env)
+                return _hint(owner, node.attr) if isinstance(owner, type) else None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                target = scope.get(node.func.id)
+                return target if isinstance(target, type) else _hint(target, "return")
+            return None
+
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        skipped = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name in WRITERS
-                   for node in ast.walk(fn)}
-        names.update(node.attr for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute)
-                     and isinstance(node.ctx, ast.Load)
-                     and id(node) not in skipped)
-    return names
+        methods = {id(fn): scope.get(cls.name) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in WRITERS:
+                continue
+            owner = methods.get(id(fn))
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            env = {a.arg: _hint(getattr(owner, fn.name, None) if owner
+                                else scope.get(fn.name), a.arg) for a in params}
+            if owner is not None and params:
+                env[params[0].arg] = owner
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    env[node.targets[0].id] = type_of(node.value, env)
+            reads.update((cls, node.attr) for node in ast.walk(fn)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load)
+                         for cls in [type_of(node.value, env)] if cls in INPUT_TYPES)
+    return reads
 
 
 def test_every_input_field_is_read():
-    read = attributes_read()
+    read = field_reads()
     unread = sorted(f"{cls.__name__}.{f.name}" for cls in INPUT_TYPES
-                    for f in dataclasses.fields(cls) if f.name not in read)
+                    for f in dataclasses.fields(cls) if (cls, f.name) not in read)
     assert unread == []
 
 
