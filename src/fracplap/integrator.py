@@ -191,21 +191,21 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     return np.add(x, yz[:, 0], x)
 
 
-def _pcg(apply_a, b: np.ndarray, x0: np.ndarray, precond, tol_abs: float,
+def _pcg(apply_a, b: np.ndarray, x: np.ndarray, precond, tol_abs: float,
          maxiter: int):
-    """Preconditioned CG from a copy of x0; returns (x, iterations).
+    """Preconditioned CG from x, updated in place; returns (x, iterations).
 
     ``iterations`` counts the CG iterations after the initial residual,
     one ``apply_a`` call each.  The residual norm is checked before
     each preconditioner call, so a solve that stops after k iterations
     applies ``precond`` k times, one fewer than ``apply_a``, and not at
-    all when x0 already meets ``tol_abs``.
+    all when x already meets ``tol_abs``.
     ``apply_a`` may return a buffer of its own (never its argument): it is overwritten."""
-    x = x0.copy()
     r = b - apply_a(x)
+    r_flat = r.reshape(-1)      # a view: sqrt(r.r) is what np.linalg.norm computes for it
     step_p = np.empty_like(x)
     for it in range(maxiter + 1):
-        if float(np.linalg.norm(r.ravel())) <= tol_abs:
+        if math.sqrt(r_flat.dot(r_flat)) <= tol_abs:
             return x, it
         if it == maxiter:
             break

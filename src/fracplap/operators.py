@@ -226,9 +226,17 @@ def _periodic_diff(values: np.ndarray, axis: int, out: np.ndarray,
     """out[i] = op(v[i + hi], v[i + lo]) along ``axis``, periodic, -1 <= lo < hi <= 1:
     (0, 1) is np.roll(v, -1, axis) - v, (-1, 0) is v - np.roll(v, 1, axis) and
     (-1, 1) the centered difference.  Slices give the roll forms' bits without
-    their copies (a roll costs ~10 us at n = 16); axis 0 skips the swaps."""
+    their copies (a roll costs ~10 us at n = 16); axis 0 skips the swaps.  On
+    the last axis of C-contiguous 2D operands the rows lie end to end: one op
+    on the flattened arrays is right but in the wrapped columns, which the
+    wrap ops overwrite, and costs ~40% less than strided slices at n = 64.
+    Other layouts take the slices: ``reshape(-1)`` of them may be a copy."""
     v, o = (values, out) if axis == 0 else (values.swapaxes(0, axis), out.swapaxes(0, axis))
-    op(v[hi - lo:], v[:lo - hi], o[-lo:-hi or None])
+    if axis == 1 and values.ndim == 2 and values.flags.c_contiguous and out.flags.c_contiguous:
+        flat_v, flat_o = values.reshape(-1), out.reshape(-1)
+        op(flat_v[hi - lo:], flat_v[:lo - hi], flat_o[-lo:-hi or None])
+    else:
+        op(v[hi - lo:], v[:lo - hi], o[-lo:-hi or None])
     if lo:      # i = 0 wraps below
         op(v[hi:hi + 1], v[-1:], o[:1])
     if hi:      # i = n - 1 wraps above
@@ -254,7 +262,8 @@ def _face_gradient_norm_sq(values: np.ndarray, h: float):
     for ax in range(2):
         _periodic_diff(values, 1 - ax, centered, lo=-1)
         centered /= 2.0 * h
-        norm_sq[ax] += (0.5 * _periodic_diff(centered, ax, pair_sum, op=np.add)) ** 2
+        _periodic_diff(centered, ax, pair_sum, op=np.add)
+        norm_sq[ax] += np.square(np.multiply(pair_sum, 0.5, pair_sum), pair_sum)
     return norm_sq
 
 
@@ -297,18 +306,19 @@ def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
                     out=None, work=None) -> np.ndarray:
     """div(a grad u) for frozen face coefficients a, flux form, into ``out``;
     ``work`` holds two arrays shaped like u (both allocated when omitted).
-    The sum starts from zeros, so a -0.0 term adds up to +0.0."""
+    The first axis's divergence lands in ``out`` and gets +0.0 added, the
+    bits of a sum started from zeros: a -0.0 term adds up to +0.0."""
     h = domain.h
     out = np.empty_like(values) if out is None else out
-    out.fill(0.0)
     flux, div = np.empty((2,) + values.shape) if work is None else work
     for ax in range(values.ndim):
         _periodic_diff(values, ax, flux)
         flux *= coeffs[ax]
         flux /= h
-        _periodic_diff(flux, ax, div, lo=-1, hi=0)
-        div /= h
-        out += div
+        term = div if ax else out
+        _periodic_diff(flux, ax, term, lo=-1, hi=0)
+        term /= h
+        np.add(out, div if ax else 0.0, out)
     return out
 
 

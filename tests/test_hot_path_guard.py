@@ -26,7 +26,8 @@ import fracplap
 PACKAGE = Path(fracplap.__file__).resolve().parent
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
-                     "convolve_kernel", "_periodic_convolve", "_eigen_product"),
+                     "_periodic_diff", "convolve_kernel", "_periodic_convolve",
+                     "_eigen_product"),
     "integrator.py": ("step", "_pcg", "_coupling_value", "_cyclic_tridiagonal_solve"),
 }
 NO_FIELD = (("integrator.py", "step"), ("integrator.py", "_coupling_value"),

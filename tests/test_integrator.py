@@ -194,7 +194,9 @@ def _counted_pcg_system(n=8):
 def test_pcg_applies_the_preconditioner_once_fewer_than_the_operator():
     apply_a, precond, b, calls = _counted_pcg_system()
     tol = 1e-10 * np.linalg.norm(b)
-    x, iterations = integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol, 200)
+    start = np.zeros_like(b)
+    x, iterations = integrator._pcg(apply_a, b, start, precond, tol, 200)
+    assert x is start       # the guess is updated in place, not copied
     assert iterations > 2
     assert calls == {"apply_a": iterations + 1, "precond": iterations}
     assert np.linalg.norm(b - apply_a(x)) <= tol

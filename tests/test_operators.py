@@ -137,6 +137,41 @@ def test_periodic_diff_matches_roll_forms(form, dim, axis, n):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def layouts(a: np.ndarray) -> dict:
+    """a's values, C-contiguous, transposed (F-contiguous) and as a strided
+    view into a larger buffer whose other entries are NaN."""
+    buf = np.full((2 * a.shape[0] + 1, 3 * a.shape[1]), np.nan)
+    strided = buf[1::2, 2::3]
+    strided[...] = a
+    return {"contiguous": a.copy(), "transposed": np.ascontiguousarray(a.T).T,
+            "strided": strided}
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 1), (-1, 0), (-1, 1)])
+@pytest.mark.parametrize("op", ["subtract", "add"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("values_layout", ["contiguous", "transposed", "strided"])
+@pytest.mark.parametrize("out_layout", ["contiguous", "transposed", "strided"])
+def test_periodic_diff_any_layout_matches_roll_form(lo, hi, op, axis, values_layout,
+                                                    out_layout):
+    # the last axis of C-contiguous operands is one op on the flattened arrays;
+    # other layouts must take the sliced form, or the result lands in a copy
+    n = 16
+    v = np.random.default_rng(n + axis).uniform(-1.0, 1.0, (n, n))
+    v.flat[::5] = -0.0
+    v.flat[2::7] = 0.0
+    out = layouts(np.full((n, n), np.nan))[out_layout]
+    base = out if out.base is None else out.base
+    untouched = np.isnan(base).sum() - out.size
+    ufunc = getattr(np, op)
+    got = operators._periodic_diff(layouts(v)[values_layout], axis, out, lo=lo, hi=hi,
+                                   op=ufunc)
+    assert got is out
+    want = ufunc(np.roll(v, -hi, axis=axis), np.roll(v, -lo, axis=axis))
+    assert np.array_equal(np.ascontiguousarray(out).view(np.uint64), want.view(np.uint64))
+    assert np.isnan(base).sum() == untouched     # nothing written outside out
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_operator_is_built_once(dim):
     d = DomainSpec(half_width=2.0, n=16)
@@ -273,6 +308,31 @@ def test_p_laplacian_conserves_mass(dim, n):
             total = float(np.sum(out)) * d.h ** dim
             scale = float(np.sum(np.abs(out))) * d.h ** dim
             assert abs(total) <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("pattern", ["checkerboard", "random"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("buffers", [False, True])
+def test_diffusion_apply_never_returns_negative_zero(pattern, dim, buffers):
+    # on a field of signed zeros each axis's divergence has -0.0 terms, in
+    # the checkerboard at every even cell on every axis; their sum must be +0.0
+    d = DomainSpec(half_width=4.0, n=16)
+    rng = np.random.default_rng(dim)
+    cells = np.indices(d.shape(dim)).sum(axis=0)
+    odd = cells % 2 == 1 if pattern == "checkerboard" else rng.random(cells.shape) < 0.5
+    u = np.where(odd, -0.0, 0.0)
+    coeffs = [rng.uniform(0.5, 2.0, u.shape) for _ in range(dim)]
+    flux = [c * (np.roll(u, -1, axis=ax) - u) / d.h for ax, c in enumerate(coeffs)]
+    terms = [(f - np.roll(f, 1, axis=ax)) / d.h for ax, f in enumerate(flux)]
+    assert all(np.signbit(t).any() for t in terms)
+    if pattern == "checkerboard":
+        assert np.signbit(sum(terms[1:], terms[0])).any()
+    kwargs = {}
+    if buffers:
+        kwargs = {"out": np.full(u.shape, -0.0), "work": np.full((2,) + u.shape, np.nan)}
+    got = diffusion_apply(coeffs, u, d, **kwargs)
+    assert not buffers or got is kwargs["out"]
+    assert np.all(got == 0.0) and not np.signbit(got).any()
 
 
 def test_p_laplacian_rejects_bad_exponent():
