@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
     for check in checks:
         tag = "PASS" if check.passed else "FAIL"
         failed += not check.passed
-        print(f"{tag} {args.suite}/{check.name}: {check.detail}")
+        print(f"{tag} {args.suite}/{check.name} ({check.seconds:.3f} s): {check.detail}")
     print(f"{len(checks) - failed}/{len(checks)} checks passed "
           f"in {time.perf_counter() - start:.2f} s")
     return EXIT_OK if failed == 0 else EXIT_FAILED

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, List
 
@@ -36,9 +36,18 @@ ML_HALF_AT_ONE = 5.008980080762283466309825
 
 @dataclass(frozen=True)
 class Check:
+    """One named pass/fail outcome.  ``seconds`` is the time since the
+    previous check of the suite, or since the suite started, which
+    ``run_suite`` works out from each check's ``made_at`` clock reading
+    (0 outside ``run_suite``).  Neither enters comparisons, so two runs
+    that agree compare equal."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)
+    made_at: float = field(default_factory=time.perf_counter, init=False,
+                           repr=False, compare=False)
 
 
 def _check(name: str, passed: bool, detail: str) -> Check:
@@ -156,6 +165,19 @@ def verify_mittag_leffler_accuracy() -> List[Check]:
             f"beta-recurrence-alpha-{alpha}", rel <= 1e-11,
             f"max |E_a,1(z) - z E_a,1+a(z) - 1| = {rel:.3e} relative on z in "
             "[-50, 0) (tolerance 1e-11)"))
+
+    # a float z < 0 takes its own path; it must give the array path's bits
+    calls = differ = 0
+    for alpha in (0.3, 0.5, 0.8):
+        for beta in (1.0, 1.0 + alpha):
+            array = mittag_leffler(alpha, zs, beta=beta)
+            scalar = np.array([mittag_leffler(alpha, float(z), beta=beta) for z in zs])
+            calls += zs.size
+            differ += int(np.count_nonzero(scalar.view(np.uint64) != array.view(np.uint64)))
+    checks.append(_check(
+        "scalar-matches-array", differ == 0,
+        f"{differ} of {calls} scalar calls differ in bits from the array call on "
+        "z in [-50, 0), alpha in {0.3, 0.5, 0.8}, beta in {1, 1 + alpha}"))
     return checks
 
 
@@ -478,11 +500,16 @@ SUITES: Dict[str, Callable[[], List[Check]]] = {
 
 
 def run_suite(name: str) -> List[Check]:
-    """Run one suite; the runs it shared are dropped when it returns."""
+    """Run one suite, timing each check from the one before it (the first
+    from the suite's start); the runs it shared are dropped when it
+    returns."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    before = time.perf_counter()
     try:
-        return SUITES[name]()
+        checks = SUITES[name]()
     finally:
         _allee_kernel.cache_clear()
         _allee_run.cache_clear()
+    stamps = [before] + [check.made_at for check in checks]
+    return [replace(check, seconds=check.made_at - t) for check, t in zip(checks, stamps)]

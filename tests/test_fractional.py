@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -603,6 +605,84 @@ def test_ml_range_guards():
         mittag_leffler(0.5, 1e8)
     with pytest.raises(EvaluationRangeError):
         mittag_leffler(1.0, 1000.0)
+
+
+# a float z < 0 at alpha <= 1 (bar E_1,1 = exp) takes the scalar path;
+# everything else, arrays included, the array path
+ML_POLE_FREE_PAIRS = [(a, b) for a in (0.1, 0.3, 0.5, 0.8, 1.0)
+                      for b in (0.5, 1.0, 1.0 + a, 2.7) if (a, b) != (1.0, 1.0)]
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("alpha,beta", ML_POLE_FREE_PAIRS)
+def test_ml_scalar_path_gives_the_array_path_bits(alpha, beta):
+    rng = np.random.default_rng(24)
+    zs = np.concatenate((rng.uniform(-60.0, 0.0, 500), [-1e-12, -1e-300, -5e-324]))
+    array = mittag_leffler(alpha, zs, beta=beta)
+    scalar = [mittag_leffler(alpha, float(z), beta=beta) for z in zs]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(bits(scalar), bits(array))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.8), (1.0, 2.7)])
+def test_ml_every_real_scalar_type_gives_the_same_bits(alpha, beta):
+    expected = mittag_leffler(alpha, np.array([-3.0]), beta=beta)[0]
+    for z in (-3.0, np.float64(-3.0), -3, np.int64(-3), np.array(-3.0), np.float32(-3.0)):
+        value = mittag_leffler(alpha, z, beta=beta)
+        assert type(value) is float
+        assert bits(value) == bits(expected)
+    # -0.0 is not below 0: it gives E(0) = 1/Gamma(beta) exactly
+    for z in (-0.0, np.float64(-0.0), np.array(-0.0)):
+        assert bits(mittag_leffler(alpha, z, beta=beta)) == bits(fractional._rgamma(beta))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.8), (1.0, 1.0), (1.5, 1.0)])
+@pytest.mark.parametrize("z,text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_ml_non_finite_argument_keeps_its_error(alpha, beta, z, text):
+    for arg in (z, np.float64(z), np.array([-1.0, z])):
+        with pytest.raises(EvaluationRangeError) as info:
+            mittag_leffler(alpha, arg, beta=beta)
+        assert str(info.value) == f"argument must be finite, got {text}"
+
+
+def test_ml_scalar_path_skips_the_array_sum(monkeypatch):
+    expected = mittag_leffler(0.5, -2.0)
+
+    def refuse(*args):
+        raise AssertionError("array sum reached")
+
+    monkeypatch.setattr(fractional, "_ml_sum", refuse)
+    assert mittag_leffler(0.5, -2.0) == expected
+    assert mittag_leffler(0.8, np.float64(-7.5), beta=1.8) > 0.0
+    for alpha, z in [(0.5, 2.0), (1.5, -2.0), (0.5, np.array([-2.0])), (0.5, -2)]:
+        with pytest.raises(AssertionError, match="array sum reached"):
+            mittag_leffler(alpha, z)
+    # the parameter guards still come first
+    with pytest.raises(HypothesisError):
+        mittag_leffler(0.0, -2.0)
+    with pytest.raises(HypothesisError):
+        mittag_leffler(0.5, -2.0, beta=math.inf)
+
+
+def test_ml_takes_real_numbers_numpy_holds_as_objects():
+    assert mittag_leffler(0.5, -10**20) == mittag_leffler(0.5, -1e20)
+    for z in ([-10**20, Fraction(-3, 2)], np.array([-1e20, -1.5], dtype=object)):
+        assert np.array_equal(mittag_leffler(0.5, z),
+                              mittag_leffler(0.5, np.array([-1e20, -1.5])))
+
+
+@pytest.mark.parametrize("z", [np.array([-1.0 + 2.0j]), np.complex128(-2.0 + 1.0j), -2.0 + 0.0j,
+                               "3", "-1.5", None, [None], np.array([-1.0, None], dtype=object),
+                               True, np.array([True, False]), [-(10**20), True],
+                               [Decimal("-1.5")]])
+def test_ml_rejects_non_real_arguments(z):
+    # any conversion would evaluate another argument: E(-1) for -1 + 2j,
+    # E(3) for "3", E(1) for True
+    with pytest.raises(HypothesisError, match="z must be real"):
+        mittag_leffler(0.5, z)
 
 
 # ---------------------------------------------------------------------------

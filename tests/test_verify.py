@@ -1,8 +1,12 @@
 """``verify.run_suite`` bookkeeping; the checks themselves are the
 acceptance criteria in ``test_acceptance.py``."""
+import math
+import time
+
 import pytest
 
 from fracplap import verify
+from fracplap.cli import main
 
 
 @pytest.fixture
@@ -19,8 +23,15 @@ def stub_suites(monkeypatch):
         verify._allee_run(0.5, 0.20)
         raise RuntimeError("suite crashed")
 
+    def timed():
+        time.sleep(0.05)
+        first = verify.Check("first", True, "after 0.05 s")
+        time.sleep(0.1)
+        return [first, verify.Check("second", False, "0.1 s later")]
+
     monkeypatch.setitem(verify.SUITES, "stub-pass", passing)
     monkeypatch.setitem(verify.SUITES, "stub-fail", failing)
+    monkeypatch.setitem(verify.SUITES, "stub-timed", timed)
 
 
 def cached_entries() -> int:
@@ -38,3 +49,36 @@ def test_run_suite_drops_its_cached_runs_when_the_suite_raises(stub_suites):
     with pytest.raises(RuntimeError, match="suite crashed"):
         verify.run_suite("stub-fail")
     assert cached_entries() == 0
+
+
+def test_run_suite_times_each_check_from_the_one_before(stub_suites):
+    start = time.perf_counter()
+    first, second = verify.run_suite("stub-timed")
+    total = time.perf_counter() - start
+    assert 0.05 <= first.seconds
+    assert 0.1 <= second.seconds
+    assert first.seconds + second.seconds <= total
+    # the time is no part of a check's outcome
+    assert second == verify.Check("second", False, "0.1 s later")
+    assert verify.Check("a", True, "d").seconds == 0.0
+
+
+def test_verify_prints_each_checks_seconds(stub_suites, capsys):
+    assert main(["verify", "stub-timed"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS stub-timed/first (0.")
+    assert lines[0].endswith(" s): after 0.05 s")
+    assert lines[1].startswith("FAIL stub-timed/second (0.")
+    assert lines[2].startswith("1/2 checks passed in ")
+
+
+def test_mlf_suite_catches_a_scalar_path_that_drifts(monkeypatch):
+    exact = verify.mittag_leffler
+
+    def drifting(alpha, z, beta=1.0):
+        value = exact(alpha, z, beta=beta)
+        return math.nextafter(value, math.inf) if isinstance(z, float) and z < 0 else value
+
+    monkeypatch.setattr(verify, "mittag_leffler", drifting)
+    failed = [c.name for c in verify.verify_mittag_leffler_accuracy() if not c.passed]
+    assert failed == ["scalar-matches-array"]
