@@ -12,7 +12,7 @@ from .errors import (ConfigError, EvaluationRangeError, FracplapError,
                      KernelAdmissibilityError, SolverConvergenceError)
 from .fractional import (caputo_series, memory_term, mittag_leffler,
                          power_inequality_check)
-from .integrator import (RunReport, RunStatus, SolverConfig, detect_blowup,
+from .integrator import (RunReport, RunStatus, SolverConfig,
                          linear_spectral_reference, run, step)
 from .io import (format_series, read_snapshot, summarize_run,
                  write_report_json, write_series, write_snapshot)

@@ -47,17 +47,11 @@ class Verdict:
         return self.quantity / self.limit
 
 
-def _halted(report: RunReport) -> bool:
-    """Whether the run stopped early, neither completed nor blown up: its
-    recorded history says nothing about the horizon."""
-    return report.status.kind not in ("completed", "blowup")
-
-
 def _judge(report: RunReport, quantity: float, limit: float,
            detail: str = "") -> Verdict:
     """Pass when quantity <= limit; undecided when the run halted early
     or either side is NaN (a hypothesis the comparison needs is unmet)."""
-    if _halted(report) or math.isnan(quantity) or math.isnan(limit):
+    if report.status.halted or math.isnan(quantity) or math.isnan(limit):
         status = VERDICT_UNDECIDED
     else:
         status = VERDICT_PASS if quantity <= limit else VERDICT_FAIL
@@ -212,7 +206,7 @@ def allee_classify(report: RunReport, roots: EquilibriumRoots,
     terminal = float(report.sup_series[-1])
     if report.status.kind == "blowup":
         verdict = "blowup"
-    elif _halted(report):
+    elif report.status.halted:
         verdict = VERDICT_UNDECIDED
     elif terminal < tol_ext:
         verdict = "extinction"

@@ -36,10 +36,10 @@ import numpy as np
 
 from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
 from .fractional import L1Memory, memory_term, mittag_leffler
-from .model import (COUPLING_GLOBAL_MASS, DomainSpec, Field, ModelParameters,
-                    reaction, validate_params)
-from .operators import (KernelGrid, _eigen_product, _laplacian_axis, _laplacian_symbol,
-                        _periodic_convolve, convolve_kernel, diffusion_apply,
+from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
+                    ModelParameters, reaction, validate_params)
+from .operators import (KernelGrid, _check_same_grid, _eigen_product, _laplacian_axis,
+                        _laplacian_symbol, _periodic_convolve, diffusion_apply,
                         face_diffusivity)
 
 _CG_TOL = 1e-10
@@ -93,6 +93,12 @@ class RunStatus:
     def completed(self) -> bool:
         return self.kind == "completed"
 
+    @property
+    def halted(self) -> bool:
+        """Whether the run stopped early, neither completed nor blown up:
+        its recorded history says nothing about the horizon."""
+        return self.kind not in ("completed", "blowup")
+
 
 @dataclass
 class RunReport:
@@ -110,16 +116,6 @@ class RunReport:
     history_rows: int = 0           # state rows the L1 history held at its peak
     worst_negative: float = 0.0     # lowest value of an accepted state, if below 0
     worst_negative_time: Optional[float] = None
-
-
-def detect_blowup(values: np.ndarray, threshold: float) -> Optional[str]:
-    """Classify a state: ``"nonfinite"`` wins over ``"blowup"``; None is fine.
-    ``run`` calls it only when its min/max pre-check fails."""
-    if np.abs(values).max() <= threshold:       # False for a NaN peak
-        return None
-    if not np.all(np.isfinite(values)):
-        return "nonfinite"
-    return "blowup"
 
 
 # --------------------------------------------------------------------------
@@ -319,17 +315,24 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     steps nearest each requested snapshot time.  A requested time whose
     step another requested time already holds adds a warning, not a
     second snapshot.  Each state's min and max are checked against
-    +-blowup_threshold (a NaN fails too) and only a failing state goes
-    to detect_blowup; the march halts early with its ``blowup`` or
-    ``nonfinite`` status, and with ``solver_failed`` when a step's solve raises
-    SolverConvergenceError.  A ``blowup`` report ends at the state past
-    the threshold; ``nonfinite`` and ``solver_failed`` ones end at the
-    last accepted, finite state, count only the accepted steps, and
-    give the failed step's time as the halt time (``solver_failed``
-    carries the solver's message in ``warnings``).
+    +-blowup_threshold (a NaN fails too); a state that fails halts the
+    march, with status ``nonfinite`` if it holds a NaN or an inf and
+    ``blowup`` otherwise, and a step whose solve raises
+    SolverConvergenceError halts it with ``solver_failed``.  A ``blowup``
+    report ends at the state past the threshold; ``nonfinite`` and
+    ``solver_failed`` ones end at the last accepted, finite state, count
+    only the accepted steps, and give the failed step's time as the halt
+    time (``solver_failed`` carries the solver's message in ``warnings``).
     The lowest accepted value below zero and its time are kept as
     ``worst_negative``/``worst_negative_time``, and excursions below -1e-8
     are also reported in ``warnings``; the state itself is never clamped.
+
+    Initial data holding a NaN or an inf raise HypothesisError before any
+    work.  Finite initial data beyond +-blowup_threshold are not checked:
+    the march starts from them and judges each step's state as above.  In
+    kernel coupling mode a kernel sampled on another grid than u0 raises
+    GridMismatchError before its first product, also where k = 0 or
+    mu = 0 leaves it unused.
     """
     violations = validate_params(params)
     if violations:
@@ -337,18 +340,20 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     if u0.dim != params.dim:
         raise GridMismatchError(
             f"initial field is {u0.dim}D but params.dim = {params.dim}")
+    if not np.isfinite(u0.values).all():
+        raise HypothesisError("initial data hold a NaN or an inf")
+    domain = u0.domain
+    if kernel is not None and params.coupling_mode == COUPLING_KERNEL:
+        _check_same_grid(domain, kernel.domain, u0.values.shape, kernel.values.shape)
 
     t_start = time.perf_counter()
     dt = config.dt
-    n_steps = max(1, int(round(config.t_final / dt)))
-    domain = u0.domain
+    n_steps = int(round(config.t_final / dt))
     # starting corrections for the t^alpha layer and, where R is exactly
     # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer, with
     # the march's own diffusion frozen at u0; both vanish at rest states.
-    # coupling0 also rejects a missing kernel; convolve_kernel, one on another grid
+    # coupling0 also rejects a missing kernel
     coupling0 = _coupling_value(u0.values, params, domain, kernel)
-    if np.ndim(coupling0):
-        coupling0 = convolve_kernel(u0, kernel).values
     coeffs0 = face_diffusivity(u0.values, domain, params.p, config.eps_reg, m=params.m)
     g1 = (diffusion_apply(coeffs0, u0.values, domain)
           + reaction(u0.values, coupling0, params))
@@ -387,32 +392,30 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         t_n = n * dt
         try:
             u_next = step(memory, params, domain, config, kernel)
-            low, high = u_next.min(), u_next.max()      # a NaN fails both bounds
-            flag = (None if -threshold <= low and high <= threshold
-                    else detect_blowup(u_next, threshold))
         except SolverConvergenceError as exc:
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
-            flag = "solver_failed"
-        if flag in ("solver_failed", "nonfinite"):
-            # the report ends at the last accepted state, which is finite
-            status = RunStatus(flag, time=t_n)
-            if steps_done % config.record_every:
-                record(steps_done * dt, u)
+            status = RunStatus("solver_failed", time=t_n)
             break
+        low, high = u_next.min(), u_next.max()
+        if not (-threshold <= low and high <= threshold):      # a NaN fails both
+            if not np.isfinite(u_next).all():
+                status = RunStatus("nonfinite", time=t_n)
+                break       # the report ends at the last accepted state, which is finite
+            status = RunStatus("blowup", time=t_n)
         u = u_next
         steps_done = n
         if low < worst_negative:
             worst_negative = float(low)
             worst_negative_t = t_n
-        if flag == "blowup":
-            status = RunStatus("blowup", time=t_n)
+        if n % config.record_every == 0:
             record(t_n, u)
-            break
+        if not status.completed:
+            break           # a blowup report ends at the state past the threshold
         memory.append(u)
         if n in taken:
             snapshots.append((t_n, Field(u.copy(), domain)))
-        if n % config.record_every == 0 or n == n_steps:
-            record(t_n, u)
+    if steps_done % config.record_every:
+        record(steps_done * dt, u)
 
     if worst_negative < _NEGATIVE_WARN:
         warnings.append(

@@ -254,6 +254,20 @@ def test_simulate_reports_an_invalid_snapshot_header(tmp_path, capsys, n, half_w
     assert "invalid grid header" in capsys.readouterr().err
 
 
+def test_simulate_rejects_nonfinite_initial_data(tmp_path, capsys):
+    values = np.full(32, 0.2)
+    values[7] = math.nan
+    snapshot = tmp_path / "u0.fplp"
+    write_snapshot(Field(values, DomainSpec(half_width=4.0, n=32)), str(snapshot))
+    cfg = write_manifest(tmp_path, overrides={
+        "initial": {"kind": "file", "path": str(snapshot)}})
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--output-dir", str(out_dir)])
+    assert code == EXIT_CONFIG
+    assert "NaN or an inf" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def write_mismatched_snapshot_sweep(tmp_path):
     """Two variants whose `file` initial data sit on a 16-point grid under
     a 32-point manifest domain: a configuration error found at run time."""

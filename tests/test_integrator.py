@@ -15,7 +15,6 @@ from fracplap.io import format_series, summarize_run
 from fracplap.integrator import (
     RunStatus,
     SolverConfig,
-    detect_blowup,
     linear_spectral_reference,
     run,
     step,
@@ -602,25 +601,48 @@ def test_run_requires_kernel_only_when_coupled():
     assert report.status.completed
 
 
-def test_detect_blowup_classification():
-    assert detect_blowup(np.ones(8), 1e8) is None
-    assert detect_blowup(np.full(8, 2e8), 1e8) == "blowup"
-    v = np.ones(8)
-    v[3] = math.nan
-    assert detect_blowup(v, 1e8) == "nonfinite"
-    v[3] = math.inf
-    assert detect_blowup(v, 1e8) == "nonfinite"
-    assert detect_blowup(np.array([0.0, 5.0]), 1.0) == "blowup"
-    # a non-finite value wins however large the finite ones are
-    assert detect_blowup(np.array([2e8, math.nan, -3e8]), 1e8) == "nonfinite"
-    assert detect_blowup(np.array([0.0, -math.inf]), 1e8) == "nonfinite"
-    assert detect_blowup(np.array([math.nan]), 1e8) == "nonfinite"
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1.0, 0.0])
+def test_run_rejects_a_kernel_on_another_grid(dim, k):
+    # checked before the first product, also where k = 0 leaves it unused
+    domain = DomainSpec(half_width=4.0, n=16)
+    params = ModelParameters(alpha=0.5, p=1.5, mu=1.0, k=k, gamma=0.1, dim=dim)
+    kern = discretize_kernel("box", 0.5, 0.2, DomainSpec(half_width=4.0, n=32), dim=dim)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        run(Field.constant(domain, 0.3, dim=dim), params,
+            SolverConfig(dt=0.01, t_final=0.05), kernel=kern)
 
 
-def fail_pcg_at(monkeypatch, k):
-    """Make the k-th 2D frozen-diffusivity solve raise, as a stalled CG would."""
+def test_run_makes_one_start_up_convolution(monkeypatch):
     calls = []
-    real = integrator._pcg
+    real = operators._periodic_convolve
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_periodic_convolve", counted)
+    monkeypatch.setattr(integrator, "_periodic_convolve", counted)
+    domain, kern = allee_setup(n=16)
+    run(Field.constant(domain, 0.3), ALLEE, SolverConfig(dt=0.01, t_final=0.01),
+        kernel=kern)
+    assert len(calls) == 2      # the starting load's and the one step's
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_rejects_nonfinite_initial_data(value):
+    domain, kern = allee_setup(n=16)
+    u0 = np.full(domain.n, 0.3)
+    u0[7] = value
+    with pytest.raises(HypothesisError, match="NaN or an inf"):
+        run(Field(u0, domain), ALLEE, SolverConfig(dt=0.01, t_final=0.1), kernel=kern)
+
+
+def fail_call_at(monkeypatch, name, k):
+    """Make the k-th call of ``integrator.<name>`` raise, as a failed
+    frozen-diffusivity solve (a stalled CG) would."""
+    calls = []
+    real = getattr(integrator, name)
 
     def flaky(*args, **kwargs):
         calls.append(None)
@@ -628,11 +650,11 @@ def fail_pcg_at(monkeypatch, k):
             raise SolverConvergenceError("frozen-diffusivity solve missed residual")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(integrator, "_pcg", flaky)
+    monkeypatch.setattr(integrator, name, flaky)
 
 
 def test_solver_failure_keeps_the_partial_run(monkeypatch):
-    fail_pcg_at(monkeypatch, 7)
+    fail_call_at(monkeypatch, "_pcg", 7)
     domain = DomainSpec(half_width=4.0, n=16)
     kern = discretize_kernel("box", 0.5, 0.05, domain, dim=2)
     params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.5, gamma=0.2, dim=2)
@@ -681,10 +703,14 @@ def corrupt_step(monkeypatch, at, cell, value):
     return states
 
 
-def test_run_halts_on_a_nan_below_the_threshold(monkeypatch):
-    # min and max of the state are NaN, so the bound check fails and the
-    # state is classified, although every other value is far below the threshold
-    states = corrupt_step(monkeypatch, 4, 5, math.nan)
+@pytest.mark.parametrize("cell,value", [
+    (5, math.nan), (5, math.inf), (5, -math.inf),
+    ([4, 5, 6], [3e8, math.nan, -3e8]),         # a non-finite value wins
+])
+def test_run_halts_on_a_nan_below_the_threshold(monkeypatch, cell, value):
+    # min and max of the state are NaN or infinite, so the bound check fails
+    # and the state is classified, although every other value is far below the threshold
+    states = corrupt_step(monkeypatch, 4, cell, value)
     domain, kern = allee_setup(n=16)
     cfg = SolverConfig(dt=0.01, t_final=0.1, record_every=2)
     report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
@@ -695,18 +721,64 @@ def test_run_halts_on_a_nan_below_the_threshold(monkeypatch):
     assert np.all(np.isfinite(report.sup_series))
 
 
-def test_run_halts_on_a_value_below_minus_the_threshold(monkeypatch):
-    # the state's max stays at ~0.3: only its min crosses -threshold
-    cfg = SolverConfig(dt=0.01, t_final=0.1, record_every=2)
-    corrupt_step(monkeypatch, 4, 5, -2.0 * cfg.blowup_threshold)
+@pytest.mark.parametrize("value,threshold,accepted", [
+    (-2e8, 1e8, False),
+    (1e8, 1e8, True), (-1e8, 1e8, True),
+    (np.nextafter(1e8, math.inf), 1e8, False), (np.nextafter(-1e8, -math.inf), 1e8, False),
+    (5.0, 1.0, False),
+])
+def test_run_halts_on_a_value_below_minus_the_threshold(monkeypatch, value, threshold,
+                                                        accepted):
+    # one value of the fourth state is set; the others stay at ~0.3
+    cfg = SolverConfig(dt=0.01, t_final=0.1, record_every=2, blowup_threshold=threshold)
+    corrupt_step(monkeypatch, 4, 5, value)
     domain, kern = allee_setup(n=16)
     report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
+    # the state is recorded either way, at t = 0.04
+    assert report.times[2] == 4 * cfg.dt
+    assert report.sup_series[2] == abs(value)
+    if accepted:
+        # the march goes on from it
+        assert report.steps > 4 and report.status.time != 4 * cfg.dt
+        return
     assert report.status == RunStatus("blowup", time=4 * cfg.dt)
     assert report.steps == 4
     # a blowup report ends at the state past the threshold
-    assert report.final.values[5] == -2.0 * cfg.blowup_threshold
-    assert report.min_series[-1] == -2.0 * cfg.blowup_threshold
+    assert report.final.values[5] == value
     assert report.times[-1] == 4 * cfg.dt
+
+
+@pytest.mark.parametrize("record_every", [1, 2, 3])
+@pytest.mark.parametrize("halt_step", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("kind", ["completed", "blowup", "nonfinite", "solver_failed"])
+def test_series_records_each_state_once_and_ends_at_the_last(monkeypatch, kind, halt_step,
+                                                            record_every):
+    dt = 0.01
+    cfg = SolverConfig(dt=dt, t_final=(halt_step if kind == "completed" else 8) * dt,
+                       record_every=record_every)
+    if kind == "blowup":
+        corrupt_step(monkeypatch, halt_step, 5, 2.0 * cfg.blowup_threshold)
+    elif kind == "nonfinite":
+        corrupt_step(monkeypatch, halt_step, 5, math.nan)
+    elif kind == "solver_failed":
+        fail_call_at(monkeypatch, "step", halt_step)
+    domain, kern = allee_setup(n=16)
+    report = run(Field.constant(domain, 0.3), ALLEE, cfg, kernel=kern)
+    assert report.status.kind == kind
+    last = halt_step if kind in ("completed", "blowup") else halt_step - 1
+    assert report.steps == last
+    # every record_every-th state, the initial and the last one, none twice
+    kept = sorted({0, last} | set(range(record_every, last + 1, record_every)))
+    assert np.array_equal(report.times, [s * dt for s in kept])
+    assert np.all(np.diff(report.times) > 0)
+    final = report.final
+    assert (report.sup_series[-1], report.l2_series[-1], report.l1_series[-1],
+            report.min_series[-1]) == (final.sup_norm(), final.l2_norm(), final.l1_norm(),
+                                       final.min_value())
+    if kind == "blowup":
+        assert report.times[-1] == report.status.time
+    else:
+        assert report.times[-1] == report.steps * dt
 
 
 def test_run_reports_its_worst_negative_excursion():
@@ -732,10 +804,15 @@ def test_run_reports_its_worst_negative_excursion():
     assert (rest.worst_negative, rest.worst_negative_time) == (0.0, None)
 
 
-def test_run_status_flags():
-    done = RunStatus("completed")
-    assert done.completed
-    assert not RunStatus("blowup", time=1.0).completed
+@pytest.mark.parametrize("kind,completed,halted", [
+    ("completed", True, False),
+    ("blowup", False, False),
+    ("nonfinite", False, True),
+    ("solver_failed", False, True),
+])
+def test_run_status_flags(kind, completed, halted):
+    status = RunStatus(kind, time=None if completed else 1.0)
+    assert (status.completed, status.halted) == (completed, halted)
 
 
 # ---------------------------------------------------------------------------
