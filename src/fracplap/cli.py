@@ -1,8 +1,10 @@
 """Command-line surface: simulate, verify, sweep, roots, mlf.
 
 Exit codes: 0 success / all checks pass, 1 failed checks or a run that
-did not complete, 2 configuration or argument errors (``_exit_code``
-maps an exception to 1 or 2 for every command).
+did not complete, 2 configuration or argument errors.  Commands raise
+their failures; ``main`` alone turns a fracplap error or an ``OSError``
+into one ``error:`` or ``run failed:`` line and the code ``_exit_code``
+chooses.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ import traceback
 from typing import List, Optional
 
 from .config import RunManifest, build_initial, parse_config, serialize_config
-from .errors import (ConfigError, FracplapError, HypothesisError,
-                     KernelAdmissibilityError)
+from .errors import (ConfigError, EvaluationRangeError, FracplapError,
+                     HypothesisError, KernelAdmissibilityError)
 from .integrator import RunReport, run
 from .io import write_report_json, write_series, write_snapshot
 from .model import competition_threshold, equilibrium_roots, AnalysisConstants
@@ -34,7 +36,8 @@ EXIT_CONFIG = 2
 
 def _exit_code(exc: BaseException) -> int:
     """2 for input the code cannot honour, 1 for any other failure."""
-    if isinstance(exc, (ConfigError, HypothesisError, KernelAdmissibilityError)):
+    if isinstance(exc, (ConfigError, HypothesisError, KernelAdmissibilityError,
+                        EvaluationRangeError)):
         return EXIT_CONFIG
     return EXIT_FAILED
 
@@ -107,20 +110,10 @@ def _cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = args.output_dir or manifest.output_dir
-    try:
-        report = _execute_manifest(manifest, out_dir)
-    except FracplapError as exc:
-        code = _exit_code(exc)
-        print(f"{'error' if code == EXIT_CONFIG else 'run failed'}: {exc}",
-              file=sys.stderr)
-        return code
-    sup = report.sup_series[-1] if len(report.sup_series) else float("nan")
+    report = _execute_manifest(manifest, out_dir)
     print(f"status: {report.status.kind}  steps: {report.steps}  "
-          f"final sup-norm: {sup:.6g}  outputs: {out_dir}")
+          f"final sup-norm: {report.sup_series[-1]:.6g}  outputs: {out_dir}")
     for line in report.warnings:
         print(f"warning: {line}")
     return EXIT_OK if report.status.completed else EXIT_FAILED
@@ -176,15 +169,11 @@ def _cmd_sweep(args) -> int:
     paths = sorted(sweep)
     combos = list(itertools.product(*(sweep[p] for p in paths)))
     manifests = []
-    try:
-        for combo in combos:
-            variant = json.loads(json.dumps(root))
-            for path, value in zip(paths, combo):
-                _set_pointer(variant, path, value)
-            manifests.append((combo, parse_config(json.dumps(variant))))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    for combo in combos:
+        variant = json.loads(json.dumps(root))
+        for path, value in zip(paths, combo):
+            _set_pointer(variant, path, value)
+        manifests.append((combo, parse_config(json.dumps(variant))))
 
     base_dir = args.output_dir or (manifests[0][1].output_dir if manifests else "out")
     os.makedirs(base_dir, exist_ok=True)
@@ -196,7 +185,7 @@ def _cmd_sweep(args) -> int:
         try:
             report = _execute_manifest(manifest, out_dir)
             status = report.status.kind
-            sup = report.sup_series[-1] if len(report.sup_series) else float("nan")
+            sup = report.sup_series[-1]
             code = EXIT_OK if report.status.completed else EXIT_FAILED
         except Exception as exc:   # one failed variant must not lose the table
             if not isinstance(exc, FracplapError):
@@ -222,13 +211,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    try:
-        roots = equilibrium_roots(args.mu, args.k, args.gamma)
-        consts = AnalysisConstants(c_gn=args.c_gn, eta=args.eta)
-        k_star = competition_threshold(args.dim, args.mu, consts)
-    except (HypothesisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    roots = equilibrium_roots(args.mu, args.k, args.gamma)
+    consts = AnalysisConstants(c_gn=args.c_gn, eta=args.eta)
+    problems = consts.violations()
+    if problems:
+        raise HypothesisError("; ".join(problems))
+    k_star = competition_threshold(args.dim, args.mu, consts)
     print(f"a = {roots.lower:.12g}")
     print(f"A = {roots.upper:.12g}")
     print(f"k_star = {k_star:.12g}")
@@ -236,11 +224,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_mlf(args) -> int:
-    try:
-        value = mittag_leffler(args.alpha, args.z, beta=args.beta)
-    except FracplapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    value = mittag_leffler(args.alpha, args.z, beta=args.beta)
     print(f"{value:.15g}")
     return EXIT_OK
 
@@ -253,7 +237,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     handlers = {"simulate": _cmd_simulate, "verify": _cmd_verify,
                 "sweep": _cmd_sweep, "roots": _cmd_roots, "mlf": _cmd_mlf}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (FracplapError, OSError) as exc:
+        code = _exit_code(exc)
+        print(f"{'error' if code == EXIT_CONFIG else 'run failed'}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridMismatchError
 from .integrator import SolverConfig
 from .model import (COUPLING_KERNEL, AnalysisConstants, DomainSpec, Field,
                     ModelParameters, validate_params)
@@ -291,7 +291,7 @@ def build_initial(manifest: RunManifest) -> Field:
     from .io import read_snapshot
     try:
         field = read_snapshot(init.path)
-    except OSError as exc:
+    except (OSError, GridMismatchError) as exc:
         raise ConfigError("/initial/path", f"cannot read snapshot: {exc}") from exc
     if field.domain != domain or field.dim != dim:
         raise ConfigError(

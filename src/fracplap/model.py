@@ -213,10 +213,13 @@ def validate_params(params: ModelParameters) -> list:
 def equilibrium_roots(mu: float, k: float, gamma: float) -> EquilibriumRoots:
     """Positive equilibria of the homogeneous reaction.
 
-    Solves mu u (1 - k u) = gamma.  Requires mu > 0, k > 0 and
-    4 k gamma / mu <= 1; otherwise no positive equilibria exist and a
+    Solves mu u (1 - k u) = gamma.  Requires finite mu > 0, k > 0, gamma >= 0
+    and 4 k gamma / mu <= 1; otherwise no positive equilibria exist and a
     HypothesisError is raised.  gamma = 0 degenerates to (0, 1/k).
     """
+    if not all(map(math.isfinite, (mu, k, gamma))) or gamma < 0:
+        raise HypothesisError(
+            f"equilibria need finite mu, k and gamma >= 0, got mu={mu}, k={k}, gamma={gamma}")
     if mu <= 0 or k <= 0:
         raise HypothesisError(f"equilibria need mu > 0 and k > 0, got mu={mu}, k={k}")
     disc = 1.0 - 4.0 * k * gamma / mu

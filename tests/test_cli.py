@@ -66,10 +66,20 @@ def test_roots_defaults_are_the_analysis_constants(capsys):
     assert capsys.readouterr().out == implicit
 
 
-def test_roots_rejects_overdamped(capsys):
-    code = main(["roots", "--mu", "1", "--k", "1", "--gamma", "0.3"])
+@pytest.mark.parametrize("extra,named", [
+    (["--gamma", "0.3"], "exceeds 1"),
+    (["--gamma", "0.1", "--mu", "nan"], "finite"),
+    (["--gamma", "0.1", "--dim", "2", "--eta", "0"], "eta"),
+    (["--gamma", "0.1", "--dim", "2", "--eta", "-1"], "eta"),
+    (["--gamma", "0.1", "--dim", "2", "--c-gn", "nan"], "c_gn"),
+    (["--gamma", "0.1", "--eta", "0"], "eta"),       # unused in 1D, still invalid
+], ids=["overdamped", "nan-mu", "zero-eta", "negative-eta", "nan-c-gn", "zero-eta-1d"])
+def test_roots_rejects_overdamped(capsys, extra, named):
+    code = main(["roots", "--mu", "1", "--k", "1", *extra])
+    captured = capsys.readouterr()
     assert code == EXIT_CONFIG
-    assert "error" in capsys.readouterr().err
+    assert captured.err.startswith("error:") and named in captured.err
+    assert captured.out == ""
 
 
 def test_mlf_exponential(capsys):
@@ -250,7 +260,7 @@ def test_simulate_reports_an_invalid_snapshot_header(tmp_path, capsys, n, half_w
         "initial": {"kind": "file", "path": str(snapshot)}})
     code = main(["simulate", "--config", str(cfg),
                  "--output-dir", str(tmp_path / "out")])
-    assert code == EXIT_FAILED
+    assert code == EXIT_CONFIG
     assert "invalid grid header" in capsys.readouterr().err
 
 
@@ -389,6 +399,68 @@ def test_sweep_rejects_invalid_variant(tmp_path, capsys):
     cfg.write_text(json.dumps(manifest))
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
     assert "/model/alpha" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one failure path
+# ---------------------------------------------------------------------------
+
+def blocked_dir(tmp_path):
+    """An output directory that cannot be made: its parent is a file."""
+    (tmp_path / "blocker").write_text("")
+    return str(tmp_path / "blocker" / "out")
+
+
+def sweep_config(tmp_path, sweep):
+    manifest = json.loads(write_manifest(tmp_path).read_text())
+    manifest["sweep"] = sweep
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(manifest))
+    return str(cfg)
+
+
+def corrupt_initial_config(tmp_path):
+    snapshot = tmp_path / "bad.fplp"
+    snapshot.write_bytes(struct.pack("<4sIIId", b"BADM", 1, 1, 32, 4.0) + bytes(8 * 32))
+    return str(write_manifest(tmp_path, overrides={
+        "initial": {"kind": "file", "path": str(snapshot)}}))
+
+
+FAILURES = {
+    "simulate-missing-config": (EXIT_CONFIG, lambda tmp: [
+        "simulate", "--config", str(tmp / "nope.json")]),
+    "simulate-invalid-config": (EXIT_CONFIG, lambda tmp: [
+        "simulate", "--config", str(write_manifest(tmp, overrides={
+            "model": {"alpha": 1.5, "p": 1.5, "mu": 1.0, "k": 1.0, "gamma": 0.1875}}))]),
+    "simulate-uncreatable-output-dir": (EXIT_FAILED, lambda tmp: [
+        "simulate", "--config", str(write_manifest(tmp)), "--output-dir", blocked_dir(tmp)]),
+    "simulate-corrupt-initial-file": (EXIT_CONFIG, lambda tmp: [
+        "simulate", "--config", corrupt_initial_config(tmp),
+        "--output-dir", str(tmp / "out")]),
+    "sweep-invalid-variant": (EXIT_CONFIG, lambda tmp: [
+        "sweep", "--config", sweep_config(tmp, {"/model/alpha": [0.5, 1.5]})]),
+    "sweep-uncreatable-output-dir": (EXIT_FAILED, lambda tmp: [
+        "sweep", "--config", sweep_config(tmp, {"/model/gamma": [0.15]}),
+        "--output-dir", blocked_dir(tmp)]),
+    "roots-overdamped": (EXIT_CONFIG, lambda tmp: [
+        "roots", "--mu", "1", "--k", "1", "--gamma", "0.3"]),
+    "roots-zero-eta": (EXIT_CONFIG, lambda tmp: [
+        "roots", "--mu", "1", "--k", "1", "--gamma", "0.1", "--dim", "2", "--eta", "0"]),
+    "mlf-overflow": (EXIT_CONFIG, lambda tmp: ["mlf", "--alpha", "0.5", "--z", "1e8"]),
+    "mlf-alpha-out-of-range": (EXIT_CONFIG, lambda tmp: ["mlf", "--alpha", "3", "--z", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_every_command_fails_with_one_line(tmp_path, capsys, case):
+    expected, argv = FAILURES[case]
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:" if expected == EXIT_CONFIG else "run failed:")
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,15 @@ def test_equilibrium_roots_raise_when_overdamped():
         equilibrium_roots(1.0, -1.0, 0.1)
 
 
+@pytest.mark.parametrize("mu,k,gamma", [
+    (math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 0.1), (1.0, math.inf, 0.1), (1.0, 1.0, -0.1)])
+def test_equilibrium_roots_reject_nonfinite_or_negative_input(mu, k, gamma):
+    # (inf, 1, 0.1) would give (0, 1) and gamma < 0 a negative lower root
+    with pytest.raises(HypothesisError):
+        equilibrium_roots(mu, k, gamma)
+
+
 def test_reaction_vanishes_at_zero_and_equilibria():
     p = kernel_params(mu=1.0, k=1.0, gamma=3.0 / 16.0)
     r = equilibrium_roots(p.mu, p.k, p.gamma)
