@@ -91,8 +91,8 @@ def _execute_manifest(manifest: RunManifest, out_dir: str) -> RunReport:
                                    manifest.kernel.eta, manifest.domain,
                                    dim=manifest.model.dim)
     u0 = build_initial(manifest)
+    os.makedirs(out_dir, exist_ok=True)     # before the march: a bad path costs no steps
     report = run(u0, manifest.model, manifest.solver, kernel=kernel)
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
         fh.write(serialize_config(manifest) + "\n")
     write_series(report, os.path.join(out_dir, "series.csv"))
@@ -188,7 +188,7 @@ def _cmd_sweep(args) -> int:
             sup = report.sup_series[-1]
             code = EXIT_OK if report.status.completed else EXIT_FAILED
         except Exception as exc:   # one failed variant must not lose the table
-            if not isinstance(exc, FracplapError):
+            if not isinstance(exc, (FracplapError, OSError)):
                 print(f"variant {run_id} raised:\n{traceback.format_exc()}",
                       file=sys.stderr, end="")
             status, sup = f"error: {type(exc).__name__}: {exc}", float("nan")

@@ -298,4 +298,6 @@ def build_initial(manifest: RunManifest) -> Field:
             "/initial/path",
             f"snapshot grid (L={field.domain.half_width}, n={field.domain.n}, "
             f"dim={field.dim}) does not match the manifest domain")
+    if not np.isfinite(field.values).all():
+        raise ConfigError("/initial/path", "snapshot holds a NaN or an inf")
     return field

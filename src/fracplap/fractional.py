@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma, rgamma as _rgamma
+from scipy.special import gamma as _gamma, gammaln as _gammaln, rgamma as _rgamma
 
 from .errors import EvaluationRangeError, GridMismatchError, HypothesisError
 
@@ -342,51 +342,23 @@ def layer_correction_weights(alpha: float, n: int, layer: int = 1) -> np.ndarray
 _LOG_EPS = math.log(np.finfo(np.float64).eps)
 _ML_LOG_TOL = math.log(1e-15)
 _ML_MAX_NODES = 200
+_ML_LOG_CUT = math.log(1e-17)
 
 
-def _ml_bounded(phi_pole: float, p: float, log_tol: float):
-    """Garrappa's optimal parabola (mu, h, N) between the origin and a pole
-    at phi_pole, for singularity strengths p at the origin and q = 1 at
-    the pole; N = inf when no parabola there meets the tolerance."""
-    f_max = math.exp(log_tol - _LOG_EPS)
-    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_tol - _LOG_EPS))
-    if p < 1e-14:
-        f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
-        sq_lo = 0.0
-        sq_hi = 2.0 * sq_pole / (2.0 + 1.0 / f_bar)
-    else:
-        f_min = 1.01 * sq_pole ** (1.0 - max(p, 1.0))
-        if f_min >= f_max:
-            return 0.0, 0.0, math.inf
-        f_min = max(f_min, 1.5)
-        f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp, fq = f_bar ** (-1.0 / p), 1.0 / f_bar
-        w = -phi_pole / log_tol
-        den = 2.0 + w - (1.0 + w) * fp + fq
-        sq_lo = fp * sq_pole / den
-        sq_hi = (2.0 + w - (1.0 + w) * fp) * sq_pole / den
-    log_tol -= math.log(f_bar)
-    w = -sq_hi ** 2 / log_tol
-    mu = (((1.0 + w) * sq_lo + sq_hi) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_tol * (sq_hi - sq_lo) / ((1.0 + w) * sq_lo + sq_hi)
-    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
-
-
-def _ml_unbounded(phi: float, p: float, log_tol: float):
+def _ml_unbounded(p: float, log_tol: float):
     """Garrappa's optimal parabola (mu, h, N) right of the singularity at
-    phi (0 for the origin) of strength p."""
-    sq_phi = math.sqrt(phi)
-    phi_bar = 1.01 * phi if phi > 0 else 0.01
+    the origin of strength p."""
+    phi_bar = 0.01
     sq_bar = math.sqrt(phi_bar)
     while True:
         ratio = log_tol / phi_bar
         n = math.ceil(phi_bar / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio)))
         a = math.pi * n / phi_bar
         sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        f_bar = ((sq_bar - sq_phi) / sq_mu) ** -p
+        f_bar = (sq_bar / sq_mu) ** -p
         if p < 1e-14 or 1.0 < f_bar < 10.0:
             break
-        sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_phi
+        sq_bar = 5.0 ** (-1.0 / p) * sq_mu
         phi_bar = sq_bar ** 2
     mu = sq_mu ** 2
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
@@ -394,7 +366,7 @@ def _ml_unbounded(phi: float, p: float, log_tol: float):
     threshold = log_tol - _LOG_EPS
     if mu > threshold:
         q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * sq_mu
-        phi_bar = (q + sq_phi) ** 2
+        phi_bar = q ** 2
         if phi_bar >= threshold:
             return 0.0, 0.0, math.inf
         w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
@@ -405,33 +377,15 @@ def _ml_unbounded(phi: float, p: float, log_tol: float):
     return mu, h, n
 
 
-def _ml_nodes(alpha: float, beta: float, pole):
-    """Nodes of the optimal parabolic contour: ((h, g, s^alpha), residue).
-
-    The sum over them is ``_ml_sum``.  ``pole`` is None when
-    s^(alpha-beta) / (s^alpha - z) has no pole on the principal sheet,
-    else the pole of z with Im >= 0; for z < 0 and alpha > 1 its
-    conjugate is the other one.  A pole with phi = (Re s + |s|) / 2 <=
-    1e-15 is left to the contour, as in Garrappa's ml.m.  The parabola
-    runs either from the origin to the pole, whose residue (None when
-    the contour passes beyond it) the sum then adds, or beyond the pole
-    (admissible only while exp(phi) keeps rounding below the tolerance);
-    the one needing fewer nodes wins.
-    """
+@lru_cache(maxsize=64, typed=True)
+def _ml_shared_nodes(alpha: float, beta: float):
+    """Nodes (h, g, s^alpha) of the optimal parabolic contour for z < 0,
+    read-only, built once per (alpha, beta) and per process; the sum
+    over them is ``_ml_sum``."""
     p0 = max(0.0, 2.0 * (beta - alpha - 1.0))   # strength of the origin
-    phi = 0.0 if pole is None else 0.5 * (pole.real + abs(pole))
-    if phi <= 1e-15:
-        pole = None
     log_tol = _ML_LOG_TOL
     while True:
-        if pole is None:
-            (mu, h, n), inside = _ml_unbounded(0.0, p0, log_tol), False
-        else:
-            (mu, h, n), inside = _ml_bounded(phi, p0, log_tol), True
-            if phi < _ML_LOG_TOL - _LOG_EPS:
-                beyond = _ml_unbounded(phi, 1.0, log_tol)
-                if beyond[2] < n:
-                    (mu, h, n), inside = beyond, False
+        mu, h, n = _ml_unbounded(p0, log_tol)
         if n <= _ML_MAX_NODES:
             break
         log_tol += math.log(10.0)
@@ -443,73 +397,72 @@ def _ml_nodes(alpha: float, beta: float, pole):
     s = mu * (1.0 + 1j * u) ** 2
     g = np.exp(s) * s ** (alpha - beta) * (2.0 * mu * (1j - u))
     g[1:] *= 2.0
-    residue = None
-    if inside:
-        residue = (pole ** (1.0 - beta) * np.exp(pole) / alpha).real
-        if pole.imag != 0.0:
-            residue *= 2.0
-    return (h, g, s ** alpha), residue
-
-
-@lru_cache(maxsize=64, typed=True)
-def _ml_shared_nodes(alpha: float, beta: float):
-    """The pole-free contour's (h, g, s^alpha), read-only: it depends on
-    (alpha, beta) alone, so it is built once per pair and per process."""
-    (h, g, s_alpha), _ = _ml_nodes(alpha, beta, None)
+    s_alpha = s ** alpha
     g.flags.writeable = s_alpha.flags.writeable = False
     return h, g, s_alpha
 
 
 def _ml_sum(h: float, g: np.ndarray, s_alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Trapezoidal sum of ``_ml_nodes`` at every z (a 1D array)."""
+    """Trapezoidal sum of ``_ml_shared_nodes`` at every z (a 1D array)."""
     return h / (2.0 * math.pi) * (g / (s_alpha - z[:, None])).imag.sum(axis=1)
 
 
-def _ml_pole_free(alpha: float, z):
-    """Where z (a float or an array) is served by the shared contour alone:
-    for z < 0 and alpha <= 1, s^alpha = z has no root on the principal
-    sheet.  E_1,1 = exp is the caller's to exclude."""
-    return (z < 0.0) & (alpha <= 1.0)
+def _ml_series(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for z > 0 by its power series sum_k z^k /
+    Gamma(alpha k + beta), whose terms are all positive.  The terms are
+    log-concave in k and peak near alpha k + beta = z^(1/alpha); the sum
+    keeps those within 1e-17 of the largest, and stops past the peak at
+    the first one below."""
+    scale = z ** (1.0 / alpha)
+    if scale > _OVERFLOW_EXPONENT:
+        raise EvaluationRangeError(
+            f"E_({alpha},{beta})({z}) is on the exp({scale:.3g}) scale; "
+            "beyond float64 range")
+    n = math.ceil((scale + 10.0 * math.sqrt(scale) + 50.0) / alpha)
+    while True:
+        k = np.arange(n)
+        log_terms = k * math.log(z) - _gammaln(alpha * k + beta)
+        top = log_terms.max()
+        kept = np.flatnonzero(log_terms >= top + _ML_LOG_CUT)
+        if kept[-1] < n - 1:
+            return math.exp(top) * math.fsum(np.exp(log_terms[kept] - top))
+        n *= 2
 
 
 def mittag_leffler(alpha: float, z, beta: float = 1.0):
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z
+    and 0 < alpha <= 1, the model's Caputo orders.
 
     z is a number (a float is returned) or an array (an array of the same
     shape is returned, element for element equal to the scalar calls).
-    The absolute error is at most 1e-12 * max(1, |E|).  Against 40-digit
-    references on 0.1 <= alpha <= 2, 0.3 <= beta <= 3, |z| <= 50 the
-    worst measured error is 7.1e-13, at beta >= 1.8, |z| <= 1e-3 and
-    alpha near 1; elsewhere it stays below 1e-13.
+    The absolute error is at most 1e-12 * max(1, |E|); against 40-digit
+    references the worst measured is 9.5e-13 for z < 0 (alpha near 1,
+    beta near 2, |z| <= 1e-3) and 7.8e-13 for z > 0, next to the
+    overflow edge.
 
-    One method serves every z: Garrappa's optimal parabolic contour
-    (SIAM J. Numer. Anal. 53, 2015).  The inverse Laplace transform of
-    s^(alpha-beta) / (s^alpha - z) at t = 1 is the trapezoidal rule on
-    a parabola, plus the residues (1/alpha) s*^(1-beta) e^(s*) of the
-    poles s* = |z|^(1/alpha) e^(i (arg z + 2 pi k) / alpha) right of it.
-    The parabola targets 1e-15 and loosens the target tenfold while it
-    needs more than 200 nodes.  For z < 0 and alpha <= 1 there is no pole,
-    so all such z share one contour, built once per (alpha, beta) and per
-    process.  A float z there costs one sum over its nodes (about 30 of
-    them, a few microseconds); it is the same arithmetic as the array
-    path, so a scalar call equals the element of an array call bit for
-    bit.
+    z < 0 takes Garrappa's optimal parabolic contour (SIAM J. Numer. Anal.
+    53, 2015), the trapezoidal rule for the inverse Laplace transform of
+    s^(alpha-beta) / (s^alpha - z) at t = 1.  It has no pole on the
+    principal sheet, so every z shares one contour, built once per
+    (alpha, beta) and per process.  A float z costs one sum over its
+    ~30 nodes, the array path's arithmetic, so the two agree bit for
+    bit.  z > 0 takes the positive power series: tens to hundreds of
+    microseconds, milliseconds next to the overflow edge at small alpha.
+    E(0) = 1/Gamma(beta), and E_1,1 = exp.
 
     z must be real: ints, floats or other ``numbers.Real`` values, as
     numbers or in arrays.  bool, complex, string and other object input
     (None included) raise HypothesisError, since any conversion would
-    evaluate some other argument.
-
-    Large positive arguments whose result would exceed the float64
-    range (exp scale beyond ~700) raise EvaluationRangeError instead of
-    saturating silently.
+    evaluate some other argument.  Positive arguments whose result would
+    exceed the float64 range (z^(1/alpha) beyond 700) raise
+    EvaluationRangeError instead of saturating silently.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise HypothesisError(f"alpha must lie in (0, 2], got {alpha}")
+    if not (0.0 < alpha <= 1.0):
+        raise HypothesisError(f"alpha must lie in (0, 1], got {alpha}")
     if beta <= 0 or not math.isfinite(beta):
         raise HypothesisError(f"beta must be positive, got {beta}")
     plain_exp = alpha == 1.0 and beta == 1.0
-    if isinstance(z, float) and not plain_exp and math.isfinite(z) and _ml_pole_free(alpha, z):
+    if isinstance(z, float) and not plain_exp and math.isfinite(z) and z < 0.0:
         h, g, s_alpha = _ml_shared_nodes(alpha, beta)
         return h / (2.0 * math.pi) * float(np.add.reduce((g / (s_alpha - z)).imag))
     zs = np.asarray(z)
@@ -530,26 +483,12 @@ def mittag_leffler(alpha: float, z, beta: float = 1.0):
                 f"E_1(z) = exp(z) overflows float64 at z = {flat.max()}")
         out = np.exp(flat)
     else:
-        shared = _ml_pole_free(alpha, flat)
-        if shared.all():
-            out = _ml_sum(*_ml_shared_nodes(alpha, beta), flat)
-        else:
-            scale = np.abs(flat) ** (1.0 / alpha)      # modulus of the poles
-            over = (flat > 0) & (scale > _OVERFLOW_EXPONENT)
-            if over.any():
-                i = over.argmax()
-                raise EvaluationRangeError(
-                    f"E_({alpha},{beta})({flat[i]}) is on the exp({scale[i]:.3g}) scale; "
-                    "beyond float64 range")
-            out = np.full(flat.shape, float(_rgamma(beta)))
-            if shared.any():
-                out[shared] = _ml_sum(*_ml_shared_nodes(alpha, beta), flat[shared])
-            for i in np.flatnonzero(~shared & (flat != 0.0)):
-                pole = scale[i] * (np.exp(1j * math.pi / alpha) if flat[i] < 0 else 1.0 + 0j)
-                nodes, residue = _ml_nodes(alpha, beta, pole)
-                out[i] = _ml_sum(*nodes, flat[i:i + 1])[0]
-                if residue is not None:
-                    out[i] += residue
+        out = np.full(flat.shape, float(_rgamma(beta)))
+        negative = flat < 0.0
+        if negative.any():
+            out[negative] = _ml_sum(*_ml_shared_nodes(alpha, beta), flat[negative])
+        for i in np.flatnonzero(flat > 0.0):
+            out[i] = _ml_series(alpha, beta, float(flat[i]))
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 

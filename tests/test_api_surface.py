@@ -6,7 +6,8 @@ function or class of the package, must be referenced in the code of
 some module of the package other than ``__init__.py``: a public symbol
 that only the tests call is dead weight.  References are names and attribute accesses
 in the syntax tree, so a mention in a docstring or comment does not
-count.  Every field of an input type is read, through a receiver of
+count.  Every private top-level function, class or constant is loaded
+somewhere in the package outside its own definition.  Every field of an input type is read, through a receiver of
 that type, somewhere other than where a manifest is written back out:
 a setting nothing reads changes nothing.  The third-party modules the
 package imports anywhere, inside functions too, are exactly the runtime
@@ -69,6 +70,42 @@ def public_definitions() -> set:
 def test_every_public_definition_is_used_inside_the_package():
     unused = sorted(public_definitions() - referenced_names())
     assert unused == []
+
+
+def private_definitions() -> dict:
+    """name -> (module, first line, last line) of every private top-level
+    function, class or assigned constant; dunders are exempt."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    found[name] = (path.name, node.lineno, node.end_lineno)
+    return found
+
+
+def test_every_private_definition_is_loaded_outside_itself():
+    definitions = private_definitions()
+    loaded = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            module, first, last = definitions.get(name, (None, 0, 0))
+            if not (path.name == module and first <= node.lineno <= last):
+                loaded.add(name)
+    assert sorted(set(definitions) - loaded) == []
 
 
 INPUT_TYPES = (ModelParameters, DomainSpec, SolverConfig, AnalysisConstants,

@@ -90,6 +90,15 @@ def test_mlf_exponential(capsys):
     assert out.startswith("2.71828182845905")
 
 
+@pytest.mark.parametrize("argv,truth", [
+    (["--alpha", "1", "--beta", "2", "--z", "1"], math.e - 1.0),
+    (["--alpha", "0.5", "--z", "3"], math.exp(9.0) * math.erfc(-3.0)),
+])
+def test_mlf_positive_argument(capsys, argv, truth):
+    assert main(["mlf", *argv]) == EXIT_OK
+    assert math.isclose(float(capsys.readouterr().out), truth, rel_tol=1e-12)
+
+
 def test_mlf_range_error(capsys):
     code = main(["mlf", "--alpha", "0.5", "--z", "1e8"])
     assert code == EXIT_CONFIG
@@ -278,6 +287,19 @@ def test_simulate_rejects_nonfinite_initial_data(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_simulate_checks_its_output_dir_before_the_march(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    (tmp_path / "blocker").write_text("")
+    code = main(["simulate", "--config", str(write_manifest(tmp_path)),
+                 "--output-dir", str(tmp_path / "blocker" / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_FAILED
+    assert len(lines) == 1 and lines[0].startswith("run failed:")
+
+
 def write_mismatched_snapshot_sweep(tmp_path):
     """Two variants whose `file` initial data sit on a 16-point grid under
     a 32-point manifest domain: a configuration error found at run time."""
@@ -358,27 +380,34 @@ def test_sweep_without_overrides_runs_base_once(tmp_path, capsys):
 
 
 def test_sweep_keeps_table_when_one_variant_raises(tmp_path, capsys, monkeypatch):
+    # an OSError is reported like fracplap's own errors, in one status
+    # line; any other exception is a bug and also prints its traceback
     real = cli._execute_manifest
 
     def flaky(manifest, out_dir):
         if manifest.model.gamma == 0.15:
             raise OSError(28, "No space left on device")
+        if manifest.model.gamma == 0.16:
+            raise RuntimeError("unexpected state")
         return real(manifest, out_dir)
 
     monkeypatch.setattr(cli, "_execute_manifest", flaky)
     manifest = json.loads(write_manifest(tmp_path).read_text())
-    manifest["sweep"] = {"/model/gamma": [0.15, 0.1875]}
+    manifest["sweep"] = {"/model/gamma": [0.15, 0.16, 0.1875]}
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(manifest))
     base = tmp_path / "grid"
     code = main(["sweep", "--config", str(cfg), "--output-dir", str(base)])
     captured = capsys.readouterr()
     assert code == EXIT_FAILED
-    assert "Traceback" in captured.err and "OSError" in captured.err
+    assert captured.err.count("Traceback") == 1
+    assert "RuntimeError: unexpected state" in captured.err
+    assert "OSError" not in captured.err
     rows = [ln.split(",") for ln in
             (base / "sweep.csv").read_text().strip().splitlines()[1:]]
     status = {row[1]: row[2] for row in rows}
     assert status == {"0.15": "error: OSError: [Errno 28] No space left on device",
+                      "0.16": "error: RuntimeError: unexpected state",
                       "0.1875": "completed"}
     assert "error: OSError" in captured.out
 
@@ -448,6 +477,7 @@ FAILURES = {
         "roots", "--mu", "1", "--k", "1", "--gamma", "0.1", "--dim", "2", "--eta", "0"]),
     "mlf-overflow": (EXIT_CONFIG, lambda tmp: ["mlf", "--alpha", "0.5", "--z", "1e8"]),
     "mlf-alpha-out-of-range": (EXIT_CONFIG, lambda tmp: ["mlf", "--alpha", "3", "--z", "1"]),
+    "mlf-alpha-above-one": (EXIT_CONFIG, lambda tmp: ["mlf", "--alpha", "1.5", "--z", "-1"]),
 }
 
 

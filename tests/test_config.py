@@ -426,6 +426,17 @@ def test_build_file_initial_grid_mismatch(tmp_path):
     assert info.value.path == "/initial/path"
 
 
+def test_build_file_initial_rejects_nonfinite_values(tmp_path):
+    values = np.full(64, 0.2)
+    values[5] = np.inf
+    path = tmp_path / "state.fplp"
+    write_snapshot(Field(values, DomainSpec(half_width=4.0, n=64)), str(path))
+    m = parse({**MINIMAL, "initial": {"kind": "file", "path": str(path)}})
+    with pytest.raises(ConfigError, match="NaN or an inf") as info:
+        build_initial(m)
+    assert info.value.path == "/initial/path"
+
+
 def test_build_file_initial_missing_file():
     m = parse({**MINIMAL, "initial": {"kind": "file", "path": "no/such.fplp"}})
     with pytest.raises(ConfigError):

@@ -451,11 +451,9 @@ def test_ml_reduces_to_exp():
 
 
 def test_ml_classical_identities():
-    # E_{1,2}(z) = (e^z - 1)/z and E_{2,1}(-z^2) = cos z
+    # E_{1,2}(z) = (e^z - 1)/z
     assert math.isclose(mittag_leffler(1.0, 1.0, beta=2.0), math.e - 1.0,
                         rel_tol=1e-13)
-    assert math.isclose(mittag_leffler(2.0, -4.0), math.cos(2.0),
-                        rel_tol=1e-13, abs_tol=1e-15)
 
 
 def test_ml_half_order_erfc_identity():
@@ -485,9 +483,6 @@ ML_NEGATIVE_AXIS = [
     (0.5, 1.0, -2.0, 0.25539567631050574387),
     (0.5, 1.0, -30.0, 0.018795888861416751497),
     (0.3, 1.0, -4.0, 0.16650174431551664971),
-    (1.5, 1.0, -20.0, 0.019595747930187505735),
-    (1.5, 2.0, -5.0, 0.20456444300647947614),
-    (1.25, 1.0, -30.0, -0.0073112585579934502641),
 ]
 
 
@@ -498,16 +493,22 @@ def test_ml_negative_axis_frozen_values(alpha, beta, z, truth):
 
 
 # the documented contract |error| <= 1e-12 max(1, |E|) on the positive
-# axis (at 0.019 the pole sits next to the origin), next to the origin
-# and far out on the negative axis (40+ digit references, stable under
-# a 60-digit precision increase)
+# axis, next to the origin and on the negative axis (40+ digit
+# references, stable under a 60-digit precision increase).  The last six
+# rows sit at 0.5 and 0.999 times the overflow edge z^(1/alpha) = 700,
+# where the series' terms carry exponents up to ~4600 at alpha = 0.05
 ML_CONTRACT = [
     (0.7, 1.0, 10.0, 639295673243.01708451),
     (0.3, 1.3, 2.0, 39742.453812591779214),
     (0.25, 1.0, 0.019, 1.021376930836366573789),
     (0.9, 2.0, -1e-3, 0.99945297394715034216),
     (0.8, 1.8, -1e-6, 1.0736705745468234551),
-    (1.5, 1.0, -1e8, -2.8209479177387777322e-9),
+    (0.05, 1.0, 0.6937850006492776, 3.413459620467784773161909304976176601235),
+    (0.05, 1.0, 1.3861824312972566, 1.925132601007830088826651454038605619949e+299),
+    (0.5, 1.5, 13.228756555322953, 1.51720863018001653407652512360773891521e+75),
+    (0.5, 1.5, 26.43105559753526, 1.893845521065328219834387884820035499325e+302),
+    (0.99, 2.0, 327.80612494229797, 2.54610114471180965808200672486996051083e+148),
+    (0.99, 2.0, 654.9566376347113, 7.223832102116338701628679601779305582198e+300),
 ]
 
 
@@ -516,7 +517,7 @@ def test_ml_documented_accuracy(alpha, beta, z, truth):
     assert abs(mittag_leffler(alpha, z, beta=beta) - truth) <= 1e-12 * max(1.0, abs(truth))
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0])
 @pytest.mark.parametrize("beta", [1.0, 1.7])
 def test_ml_array_matches_scalar_calls(alpha, beta):
     zs = np.array([-30.0, 2.0, -2.5, 0.0, -1e-3, 1e-3, 0.019, -7.0, 6.5])
@@ -590,7 +591,7 @@ def test_ml_positive_argument_growth():
 
 
 def test_ml_parameter_guards():
-    for alpha, beta in [(0.0, 1.0), (-0.5, 1.0), (2.5, 1.0),
+    for alpha, beta in [(0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (2.0, 1.0), (2.5, 1.0),
                         (0.5, 0.0), (0.5, -2.0), (0.5, math.inf)]:
         with pytest.raises(HypothesisError):
             mittag_leffler(alpha, 1.0, beta=beta)
@@ -639,7 +640,7 @@ def test_ml_every_real_scalar_type_gives_the_same_bits(alpha, beta):
         assert bits(mittag_leffler(alpha, z, beta=beta)) == bits(fractional._rgamma(beta))
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.8), (1.0, 1.0), (1.5, 1.0)])
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.8), (1.0, 1.0)])
 @pytest.mark.parametrize("z,text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
 def test_ml_non_finite_argument_keeps_its_error(alpha, beta, z, text):
     for arg in (z, np.float64(z), np.array([-1.0, z])):
@@ -657,9 +658,11 @@ def test_ml_scalar_path_skips_the_array_sum(monkeypatch):
     monkeypatch.setattr(fractional, "_ml_sum", refuse)
     assert mittag_leffler(0.5, -2.0) == expected
     assert mittag_leffler(0.8, np.float64(-7.5), beta=1.8) > 0.0
-    for alpha, z in [(0.5, 2.0), (1.5, -2.0), (0.5, np.array([-2.0])), (0.5, -2)]:
+    # z > 0 takes the series, which never sums the contour
+    assert mittag_leffler(0.5, 2.0) > 1.0
+    for z in (np.array([-2.0]), -2):
         with pytest.raises(AssertionError, match="array sum reached"):
-            mittag_leffler(alpha, z)
+            mittag_leffler(0.5, z)
     # the parameter guards still come first
     with pytest.raises(HypothesisError):
         mittag_leffler(0.0, -2.0)

@@ -93,7 +93,10 @@ spectral-reference digest is unchanged.
 The ``caputo_series``, inequality-margin and spectral-reference digests
 were taken while the L1 weights still had their own public builder,
 the m = 2 inequality its own checker, and the reference its own copy
-of the Laplacian symbol.  Inputs come
+of the Laplacian symbol.  The Mittag-Leffler digests, of the cached
+pole-free contour the decay envelope and the spectral reference use,
+were taken while the function still served z > 0 and 1 < alpha <= 2
+with Garrappa's pole-handling parabolas.  Inputs come
 from numpy's PCG64 stream, whose uniform draws do not depend on the
 platform; the digests themselves are those of float64 arithmetic on
 x86-64 with numpy 2.x.
@@ -105,7 +108,7 @@ import pytest
 
 from fracplap import operators
 from fracplap.fractional import (caputo_series, layer_correction_weights,
-                                 power_inequality_check)
+                                 mittag_leffler, power_inequality_check)
 from fracplap.integrator import SolverConfig, linear_spectral_reference, run
 from fracplap.model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec,
                             Field, ModelParameters)
@@ -274,3 +277,24 @@ def test_linear_spectral_reference_bits(dim):
     u0 = Field(rng.uniform(0.2, 1.0, DOMAIN.shape(dim)), DOMAIN)
     out = linear_spectral_reference(u0, params, [0.5, 2.0])
     assert digest(np.stack([f.values for f in out])) == SPECTRAL_REFERENCE[dim]
+
+
+MITTAG_LEFFLER = {
+    0.3: "5374ee9779b732b2",
+    0.5: "51cbbf03c7de071c",
+    0.8: "e011ede2faae1881",
+    1.0: "640056e127d75655",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(MITTAG_LEFFLER))
+def test_mittag_leffler_negative_axis_bits(alpha):
+    # array and scalar calls on 200 z in [-50, 0), then 0, -0 and the
+    # smallest subnormal; at alpha = beta = 1 the exp path
+    zs = np.concatenate((np.random.default_rng(110).uniform(-50.0, 0.0, 200),
+                         [0.0, -0.0, -5e-324]))
+    rows = []
+    for beta in (1.0, 1.0 + alpha, 2.5):
+        rows.append(mittag_leffler(alpha, zs, beta=beta))
+        rows.append([mittag_leffler(alpha, float(z), beta=beta) for z in zs])
+    assert digest(rows) == MITTAG_LEFFLER[alpha]
