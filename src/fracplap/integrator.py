@@ -12,8 +12,10 @@ p = 2, m = 1, where its coefficients are constant and four dense
 products in the real eigenbasis of the periodic Laplacian invert it
 (``operators._eigen_product`` with ``np.divide``, the product the 2D
 kernel convolution makes).  Other 2D systems are solved by
-conjugate gradients preconditioned by that same solve, started from
-the cubic extrapolation of the last four states (``L1Memory.predict``).
+conjugate gradients, started from the cubic extrapolation of the last
+four states (``L1Memory.predict``) and preconditioned by that same
+solve at the mean face coefficient, scaled on both sides by a diagonal
+that gives it the system's own diagonal (``_scaled_eigen_solve``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -39,8 +41,8 @@ from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
                     ModelParameters, reaction, validate_params)
 from .operators import (KernelGrid, _check_same_grid, _eigen_product, _laplacian_axis,
-                        _laplacian_symbol, _periodic_convolve, diffusion_apply,
-                        face_diffusivity)
+                        _laplacian_symbol, _periodic_convolve, _periodic_diff,
+                        diffusion_apply, face_diffusivity)
 
 _CG_TOL = 1e-10
 _NEGATIVE_WARN = -1e-8
@@ -227,6 +229,36 @@ def _pcg(apply_a, b: np.ndarray, x: np.ndarray, precond, tol_abs: float,
         f"{maxiter} iterations")
 
 
+def _scaled_eigen_solve(coeffs, shift: float, domain: DomainSpec):
+    """The 2D PCG preconditioner r -> S^-1 M0^-1 S^-1 r for the frozen
+    system A = shift I - div(a grad) with face coefficients ``coeffs``.
+
+    M0 = shift I + abar (-Laplacian_h), abar the mean face coefficient,
+    is solved by ``_eigen_product``; the diagonal S, S^2 = diag(A) /
+    diag(M0), gives M = S M0 S the diagonal of A, so M follows the
+    coefficient's spread where abar alone cannot (Concus & Golub, SIAM
+    J. Numer. Anal. 10, 1973, scale the fast solver by sqrt(a)).  S > 0
+    keeps M SPD.  Constant coefficients whose mean is exact, such as the
+    all-zero ones of a degenerate m > 1 state, give S = 1.0 and M0's
+    bits; nothing divides by abar."""
+    # the mean of the axes' means, summed as np.mean sums, at a third of its cost
+    abar = sum(np.add.reduce(c, axis=None) / c.size for c in coeffs) / 2.0
+    symbol = shift + abar * _laplacian_symbol(domain)
+    shift_h2 = shift * domain.h ** 2
+    # diag(A) h^2: shift h^2 + the coefficients of a cell's four faces;
+    # the second array is then the preconditioner's work array
+    diag, scaled = (_periodic_diff(c, ax, np.empty_like(c), lo=-1, hi=0, op=np.add)
+                    for ax, c in enumerate(coeffs))
+    np.add(np.add(diag, scaled, diag), shift_h2, diag)
+    inv_s = np.sqrt(np.divide(shift_h2 + 4.0 * abar, diag, diag), diag)
+
+    def precond(r: np.ndarray) -> np.ndarray:
+        z = _eigen_product(np.multiply(r, inv_s, out=scaled), symbol, np.divide)
+        return np.multiply(z, inv_s, out=z)
+
+    return precond
+
+
 def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
          config: SolverConfig, kernel: Optional[KernelGrid] = None) -> np.ndarray:
     """Advance one step from the state ``memory`` holds; returns u^n.
@@ -245,10 +277,13 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     ``_eigen_product(b, symbol, np.divide)`` (Q^T b Q, a division by the
     symbol, Q (.) Q^T) solves it exactly, with no face coefficients,
     guess or iteration.  Other 2D systems are
-    solved by preconditioned conjugate gradients (the same solve with
-    the mean face coefficient as preconditioner, residual 1e-10 |b|, at
-    most 10 N iterations; b = 0 returns zeros).  A solve of k
-    iterations makes k + 1 operator products and k preconditioner calls.
+    solved by preconditioned conjugate gradients (residual 1e-10 |b|, at
+    most 10 N iterations; b = 0 returns zeros); the preconditioner is
+    the same solve with the mean face coefficient, diagonally scaled to
+    the system's diagonal (``_scaled_eigen_solve``), which keeps the
+    iterations nearly flat as p falls and the coefficients spread.  A
+    solve of k iterations makes k + 1 operator products and k
+    preconditioner calls.
     CG starts from ``memory.predict()``, u^{n-1} + 3 d1 - 3 d2 + d3 with
     d_j the last increments (lower order over the first three steps):
     the states are smooth in time, so the guess leaves far less
@@ -290,14 +325,10 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         diffusion_apply(coeffs, x, domain, out=div, work=work)
         return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
 
-    # the mean of the axes' means, summed as np.mean sums, at a third of its cost
-    abar = sum(np.add.reduce(c, axis=None) / c.size for c in coeffs) / 2.0
-    symbol = shift + abar * _laplacian_symbol(domain)
-
     b_norm = float(np.linalg.norm(b.ravel()))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    x, _ = _pcg(apply_a, b, memory.predict(), lambda r: _eigen_product(r, symbol, np.divide),
+    x, _ = _pcg(apply_a, b, memory.predict(), _scaled_eigen_solve(coeffs, shift, domain),
                 _CG_TOL * b_norm, maxiter=10 * u_prev.size)
     return x
 

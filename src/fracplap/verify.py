@@ -17,7 +17,7 @@ from typing import Callable, Dict, List
 import numpy as np
 from scipy.special import erfcx, gamma as _gamma
 
-from .analysis import (VERDICT_PASS, allee_classify, admissible_window_radius,
+from .analysis import (VERDICT_PASS, Verdict, allee_classify, admissible_window_radius,
                        boundedness_check, decay_envelope_check,
                        lyapunov_monitor)
 from .fractional import caputo_series, mittag_leffler, power_inequality_check
@@ -52,6 +52,12 @@ class Check:
 
 def _check(name: str, passed: bool, detail: str) -> Check:
     return Check(name=name, passed=bool(passed), detail=detail)
+
+
+def _verdict_check(name: str, verdict: Verdict, detail: str, premise: bool = True) -> Check:
+    """The check of an ``analysis`` verdict: it passes when the verdict
+    does and ``premise`` holds; an undecided verdict fails it."""
+    return _check(name, premise and verdict.status == VERDICT_PASS, detail)
 
 
 # --------------------------------------------------------------------------
@@ -243,8 +249,8 @@ def verify_decay_envelope() -> List[Check]:
     config = SolverConfig(dt=0.01, t_final=20.0, record_every=20)
     report = run(u0, params, config, kernel=_allee_kernel())
     res = decay_envelope_check(report, sigma, params.alpha)
-    return [_check(
-        "mittag-leffler-envelope", res.status == VERDICT_PASS,
+    return [_verdict_check(
+        "mittag-leffler-envelope", res,
         f"sigma = {sigma}, worst sup-norm/envelope ratio {res.quantity:.4f} "
         f"(slack {res.limit}); {res.detail}")]
 
@@ -256,8 +262,8 @@ def verify_lyapunov_monotonicity() -> List[Check]:
     delta = admissible_window_radius(roots, mu=1.0, k=1.0, sup_bound=sup_peak,
                                      delta0=_ALLEE_KERNEL_RADIUS)
     res = lyapunov_monitor(report, roots, delta=delta)
-    return [_check(
-        "potential-non-increasing", res.status == VERDICT_PASS,
+    return [_verdict_check(
+        "potential-non-increasing", res,
         f"window radius {delta}, {res.detail} (verdict '{res.status}')")]
 
 
@@ -297,12 +303,12 @@ def verify_boundedness_contrast() -> List[Check]:
     report = run(u0, params, config, kernel=kernel)
     bound = sup_norm_bound(params, consts, u0.sup_norm(), config.t_final)
     res = boundedness_check(report, bound)
-    checks.append(_check(
-        "bounded-above-threshold",
-        params.k > k_star and report.status.completed and res.status == VERDICT_PASS,
+    checks.append(_verdict_check(
+        "bounded-above-threshold", res,
         f"k = {params.k} > k_star = {k_star}; run status '{report.status.kind}', "
         f"peak sup {float(np.max(report.sup_series)):.4f} vs bound "
-        f"{bound.value:.4f} (ratio {res.ratio:.3f})"))
+        f"{bound.value:.4f} (ratio {res.ratio:.3f})",
+        premise=params.k > k_star and report.status.completed))
 
     # no competition, no death: homogeneous data ride the scalar ODE to blow-up
     blow_domain = DomainSpec(half_width=1.0, n=8)

@@ -28,7 +28,8 @@ HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",
                      "_eigen_product"),
-    "integrator.py": ("step", "_pcg", "_coupling_value", "_cyclic_tridiagonal_solve"),
+    "integrator.py": ("step", "_pcg", "_scaled_eigen_solve", "_coupling_value",
+                      "_cyclic_tridiagonal_solve"),
 }
 NO_FIELD = (("integrator.py", "step"), ("integrator.py", "_coupling_value"),
             ("integrator.py", "_cyclic_tridiagonal_solve"), ("operators.py", "_periodic_convolve"))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracplap import integrator, operators
+from fracplap.config import build_initial, parse_config
 from fracplap.errors import (GridMismatchError, HypothesisError,
                              SolverConvergenceError)
 from fracplap.fractional import L1Memory, layer_correction_weights, mittag_leffler
@@ -169,8 +171,9 @@ def test_1d_direct_march_matches_pcg_march_at_degenerate_p():
 
 def _counted_pcg_system(n=8):
     """A 2D frozen system with varying face coefficients, as ``step``
-    builds it, and the integrator's constant-coefficient preconditioner,
-    each wrapped with a call counter."""
+    builds it, and the unscaled constant-coefficient preconditioner
+    shift I - Laplacian_h (``step`` scales it to the system's diagonal,
+    ``_scaled_eigen_solve``), each wrapped with a call counter."""
     domain = DomainSpec(half_width=4.0, n=n)
     rng = np.random.default_rng(11)
     coeffs = [rng.uniform(0.5, 2.0, (n, n)) for _ in range(2)]
@@ -216,8 +219,9 @@ def test_pcg_applies_the_preconditioner_once_fewer_than_the_operator():
 
 def test_2d_solves_start_from_the_extrapolated_state(monkeypatch):
     # the bounded-2d parameters on a 32 x 32 grid: starting each solve
-    # from u^{n-1} took 973 operator products over 60 steps, the cubic
-    # extrapolation of the last four states takes 685
+    # from u^{n-1} took 591 operator products over 60 steps (the set-up's
+    # included), the cubic extrapolation of the last four states takes
+    # 469; 974 and 686 with the mean-coefficient preconditioner alone
     calls = [0]
 
     def counted(*args, **kwargs):
@@ -233,7 +237,7 @@ def test_2d_solves_start_from_the_extrapolated_state(monkeypatch):
     report = run(Field(bump, domain), params, SolverConfig(dt=0.05, t_final=3.0),
                  kernel=kern)
     assert report.status.completed and report.steps == 60
-    assert calls[0] <= 750
+    assert calls[0] <= 530
 
 
 def test_2d_constant_coefficient_step_solves_its_system_exactly():
@@ -309,12 +313,76 @@ def test_2d_solve_path_follows_p_and_m(monkeypatch):
         assert calls["_pcg"] == 10
 
 
+BOUNDED_2D = {"model": {"alpha": 0.5, "p": 1.8, "mu": 1.0, "k": 12.0, "gamma": 0.1, "dim": 2},
+              "domain": {"half_width": 4.0, "n": 64},
+              "solver": {"dt": 0.05, "t_final": 1.0, "record_every": 10},
+              "kernel": {"shape": "box", "delta0": 0.5, "eta": 0.2},
+              "initial": {"kind": "gaussian_bump", "width": 0.5, "height": 0.5}}
+
+
+def test_2d_pcg_iterations_stay_flat_in_p(monkeypatch):
+    # the boundedness benchmark's manifest, 20 steps: preconditioned by
+    # the mean coefficient alone, the first step took 46, 324 and 2185
+    # iterations at p = 1.8, 1.5 and 1.2; scaled to the diagonal, 14, 23
+    # and 40
+    real_pcg = integrator._pcg
+    iterations = []
+
+    def counted_pcg(*args, **kwargs):
+        x, it = real_pcg(*args, **kwargs)
+        iterations.append(it)
+        return x, it
+
+    monkeypatch.setattr(integrator, "_pcg", counted_pcg)
+    worst = {}
+    for p in (1.8, 1.5, 1.2):
+        manifest = parse_config(json.dumps({**BOUNDED_2D, "model": {**BOUNDED_2D["model"],
+                                                                    "p": p}}))
+        spec = manifest.kernel
+        kern = discretize_kernel(spec.shape, spec.delta0, spec.eta, manifest.domain, dim=2)
+        iterations.clear()
+        report = run(build_initial(manifest), manifest.model, manifest.solver, kernel=kern)
+        assert report.status.completed and len(iterations) == report.steps == 20
+        worst[p] = max(iterations)
+    assert max(worst.values()) <= 100, worst
+
+
 def _dense_system(coeffs, shift, domain):
     """The frozen 2D matrix shift I - div(a grad), column by column."""
     eye = np.eye(domain.n ** 2)
     div = np.column_stack([diffusion_apply(coeffs, e.reshape(domain.n, domain.n),
                                            domain).ravel() for e in eye])
     return shift * eye - div
+
+
+def test_scaled_preconditioner_shares_the_system_diagonal():
+    # face coefficients spread over four decades, as at p = 1.2; M^-1 is
+    # probed column by column with unit vectors
+    domain = DomainSpec(half_width=4.0, n=8)
+    rng = np.random.default_rng(23)
+    coeffs = [10.0 ** rng.uniform(-2.0, 2.0, (8, 8)) for _ in range(2)]
+    shift = 3.0
+    precond = integrator._scaled_eigen_solve(coeffs, shift, domain)
+    m = np.linalg.inv(np.column_stack([precond(e.reshape(8, 8)).ravel()
+                                       for e in np.eye(64)]))
+    assert np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.abs(m).max())
+    assert np.linalg.eigvalsh(m).min() > 0.0
+    diag_a = np.diag(_dense_system(coeffs, shift, domain))
+    assert np.max(np.abs(np.diag(m) - diag_a) / diag_a) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [0.0, 0.75, 1.0])
+def test_scaled_preconditioner_is_the_unscaled_solve_at_constant_coefficients(value):
+    # 0.0 is a degenerate m > 1 state; the mean of 0.75 and 1.0 is exact,
+    # so the scaling is 1.0 and the product keeps every bit
+    domain = DomainSpec(half_width=4.0, n=16)
+    coeffs = [np.full((16, 16), value) for _ in range(2)]
+    shift = 7.5
+    r = np.random.default_rng(5).standard_normal((16, 16))
+    unscaled = operators._eigen_product(
+        r, shift + value * operators._laplacian_symbol(domain), np.divide)
+    got = integrator._scaled_eigen_solve(coeffs, shift, domain)(r)
+    assert got.tobytes() == unscaled.tobytes()
 
 
 def test_small_2d_state_is_solved_to_a_relative_tolerance():

@@ -82,3 +82,13 @@ def test_mlf_suite_catches_a_scalar_path_that_drifts(monkeypatch):
     monkeypatch.setattr(verify, "mittag_leffler", drifting)
     failed = [c.name for c in verify.verify_mittag_leffler_accuracy() if not c.passed]
     assert failed == ["scalar-matches-array"]
+
+
+@pytest.mark.parametrize("status,premise,passed", [
+    ("pass", True, True), ("fail", True, False), ("undecided", True, False),
+    ("pass", False, False)])
+def test_a_verdict_check_passes_only_on_a_passing_verdict_and_premise(status, premise,
+                                                                      passed):
+    verdict = verify.Verdict(status, 1.0, 2.0, "figures")
+    check = verify._verdict_check("name", verdict, "detail", premise=premise)
+    assert check == verify.Check("name", passed, "detail")
