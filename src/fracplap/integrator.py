@@ -14,7 +14,7 @@ products in the real eigenbasis of the periodic Laplacian invert it
 kernel convolution makes).  Other 2D systems are solved by
 conjugate gradients, started from the cubic extrapolation of the last
 four states (``L1Memory.predict``) and preconditioned by that same
-solve at the mean face coefficient, scaled on both sides by a diagonal
+solve at the mean face coupling, scaled on both sides by a diagonal
 that gives it the system's own diagonal (``_scaled_eigen_solve``).
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
@@ -45,6 +45,17 @@ from .operators import (KernelGrid, _check_same_grid, _eigen_product, _laplacian
                         diffusion_apply, face_diffusivity)
 
 _CG_TOL = 1e-10
+# A 2D PCG solve stops here: past it a direct solve is cheaper.  At
+# n = 64 one iteration (an operator product, a preconditioner call and
+# the vector updates) took 63-102 us and a sparse LU of the frozen
+# system (scipy.sparse.linalg.splu, plus one solve) 18-29 ms, a
+# crossover at 277-299 iterations in five processes (350-437 at
+# n = 128).  Frozen couplings 40 steps into the bounded-2d manifest
+# (p = 1.8), the minimum of 7 repeats, on a 2-vCPU Xeon KVM guest.  No
+# step measured comes near the cap: 75 iterations at worst over 100
+# steps of that manifest at n = 128, p = 1.2, and 83 in the test suite
+# and ``fracplap verify``.
+_CG_MAXITER = 300
 _NEGATIVE_WARN = -1e-8
 # t_final / dt may miss an integer by this much (relative) and still
 # count as a whole number of steps
@@ -154,9 +165,10 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
                               b: np.ndarray) -> np.ndarray:
     """Solve (shift I - D(a)) x = b exactly for the 1D periodic operator.
 
-    ``a`` holds the face coefficients over h^2, face i joining cells i
-    and i+1.  The matrix is symmetric cyclic tridiagonal: diagonal
-    shift + a + roll(a, 1), off-diagonal -a[:-1], corners c = -a[-1].
+    ``a`` holds the face couplings (``face_diffusivity``'s a / h^2),
+    face i joining cells i and i+1.  The matrix is symmetric cyclic
+    tridiagonal: diagonal shift + a + roll(a, 1), off-diagonal -a[:-1],
+    corners c = -a[-1].
     Sherman-Morrison (Temperton, J. Comput. Phys. 19, 1975) with
     gamma = -d_0 writes it as T + u v^T, u = gamma e_0 + c e_{n-1},
     v = e_0 + (c / gamma) e_{n-1}, where the tridiagonal T differs only
@@ -231,26 +243,27 @@ def _pcg(apply_a, b: np.ndarray, x: np.ndarray, precond, tol_abs: float,
 
 def _scaled_eigen_solve(coeffs, shift: float, domain: DomainSpec):
     """The 2D PCG preconditioner r -> S^-1 M0^-1 S^-1 r for the frozen
-    system A = shift I - div(a grad) with face coefficients ``coeffs``.
+    system A = shift I - div(a grad) with face couplings ``coeffs``
+    (``face_diffusivity``'s a / h^2).
 
-    M0 = shift I + abar (-Laplacian_h), abar the mean face coefficient,
+    M0 = shift I + abar (-Laplacian_1), abar the mean face coupling and
+    -Laplacian_1 the 5-point operator of unit couplings,
     is solved by ``_eigen_product``; the diagonal S, S^2 = diag(A) /
     diag(M0), gives M = S M0 S the diagonal of A, so M follows the
-    coefficient's spread where abar alone cannot (Concus & Golub, SIAM
+    couplings' spread where abar alone cannot (Concus & Golub, SIAM
     J. Numer. Anal. 10, 1973, scale the fast solver by sqrt(a)).  S > 0
-    keeps M SPD.  Constant coefficients whose mean is exact, such as the
+    keeps M SPD.  Constant couplings whose mean is exact, such as the
     all-zero ones of a degenerate m > 1 state, give S = 1.0 and M0's
     bits; nothing divides by abar."""
     # the mean of the axes' means, summed as np.mean sums, at a third of its cost
     abar = sum(np.add.reduce(c, axis=None) / c.size for c in coeffs) / 2.0
-    symbol = shift + abar * _laplacian_symbol(domain)
-    shift_h2 = shift * domain.h ** 2
-    # diag(A) h^2: shift h^2 + the coefficients of a cell's four faces;
-    # the second array is then the preconditioner's work array
+    symbol = shift + abar * _laplacian_symbol(domain, unit=True)
+    # diag(A): shift + the couplings of a cell's four faces; the second
+    # array is then the preconditioner's work array
     diag, scaled = (_periodic_diff(c, ax, np.empty_like(c), lo=-1, hi=0, op=np.add)
                     for ax, c in enumerate(coeffs))
-    np.add(np.add(diag, scaled, diag), shift_h2, diag)
-    inv_s = np.sqrt(np.divide(shift_h2 + 4.0 * abar, diag, diag), diag)
+    np.add(np.add(diag, scaled, diag), shift, diag)
+    inv_s = np.sqrt(np.divide(shift + 4.0 * abar, diag, diag), diag)
 
     def precond(r: np.ndarray) -> np.ndarray:
         z = _eigen_product(np.multiply(r, inv_s, out=scaled), symbol, np.divide)
@@ -271,17 +284,18 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
         = scale memory + growth(u^{n-1}) + load.
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
-    p = 2, m = 1 every face coefficient is one, so the matrix is
+    p = 2, m = 1 every face coupling is h^-2, so the matrix is
     (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
     cos/sin eigenbasis Q of the periodic Laplacian:
     ``_eigen_product(b, symbol, np.divide)`` (Q^T b Q, a division by the
     symbol, Q (.) Q^T) solves it exactly, with no face coefficients,
     guess or iteration.  Other 2D systems are
     solved by preconditioned conjugate gradients (residual 1e-10 |b|, at
-    most 10 N iterations; b = 0 returns zeros); the preconditioner is
-    the same solve with the mean face coefficient, diagonally scaled to
+    most ``_CG_MAXITER`` = 300 iterations, past which a direct solve
+    would be cheaper; b = 0 returns zeros); the preconditioner is
+    the same solve with the mean face coupling, diagonally scaled to
     the system's diagonal (``_scaled_eigen_solve``), which keeps the
-    iterations nearly flat as p falls and the coefficients spread.  A
+    iterations nearly flat as p falls and the couplings spread.  A
     solve of k iterations makes k + 1 operator products and k
     preconditioner calls.
     CG starts from ``memory.predict()``, u^{n-1} + 3 d1 - 3 d2 + d3 with
@@ -316,8 +330,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
                               m=params.m)
     if u_prev.ndim == 1:
-        return _cyclic_tridiagonal_solve(np.divide(coeffs[0], domain.h ** 2, coeffs[0]),
-                                         shift, b)
+        return _cyclic_tridiagonal_solve(coeffs[0], shift, b)
 
     # A x, div(a grad x) and diffusion_apply's two work arrays, once per step
     ax, div, *work = np.empty((4,) + b.shape)
@@ -329,7 +342,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     if b_norm == 0.0:
         return np.zeros_like(b)
     x, _ = _pcg(apply_a, b, memory.predict(), _scaled_eigen_solve(coeffs, shift, domain),
-                _CG_TOL * b_norm, maxiter=10 * u_prev.size)
+                _CG_TOL * b_norm, maxiter=_CG_MAXITER)
     return x
 
 

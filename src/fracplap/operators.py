@@ -7,13 +7,17 @@ the 2D convolution here and the integrator's 2D solves.
 All operators work on 1D (n,) or 2D (n, n) samples of the periodic box
 (-L, L)^dim.  Fluxes live on faces (between cell i and i+1 along each
 axis), which makes the discrete p-Laplacian conservative: its grid sum
-telescopes to zero.
+telescopes to zero.  Its frozen face coefficients are couplings a / h^2
+(``face_diffusivity``), the diffusivity a already over h^2, so every
+product and solve with them (``diffusion_apply``, the integrator's)
+uses them as they are: only this module knows the grid spacing's part.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -67,17 +71,20 @@ def _laplacian_basis(n: int) -> np.ndarray:
     return q
 
 
-def _laplacian_axis(domain: DomainSpec) -> np.ndarray:
+def _laplacian_axis(domain: DomainSpec, h: Optional[float] = None) -> np.ndarray:
     """Eigenvalues (2 sin(pi k / n) / h)^2, k = 0 .. n-1, of the periodic
-    3-point -Laplacian along one axis, in DFT order."""
-    return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n) / domain.h) ** 2
+    3-point -Laplacian along one axis, in DFT order; h defaults to the grid's."""
+    return (2.0 * np.sin(np.pi * np.arange(domain.n) / domain.n)
+            / (domain.h if h is None else h)) ** 2
 
 
 @lru_cache(maxsize=8)
-def _laplacian_symbol(domain: DomainSpec) -> np.ndarray:
+def _laplacian_symbol(domain: DomainSpec, unit: bool = False) -> np.ndarray:
     """Nonnegative symbol lambda_i + lambda_j of the 5-point -Laplacian
-    in the basis ``_laplacian_basis`` on both axes (read-only)."""
-    axis = _laplacian_axis(domain)[(np.arange(domain.n) + 1) // 2]
+    in the basis ``_laplacian_basis`` on both axes (read-only).  ``unit``
+    gives the symbol at h = 1: that of unit face couplings, which a
+    coupling c (``face_diffusivity``) scales to the operator's."""
+    axis = _laplacian_axis(domain, 1.0 if unit else None)[(np.arange(domain.n) + 1) // 2]
     symbol = axis[:, None] + axis[None, :]
     symbol.flags.writeable = False
     return symbol
@@ -244,44 +251,49 @@ def _periodic_diff(values: np.ndarray, axis: int, out: np.ndarray,
     return out
 
 
-def _face_gradient_norm_sq(values: np.ndarray, h: float):
-    """|grad u|^2 reconstructed on the faces of each axis.
+def _face_gradient_norm_sq(values: np.ndarray):
+    """h^2 |grad u|^2 reconstructed on the faces of each axis.
 
     The face at index i sits between cell i and cell i+1 (periodic wrap
     on the last face).  The normal component is the face difference
-    (u[i+1] - u[i]) / h; the transverse component in 2D is the mean of
-    the centered differences of the two cells sharing the face
+    d_i = u[i+1] - u[i]; the transverse component in 2D is the mean of
+    the centered differences of the two cells sharing the face, each
+    the sum d_j + d_{j-1} of two forward differences across the face
     (equivalently the mean of the four adjacent one-sided differences).
     """
     norm_sq = [_periodic_diff(values, ax, np.empty_like(values)) for ax in range(values.ndim)]
-    for normal in norm_sq:      # ufuncs given out: /= with a Python float costs ~2x at n = 16
-        np.square(np.divide(normal, h, normal), normal)
-    if values.ndim == 1:
-        return norm_sq
-    centered, pair_sum = np.empty((2,) + values.shape)
-    for ax in range(2):
-        _periodic_diff(values, 1 - ax, centered, lo=-1)
-        centered /= 2.0 * h
-        _periodic_diff(centered, ax, pair_sum, op=np.add)
-        norm_sq[ax] += np.square(np.multiply(pair_sum, 0.5, pair_sum), pair_sum)
+    transverse = []
+    if values.ndim == 2:
+        centered, *transverse = np.empty((3,) + values.shape)
+        for ax, t in enumerate(transverse):
+            _periodic_diff(norm_sq[1 - ax], 1 - ax, centered, lo=-1, hi=0, op=np.add)
+            _periodic_diff(np.multiply(centered, 0.25, centered), ax, t, op=np.add)
+    for g2 in norm_sq:      # in place: these are this call's own arrays
+        np.square(g2, g2)
+    for g2, t in zip(norm_sq, transverse):
+        g2 += np.square(t, t)
     return norm_sq
 
 
 def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
                      eps_reg: float, m: float = 1.0):
-    """Per-axis face coefficients of the regularized p-Laplacian of u^m;
-    with ``diffusion_apply``, the one discretization of Delta_p u^m.
+    """Per-axis face couplings a / h^2 of the regularized p-Laplacian of
+    u^m, a the face diffusivity; with ``diffusion_apply``, the one
+    discretization of Delta_p u^m.
 
-    For m = 1 the coefficient is (|grad u|^2 + eps^2)^((p-2)/2) on each
-    face.  For m > 1 the gradient is that of v = u^m and the coefficient
-    carries the chain factor m * u_face^(m-1), so div(coef * grad u) is
-    the lagged chain form of div(|grad v|^(p-2) grad v) (O(h^2) apart);
-    negative cells are clamped to zero inside the powers, and m < 1 is rejected.
+    For m = 1 the diffusivity is a = (|grad u|^2 + eps^2)^((p-2)/2) on
+    each face, and the coupling is computed as
+    (h^2 |grad u|^2 + (eps h)^2)^((p-2)/2) h^-p from the raw differences.
+    For m > 1 the gradient is that of v = u^m and the coupling carries
+    the chain factor m * u_face^(m-1), so div(a grad u) is the lagged
+    chain form of div(|grad v|^(p-2) grad v) (O(h^2) apart); negative
+    cells are clamped to zero inside the powers, and m < 1 is rejected.
 
-    At p = 2 the exponent is 0 and every face coefficient is
-    (g2 + eps^2) ** 0.0, which is exactly 1.0 for every float64 g2,
-    NaN and inf included: the linear case is the general formula, with
-    no branch.  eps^2 must be finite, and eps positive for p < 2.
+    At p = 2 the exponent is 0 and every power is (g2 + (eps h)^2) ** 0.0,
+    which is exactly 1.0 for every float64 g2, NaN and inf included: the
+    coupling is exactly h^-2 times the chain factor, the linear case is
+    the general formula, with no branch.  eps^2 must be finite, and eps
+    positive for p < 2.
     """
     if not (1.0 < p <= 2.0):
         raise HypothesisError(f"p must lie in (1, 2], got {p}")
@@ -292,9 +304,11 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
         raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
-    norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, domain.h)
-    for g2 in norm_sq:      # in place: the gradients are this call's own arrays
-        np.power(np.add(g2, eps_reg ** 2, g2), (p - 2.0) / 2.0, g2)
+    h = domain.h
+    norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values)
+    for g2 in norm_sq:
+        np.power(np.add(g2, (eps_reg * h) ** 2, g2), (p - 2.0) / 2.0, g2)
+        np.multiply(g2, h ** -p, g2)
     if m != 1.0:
         for ax, c in enumerate(norm_sq):
             face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)
@@ -304,20 +318,20 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
 
 def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
                     out=None, work=None) -> np.ndarray:
-    """div(a grad u) for frozen face coefficients a, flux form, into ``out``;
-    ``work`` holds two arrays shaped like u (both allocated when omitted).
+    """div(a grad u) for frozen face couplings c = a / h^2 (as
+    ``face_diffusivity`` returns them), flux form, into ``out``: per axis
+    the backward difference of c times the forward difference of u.
+    ``domain`` names the grid; the couplings carry its spacing.  ``work``
+    holds two arrays shaped like u (both allocated when omitted).
     The first axis's divergence lands in ``out`` and gets +0.0 added, the
     bits of a sum started from zeros: a -0.0 term adds up to +0.0."""
-    h = domain.h
     out = np.empty_like(values) if out is None else out
     flux, div = np.empty((2,) + values.shape) if work is None else work
     for ax in range(values.ndim):
         _periodic_diff(values, ax, flux)
         flux *= coeffs[ax]
-        flux /= h
         term = div if ax else out
         _periodic_diff(flux, ax, term, lo=-1, hi=0)
-        term /= h
         np.add(out, div if ax else 0.0, out)
     return out
 

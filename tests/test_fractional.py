@@ -398,6 +398,25 @@ def test_l1_memory_past_512_steps_does_not_import_scipy_signal():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
+def test_fft_length_is_scipys_real_transform_length():
+    # the same length keeps caputo_series' FFT branch bit for bit
+    from scipy.fft import next_fast_len
+    for n in list(range(1, 6001)) + list(range(39_000, 40_001)):
+        assert fractional._next_5_smooth(n) == next_fast_len(n, True), n
+
+
+def test_weights_past_512_steps_do_not_import_scipy_fft():
+    # 600 steps take caputo_series onto its FFT branch
+    import fracplap
+    code = ("import sys\n"
+            "from fracplap.fractional import layer_correction_weights\n"
+            "layer_correction_weights(0.5, 600)\n"
+            "assert 'scipy.fft' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fracplap.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 # ---------------------------------------------------------------------------
 # starting-weight corrections
 # ---------------------------------------------------------------------------

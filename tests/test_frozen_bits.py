@@ -102,6 +102,22 @@ march, the 2D layer-two load march (the direct p = 2 solve), and every
 operator, convolution, weight, ``caputo_series``, inequality-margin,
 spectral-reference and Mittag-Leffler digest is unchanged.
 
+The two global-mass, the two kernel-march and the four p-Laplacian
+digests were re-pinned when ``face_diffusivity`` began to return the
+couplings a / h^2, computed as (g2 + (eps h)^2)^((p-2)/2) h^-p from the
+raw face differences with the 2D transverse term built from the forward
+differences, and ``diffusion_apply`` and the 1D solve stopped dividing
+by h.  Only rounding changed: the operator outputs moved by 1.8e-16
+(m = 1, 1D), 3.2e-16 (m = 1, 2D), 2.1e-16 (m = 2.5, 1D) and 1.8e-16
+(m = 2.5, 2D) relative to their sup norm, and the final states of the
+marches by 5.3e-16 (global mass, 1D), 6.0e-16 (global mass, 2D),
+4.0e-15 (kernel, 1D) and 7.3e-16 (kernel, 2D); conjugate gradients kept
+their 98 and 342 iterations over the two 2D marches.  The layer-two load
+marches (h = 0.5 makes the unit coupling h^-2 = 4 exact, and the 2D one
+solves directly), and every convolution, weight, ``caputo_series``,
+inequality-margin, spectral-reference and Mittag-Leffler digest, are
+unchanged.
+
 The ``caputo_series``, inequality-margin and spectral-reference digests
 were taken while the L1 weights still had their own public builder,
 the m = 2 inequality its own checker, and the reference its own copy
@@ -139,8 +155,8 @@ def sample(dim: int, seed: int, lo: float = 0.2, hi: float = 1.0) -> Field:
 
 
 MARCHES = {
-    1: "491a6722d52e5eba",
-    2: "bec6242ab43d8506",
+    1: "c2f1e670ea14a2de",
+    2: "c2b4c958effb4296",
 }
 
 
@@ -156,8 +172,8 @@ def test_global_mass_march_bits(dim):
 
 KERNEL_MARCHES = {
     # dim: (grid points per axis, dt, t_final, digest of the final state)
-    1: (16, 0.01, 2.0, "ae94311c07789414"),
-    2: (32, 0.01, 0.2, "3c4eeca0917192c5"),
+    1: (16, 0.01, 2.0, "5c70e0ceda4f5c39"),
+    2: (32, 0.01, 0.2, "5d4472b15f32a0c8"),
 }
 
 
@@ -195,10 +211,10 @@ def test_layer_two_load_march_bits(dim):
 
 
 P_LAPLACIAN = {
-    (1.0, 1): "1dcb111a6bf65927",
-    (1.0, 2): "c3e37e3a38d6101b",
-    (2.5, 1): "d744d5f1412b37c7",
-    (2.5, 2): "02153f4ef1a57ac1",
+    (1.0, 1): "af149060c126e6c4",
+    (1.0, 2): "c0a53c8ce582b940",
+    (2.5, 1): "0f4723757e18ae08",
+    (2.5, 2): "5e8e9f35a7e7b7ae",
 }
 
 

@@ -14,7 +14,9 @@ Those dense products are one function, ``operators._eigen_product``;
 other modules reach the basis through it and ``_laplacian_symbol``,
 never through ``_laplacian_basis``.  Nor does the step wrap its arrays in
 ``Field``s: a construction and its grid check cost ~1 us each, and the
-march checks its kernel's grid once per run instead.
+march checks its kernel's grid once per run instead.  Nor does it read
+the grid spacing: ``face_diffusivity`` returns the couplings a / h^2,
+so only ``operators`` knows how the face coefficients scale with h.
 """
 import ast
 from pathlib import Path
@@ -85,3 +87,9 @@ def test_step_path_builds_no_field(module, name):
              and (isinstance(node.func, ast.Name) and node.func.id == "Field"
                   or isinstance(node.func, ast.Attribute) and node.func.attr == "Field")]
     assert calls == [], f"Field built in {module}:{name} at lines {calls}"
+
+
+def test_step_reads_no_grid_spacing():
+    reads = [node.lineno for node in ast.walk(functions("integrator.py")["step"])
+             if isinstance(node, ast.Attribute) and node.attr == "h"]
+    assert reads == [], f"integrator.py:step reads a grid spacing at lines {reads}"

@@ -106,11 +106,12 @@ def test_step_keeps_equilibrium():
 # ---------------------------------------------------------------------------
 
 def _face_coefficients(n, p):
-    """Face coefficients of a Gaussian bump on n cells of (-4, 4); random
-    positive ones for p = None.  The solve needs only h, so odd n is fine."""
+    """Face couplings a / h^2 of a Gaussian bump on n cells of (-4, 4);
+    random positive ones for p = None.  The solve needs only h, so odd n
+    is fine."""
     grid = SimpleNamespace(h=8.0 / n)
     if p is None:
-        return grid, np.random.default_rng(n).uniform(0.05, 20.0, n)
+        return grid, np.random.default_rng(n).uniform(0.05, 20.0, n) / grid.h ** 2
     x = -4.0 + grid.h * np.arange(n)
     return grid, face_diffusivity(0.2 + 0.5 * np.exp(-x ** 2), grid, p, 1e-6)[0]
 
@@ -121,7 +122,7 @@ def test_cyclic_tridiagonal_solve_matches_dense_oracle(n, p):
     grid, a = _face_coefficients(n, p)
     shift = 11.5
     b = np.random.default_rng(7 * n).standard_normal(n)
-    x = integrator._cyclic_tridiagonal_solve(a / grid.h ** 2, shift, b)
+    x = integrator._cyclic_tridiagonal_solve(a, shift, b)
     dense = np.column_stack([shift * e - diffusion_apply([a], e, grid)
                              for e in np.eye(n)])
     # normwise backward error: rounding in the residual itself is of
@@ -252,7 +253,7 @@ def test_2d_constant_coefficient_step_solves_its_system_exactly():
     config = SolverConfig(dt=0.01, t_final=1.0)
     wave = np.cos(np.pi * domain.axis_coords() / 4.0)
     shape = 1.0 + 0.5 * wave[:, None] * wave[None, :]
-    ones = [np.ones(shape.shape)] * 2
+    ones = [np.full(shape.shape, domain.h ** -2.0)] * 2     # unit face couplings
     laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape), domain).ravel()
                                  for e in np.eye(shape.size)])
     for amplitude in (1.0, 1e-12):
@@ -373,10 +374,10 @@ def test_scaled_preconditioner_shares_the_system_diagonal():
 
 @pytest.mark.parametrize("value", [0.0, 0.75, 1.0])
 def test_scaled_preconditioner_is_the_unscaled_solve_at_constant_coefficients(value):
-    # 0.0 is a degenerate m > 1 state; the mean of 0.75 and 1.0 is exact,
-    # so the scaling is 1.0 and the product keeps every bit
+    # 0.0 is a degenerate m > 1 state; the mean of the couplings 0.75 / h^2
+    # and 1.0 / h^2 is exact, so the scaling is 1.0 and the product keeps every bit
     domain = DomainSpec(half_width=4.0, n=16)
-    coeffs = [np.full((16, 16), value) for _ in range(2)]
+    coeffs = [np.full((16, 16), value * domain.h ** -2.0) for _ in range(2)]
     shift = 7.5
     r = np.random.default_rng(5).standard_normal((16, 16))
     unscaled = operators._eigen_product(
@@ -735,6 +736,22 @@ def test_solver_failure_keeps_the_partial_run(monkeypatch):
     assert np.allclose(report.times, [0.0, 0.04, 0.06], rtol=0, atol=1e-15)
     assert report.sup_series[-1] == report.final.sup_norm()
     assert any("step 7" in w and "missed residual" in w for w in report.warnings)
+
+
+def test_cg_cap_halts_the_march_as_a_solver_failure(monkeypatch):
+    # one iteration cannot solve the first varying-coefficient step: the
+    # cap ends the march with the report of what came before it
+    monkeypatch.setattr(integrator, "_CG_MAXITER", 1)
+    domain = DomainSpec(half_width=4.0, n=16)
+    kern = discretize_kernel("box", 0.5, 0.05, domain, dim=2)
+    params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.5, gamma=0.2, dim=2)
+    x = domain.axis_coords()
+    u0 = 0.5 * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2))
+    report = run(Field(u0, domain), params, SolverConfig(dt=0.01, t_final=0.2), kernel=kern)
+    assert report.status == RunStatus("solver_failed", time=0.01)
+    assert report.steps == 0 and np.array_equal(report.times, [0.0])
+    assert np.array_equal(report.final.values, u0)
+    assert any("step 1" in w and "within 1 iterations" in w for w in report.warnings)
 
 
 def test_nonfinite_halt_keeps_the_last_finite_state():

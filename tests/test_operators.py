@@ -244,7 +244,7 @@ def test_eigen_solve_matches_the_dense_5_point_system(n, shift, abar):
     b = np.random.default_rng(n).standard_normal((n, n))
     x = operators._eigen_product(b, shift + abar * operators._laplacian_symbol(domain),
                                  np.divide)
-    coeffs = [np.full((n, n), abar)] * 2
+    coeffs = [np.full((n, n), abar * domain.h ** -2.0)] * 2    # couplings abar / h^2
     eye = np.eye(n * n)
     matrix = shift * eye - np.column_stack(
         [diffusion_apply(coeffs, e.reshape(n, n), domain).ravel() for e in eye])
@@ -375,11 +375,47 @@ def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
         face_diffusivity(u, d, p, 1e-6, m=m)
 
 
+def _dense_couplings(u, d, p, eps, m):
+    """((du/h)^2 + |transverse|^2 + eps^2)^((p-2)/2) / h^2 times the chain
+    factor on each axis's faces, from whole-array rolls: the transverse
+    component is the mean of the centered differences of the face's two cells."""
+    h = d.h
+    clamped = np.maximum(u, 0.0)
+    v = clamped ** m if m != 1.0 else u
+    couplings = []
+    for ax in range(u.ndim):
+        g2 = ((np.roll(v, -1, ax) - v) / h) ** 2
+        if u.ndim == 2:
+            centered = (np.roll(v, -1, 1 - ax) - np.roll(v, 1, 1 - ax)) / (2.0 * h)
+            g2 = g2 + (0.5 * (centered + np.roll(centered, -1, ax))) ** 2
+        c = (g2 + eps ** 2) ** ((p - 2.0) / 2.0) / h ** 2
+        if m != 1.0:
+            c = c * m * (0.5 * (np.roll(clamped, -1, ax) + clamped)) ** (m - 1.0)
+        couplings.append(c)
+    return couplings
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5])
+@pytest.mark.parametrize("m", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_face_couplings_match_the_dense_formula(dim, m, p):
+    # negative cells clamp the chain factor to exact zeros at m = 2.5
+    d = DomainSpec(half_width=4.0, n=16)
+    u = np.random.default_rng(31 + dim).uniform(-0.2, 1.0, d.shape(dim))
+    got = face_diffusivity(u, d, p, 1e-6, m=m)
+    expected = _dense_couplings(u, d, p, 1e-6, m)
+    assert len(got) == dim
+    for g, e in zip(got, expected):
+        assert np.array_equal(g == 0.0, e == 0.0)
+        nonzero = e != 0.0
+        assert np.max(np.abs(g[nonzero] - e[nonzero]) / e[nonzero]) <= 1e-14
+
+
 @pytest.mark.parametrize("m", [1.0, 2.5])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m):
-    """At p = 2 (g2 + eps^2) ** 0.0 is 1.0 for every float64 g2, so the
-    face coefficients are exact ones times the chain factor, also where
+    """At p = 2 (g2 + (eps h)^2) ** 0.0 is 1.0 for every float64 g2, so
+    the face couplings are exactly h^-2 times the chain factor, also where
     the sample holds NaN, infinities and overflowing gradients."""
     d = DomainSpec(half_width=4.0, n=16)
     rng = np.random.default_rng(12)
@@ -393,8 +429,8 @@ def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m):
             v = clamped ** m
         else:
             v = u
-        expected = [(g2 + eps ** 2) ** 0.0
-                    for g2 in operators._face_gradient_norm_sq(v, d.h)]
+        expected = [(g2 + (eps * d.h) ** 2) ** 0.0 * d.h ** -2.0
+                    for g2 in operators._face_gradient_norm_sq(v)]
         if m != 1.0:
             for ax, c in enumerate(expected):
                 face_u = 0.5 * (np.roll(clamped, -1, axis=ax) + clamped)
@@ -404,7 +440,7 @@ def test_p2_coefficients_are_the_general_formula_bit_for_bit(dim, m):
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape
         assert g.tobytes() == e.tobytes()
-        assert m != 1.0 or np.all(g == 1.0)
+        assert m != 1.0 or np.all(g == d.h ** -2.0)
 
 
 def test_power_form_is_stencil_of_the_cube():
