@@ -16,6 +16,8 @@ conjugate gradients, started from the cubic extrapolation of the last
 four states (``L1Memory.predict``) and preconditioned by that same
 solve at the mean face coupling, scaled on both sides by a diagonal
 that gives it the system's own diagonal (``_scaled_eigen_solve``).
+``run`` chooses the path once per march, in a private ``_SolvePlan``
+that also holds the path's constants, work arrays and CG counts.
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -40,9 +42,9 @@ from .errors import GridMismatchError, HypothesisError, SolverConvergenceError
 from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
                     ModelParameters, reaction, validate_params)
-from .operators import (KernelGrid, _check_same_grid, _eigen_product, _laplacian_axis,
-                        _laplacian_symbol, _periodic_convolve, _periodic_diff,
-                        diffusion_apply, face_diffusivity)
+from .operators import (KernelGrid, _check_same_grid, _coupling_work, _eigen_product,
+                        _laplacian_axis, _laplacian_symbol, _periodic_convolve,
+                        _periodic_diff, diffusion_apply, face_diffusivity)
 
 _CG_TOL = 1e-10
 # A 2D PCG solve stops here: past it a direct solve is cheaper.  At
@@ -129,6 +131,9 @@ class RunReport:
     history_rows: int = 0           # state rows the L1 history held at its peak
     worst_negative: float = 0.0     # lowest value of an accepted state, if below 0
     worst_negative_time: Optional[float] = None
+    solve_path: str = ""            # "tridiagonal", "eigenbasis" or "pcg"
+    cg_iterations: int = 0          # CG iterations over all solved steps
+    cg_iterations_max: int = 0      # and the most in one step
 
 
 # --------------------------------------------------------------------------
@@ -161,8 +166,8 @@ def _dgtsv():
     return dgtsv
 
 
-def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
-                              b: np.ndarray) -> np.ndarray:
+def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float, b: np.ndarray,
+                              diag: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve (shift I - D(a)) x = b exactly for the 1D periodic operator.
 
     ``a`` holds the face couplings (``face_diffusivity``'s a / h^2),
@@ -178,9 +183,11 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float,
     a[-1], gamma d_0, -b and -u): negation is exact and commutes with
     dgtsv's partial pivoting, so x keeps its bits.  Scalars are Python
     floats (``item``, ``tolist``), which round as numpy's do, but cheaper.
+    ``diag``, shaped like b, is overwritten (allocated when omitted); x
+    is a new array.
     """
     n = b.size
-    diag = np.subtract(-shift, a)   # - roll(a, 1), by slices: np.roll costs ~10 us
+    diag = np.subtract(-shift, a, diag)     # - roll(a, 1), by slices: np.roll costs ~10 us
     np.subtract(diag[1:], a[:-1], diag[1:])
     corner = a.item(-1)
     gamma = -(diag.item(0) - corner)
@@ -272,8 +279,69 @@ def _scaled_eigen_solve(coeffs, shift: float, domain: DomainSpec):
     return precond
 
 
+class _SolvePlan:
+    """A march's solve, chosen once: the path, its constants and its
+    work arrays, which ``step`` would otherwise rebuild on every call.
+
+    ``path`` is "tridiagonal" in 1D, "eigenbasis" in 2D at p = 2, m = 1,
+    and "pcg" otherwise (see ``step``); the plan's method of that name
+    solves a step's system.  ``shift`` is scale + gamma, the diagonal
+    the implicit death term adds.  ``iterations`` and
+    ``iterations_max`` count the CG iterations of the steps solved so
+    far, their total and the most in one step.  A plan serves one
+    memory, grid, parameter set and solver config: ``run`` builds one
+    per march."""
+
+    def __init__(self, memory: L1Memory, params: ModelParameters, domain: DomainSpec,
+                 config: SolverConfig):
+        u = memory.last()
+        self.shift = memory.scale + params.gamma
+        self.growth = np.empty_like(u)
+        self.iterations = self.iterations_max = 0
+        if u.ndim == 2 and params.p == 2.0 and params.m == 1.0:
+            self.path = "eigenbasis"
+            self.symbol = self.shift + _laplacian_symbol(domain)
+        else:
+            self.coupling_work = _coupling_work(domain, params.p, config.eps_reg,
+                                                params.m, u.shape)
+            if u.ndim == 1:
+                self.path, self.diag = "tridiagonal", np.empty_like(u)
+            else:   # A x, div(a grad x) and diffusion_apply's two work arrays
+                self.path, self.work = "pcg", np.empty((4,) + u.shape)
+        self.solve = getattr(self, self.path)
+
+    def eigenbasis(self, b, memory, params, domain, config) -> np.ndarray:
+        return _eigen_product(b, self.symbol, np.divide)
+
+    def tridiagonal(self, b, memory, params, domain, config) -> np.ndarray:
+        coeffs = face_diffusivity(memory.last(), domain, params.p, config.eps_reg,
+                                  m=params.m, work=self.coupling_work)
+        return _cyclic_tridiagonal_solve(coeffs[0], self.shift, b, self.diag)
+
+    def pcg(self, b, memory, params, domain, config) -> np.ndarray:
+        coeffs = face_diffusivity(memory.last(), domain, params.p, config.eps_reg,
+                                  m=params.m, work=self.coupling_work)
+        b_norm = float(np.linalg.norm(b.ravel()))
+        if b_norm == 0.0:
+            return np.zeros_like(b)
+        shift = self.shift
+        ax, div, *work = self.work
+
+        def apply_a(x: np.ndarray) -> np.ndarray:
+            diffusion_apply(coeffs, x, out=div, work=work)
+            return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
+
+        x, iterations = _pcg(apply_a, b, memory.predict(),
+                             _scaled_eigen_solve(coeffs, shift, domain),
+                             _CG_TOL * b_norm, maxiter=_CG_MAXITER)
+        self.iterations += iterations
+        self.iterations_max = max(self.iterations_max, iterations)
+        return x
+
+
 def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
-         config: SolverConfig, kernel: Optional[KernelGrid] = None) -> np.ndarray:
+         config: SolverConfig, kernel: Optional[KernelGrid] = None,
+         plan: Optional[_SolvePlan] = None) -> np.ndarray:
     """Advance one step from the state ``memory`` holds; returns u^n.
 
     The diffusivity is frozen at u^{n-1}, the nonlinear growth term is
@@ -281,7 +349,9 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     and it keeps the temporal order at 2 - alpha instead of dropping
     to 1).  The step solves the SPD system
     ((scale + gamma) I - div(a grad)) u^n
-        = scale memory + growth(u^{n-1}) + load.
+        = scale memory + growth(u^{n-1}) + load
+    by the path of ``plan``, built here when omitted (``run`` builds one
+    per march).
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coupling is h^-2, so the matrix is
@@ -310,40 +380,21 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     unaffected (the load vanishes there).  For m != 1 the operator uses
     the lagged chain form div(a m u^{m-1} grad u).
     """
+    if plan is None:
+        plan = _SolvePlan(memory, params, domain, config)
     u_prev = memory.last()
-    scale = memory.scale
-    shift = scale + params.gamma
     b = memory_term(memory)
-    np.multiply(b, scale, b)
+    np.multiply(b, memory.scale, b)
     if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
         coupling = _coupling_value(u_prev, params, domain, kernel)
-        growth = np.square(u_prev)
+        growth = np.square(u_prev, plan.growth)
         np.multiply(growth, params.mu, growth)
         np.multiply(growth, 1.0 - params.k * coupling, growth)
         np.add(b, growth, b)
     load = memory.load()
     if load is not None:
         np.add(b, load, b)
-
-    if u_prev.ndim == 2 and params.p == 2.0 and params.m == 1.0:
-        return _eigen_product(b, shift + _laplacian_symbol(domain), np.divide)
-    coeffs = face_diffusivity(u_prev, domain, params.p, config.eps_reg,
-                              m=params.m)
-    if u_prev.ndim == 1:
-        return _cyclic_tridiagonal_solve(coeffs[0], shift, b)
-
-    # A x, div(a grad x) and diffusion_apply's two work arrays, once per step
-    ax, div, *work = np.empty((4,) + b.shape)
-    def apply_a(x: np.ndarray) -> np.ndarray:
-        diffusion_apply(coeffs, x, domain, out=div, work=work)
-        return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
-
-    b_norm = float(np.linalg.norm(b.ravel()))
-    if b_norm == 0.0:
-        return np.zeros_like(b)
-    x, _ = _pcg(apply_a, b, memory.predict(), _scaled_eigen_solve(coeffs, shift, domain),
-                _CG_TOL * b_norm, maxiter=_CG_MAXITER)
-    return x
+    return plan.solve(b, memory, params, domain, config)
 
 
 # --------------------------------------------------------------------------
@@ -399,12 +450,13 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     # coupling0 also rejects a missing kernel
     coupling0 = _coupling_value(u0.values, params, domain, kernel)
     coeffs0 = face_diffusivity(u0.values, domain, params.p, config.eps_reg, m=params.m)
-    g1 = (diffusion_apply(coeffs0, u0.values, domain)
+    g1 = (diffusion_apply(coeffs0, u0.values)
           + reaction(u0.values, coupling0, params))
     g2 = None
     if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
-        g2 = diffusion_apply(coeffs0, g1, domain) + reaction(g1, 0.0, params)
+        g2 = diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
     memory = L1Memory(u0.values, params.alpha, dt, n_steps, g1, g2)
+    plan = _SolvePlan(memory, params, domain, config)
 
     warnings = []
     taken = {}
@@ -435,7 +487,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     for n in range(1, n_steps + 1):
         t_n = n * dt
         try:
-            u_next = step(memory, params, domain, config, kernel)
+            u_next = step(memory, params, domain, config, kernel, plan)
         except SolverConvergenceError as exc:
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
             status = RunStatus("solver_failed", time=t_n)
@@ -455,7 +507,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             record(t_n, u)
         if not status.completed:
             break           # a blowup report ends at the state past the threshold
-        memory.append(u)
+        memory._append(u)
         if n in taken:
             snapshots.append((t_n, Field(u.copy(), domain)))
     if steps_done % config.record_every:
@@ -479,6 +531,9 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         history_rows=len(memory),
         worst_negative=worst_negative,
         worst_negative_time=worst_negative_t,
+        solve_path=plan.path,
+        cg_iterations=plan.iterations,
+        cg_iterations_max=plan.iterations_max,
     )
 
 

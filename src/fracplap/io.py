@@ -90,6 +90,9 @@ def summarize_run(report: RunReport) -> dict:
         "history_rows": report.history_rows,
         "worst_negative": report.worst_negative,
         "worst_negative_time": report.worst_negative_time,
+        "solve_path": report.solve_path,
+        "cg_iterations": report.cg_iterations,
+        "cg_iterations_max": report.cg_iterations_max,
     }
     if report.status.time is not None:
         summary["halt_time"] = report.status.time

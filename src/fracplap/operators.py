@@ -211,9 +211,11 @@ def _check_same_grid(a_domain: DomainSpec, b_domain: DomainSpec,
 def _periodic_convolve(values: np.ndarray, operator: np.ndarray) -> np.ndarray:
     """New array sum_y g(x - y) u(y) h^dim, g from ``_convolution_operator``:
     a circulant product in 1D, ``_eigen_product`` with the eigenvalues in
-    2D; at n <= 64 (1D: 256) both undercut numpy's FFT pair (README)."""
+    2D; at n <= 64 (1D: 256) both undercut numpy's FFT pair (README).
+    ``dot`` computes what ``@`` does, by the same BLAS call, at half its
+    call overhead."""
     if values.ndim == 1:
-        return operator @ values
+        return operator.dot(values)
     return _eigen_product(values, operator)
 
 
@@ -251,8 +253,9 @@ def _periodic_diff(values: np.ndarray, axis: int, out: np.ndarray,
     return out
 
 
-def _face_gradient_norm_sq(values: np.ndarray):
-    """h^2 |grad u|^2 reconstructed on the faces of each axis.
+def _face_gradient_norm_sq(values: np.ndarray, out=None):
+    """h^2 |grad u|^2 reconstructed on the faces of each axis, in the
+    arrays of ``out``, one per axis (allocated when omitted).
 
     The face at index i sits between cell i and cell i+1 (periodic wrap
     on the last face).  The normal component is the face difference
@@ -261,22 +264,40 @@ def _face_gradient_norm_sq(values: np.ndarray):
     the sum d_j + d_{j-1} of two forward differences across the face
     (equivalently the mean of the four adjacent one-sided differences).
     """
-    norm_sq = [_periodic_diff(values, ax, np.empty_like(values)) for ax in range(values.ndim)]
-    transverse = []
-    if values.ndim == 2:
-        centered, *transverse = np.empty((3,) + values.shape)
-        for ax, t in enumerate(transverse):
-            _periodic_diff(norm_sq[1 - ax], 1 - ax, centered, lo=-1, hi=0, op=np.add)
-            _periodic_diff(np.multiply(centered, 0.25, centered), ax, t, op=np.add)
-    for g2 in norm_sq:      # in place: these are this call's own arrays
+    if out is None:
+        out = [np.empty_like(values) for _ in range(values.ndim)]
+    if values.ndim == 1:        # the normal difference alone
+        g2 = _periodic_diff(values, 0, out[0])
+        return [np.square(g2, g2)]
+    norm_sq = [_periodic_diff(values, ax, o) for ax, o in enumerate(out)]
+    centered, *transverse = np.empty((3,) + values.shape)
+    for ax, t in enumerate(transverse):
+        _periodic_diff(norm_sq[1 - ax], 1 - ax, centered, lo=-1, hi=0, op=np.add)
+        _periodic_diff(np.multiply(centered, 0.25, centered), ax, t, op=np.add)
+    for g2, t in zip(norm_sq, transverse):      # in place: these are the output arrays
         np.square(g2, g2)
-    for g2, t in zip(norm_sq, transverse):
         g2 += np.square(t, t)
     return norm_sq
 
 
+def _coupling_work(domain: DomainSpec, p: float, eps_reg: float, m: float, shape):
+    """What ``face_diffusivity`` needs beyond the state, checked once:
+    (exponent (p - 2) / 2, (eps h)^2, h^-p, one output array per axis
+    for states of ``shape``).  A march builds it once and passes it to
+    every call."""
+    if not (1.0 < p <= 2.0):
+        raise HypothesisError(f"p must lie in (1, 2], got {p}")
+    if not (0.0 <= eps_reg and eps_reg * eps_reg < math.inf) or (eps_reg == 0 and p < 2.0):
+        raise HypothesisError(
+            f"eps_reg must have a finite square, and be positive for p < 2, got {eps_reg}")
+    if not m >= 1.0:
+        raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
+    h = domain.h
+    return (p - 2.0) / 2.0, (eps_reg * h) ** 2, h ** -p, [np.empty(shape) for _ in shape]
+
+
 def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
-                     eps_reg: float, m: float = 1.0):
+                     eps_reg: float, m: float = 1.0, work=None):
     """Per-axis face couplings a / h^2 of the regularized p-Laplacian of
     u^m, a the face diffusivity; with ``diffusion_apply``, the one
     discretization of Delta_p u^m.
@@ -294,21 +315,20 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     coupling is exactly h^-2 times the chain factor, the linear case is
     the general formula, with no branch.  eps^2 must be finite, and eps
     positive for p < 2.
+
+    ``work`` is ``_coupling_work(domain, p, eps_reg, m, values.shape)``,
+    built here when omitted; the couplings are views of its output
+    arrays, which the next call with the same ``work`` overwrites.
     """
-    if not (1.0 < p <= 2.0):
-        raise HypothesisError(f"p must lie in (1, 2], got {p}")
-    if not (0.0 <= eps_reg and eps_reg * eps_reg < math.inf) or (eps_reg == 0 and p < 2.0):
-        raise HypothesisError(
-            f"eps_reg must have a finite square, and be positive for p < 2, got {eps_reg}")
-    if not m >= 1.0:
-        raise HypothesisError(f"porous-medium exponent must be >= 1, got {m}")
+    if work is None:
+        work = _coupling_work(domain, p, eps_reg, m, values.shape)
+    exponent, eps_h2, h_p, out = work
     if m != 1.0:
         clamped = np.where(values > 0.0, values, 0.0)
-    h = domain.h
-    norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values)
+    norm_sq = _face_gradient_norm_sq(clamped ** m if m != 1.0 else values, out)
     for g2 in norm_sq:
-        np.power(np.add(g2, (eps_reg * h) ** 2, g2), (p - 2.0) / 2.0, g2)
-        np.multiply(g2, h ** -p, g2)
+        np.power(np.add(g2, eps_h2, g2), exponent, g2)
+        np.multiply(g2, h_p, g2)
     if m != 1.0:
         for ax, c in enumerate(norm_sq):
             face_u = 0.5 * _periodic_diff(clamped, ax, np.empty_like(clamped), op=np.add)
@@ -316,13 +336,12 @@ def face_diffusivity(values: np.ndarray, domain: DomainSpec, p: float,
     return norm_sq
 
 
-def diffusion_apply(coeffs, values: np.ndarray, domain: DomainSpec,
-                    out=None, work=None) -> np.ndarray:
+def diffusion_apply(coeffs, values: np.ndarray, out=None, work=None) -> np.ndarray:
     """div(a grad u) for frozen face couplings c = a / h^2 (as
     ``face_diffusivity`` returns them), flux form, into ``out``: per axis
     the backward difference of c times the forward difference of u.
-    ``domain`` names the grid; the couplings carry its spacing.  ``work``
-    holds two arrays shaped like u (both allocated when omitted).
+    The couplings carry the grid spacing.  ``work`` holds two arrays
+    shaped like u (both allocated when omitted).
     The first axis's divergence lands in ``out`` and gets +0.0 added, the
     bits of a sum started from zeros: a -0.0 term adds up to +0.0."""
     out = np.empty_like(values) if out is None else out

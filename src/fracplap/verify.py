@@ -438,7 +438,7 @@ def verify_operator_identities() -> List[Check]:
             vals = rng.normal(0.0, 1.0, size=(24, 24))
         p = float(rng.uniform(1.05, 2.0))
         m = 2.5 if trial % 4 >= 2 else 1.0      # both dims at both exponents
-        out = diffusion_apply(face_diffusivity(vals, domain, p, 1e-6, m=m), vals, domain)
+        out = diffusion_apply(face_diffusivity(vals, domain, p, 1e-6, m=m), vals)
         denom = max(float(np.sum(np.abs(out))), 1e-30)
         worst_rel = max(worst_rel, abs(float(np.sum(out))) / denom)
     checks.append(_check(
@@ -448,9 +448,9 @@ def verify_operator_identities() -> List[Check]:
 
     domain = DomainSpec(half_width=1.0, n=64)
     vals = rng.normal(0.0, 1.0, size=(64,))
-    linear = diffusion_apply(face_diffusivity(vals, domain, 2.0, 1e-6), vals, domain)
+    linear = diffusion_apply(face_diffusivity(vals, domain, 2.0, 1e-6), vals)
     h = domain.h
-    ref_flux = diffusion_apply((np.full(64, h ** -2.0),), vals, domain)     # unit couplings
+    ref_flux = diffusion_apply((np.full(64, h ** -2.0),), vals)     # unit couplings
     stencil = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / h ** 2
     exact = np.array_equal(linear, ref_flux)
     close = float(np.max(np.abs(linear - stencil))) <= 1e-10 * max(

@@ -17,6 +17,8 @@ never through ``_laplacian_basis``.  Nor does the step wrap its arrays in
 march checks its kernel's grid once per run instead.  Nor does it read
 the grid spacing: ``face_diffusivity`` returns the couplings a / h^2,
 so only ``operators`` knows how the face coefficients scale with h.
+The same holds for the methods of ``integrator._SolvePlan`` that solve a
+step's system, named ``Class.method`` below.
 """
 import ast
 from pathlib import Path
@@ -26,20 +28,30 @@ import pytest
 import fracplap
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
+PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg")
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",
                      "_eigen_product"),
     "integrator.py": ("step", "_pcg", "_scaled_eigen_solve", "_coupling_value",
-                      "_cyclic_tridiagonal_solve"),
+                      "_cyclic_tridiagonal_solve") + PLAN_STEP,
 }
 NO_FIELD = (("integrator.py", "step"), ("integrator.py", "_coupling_value"),
-            ("integrator.py", "_cyclic_tridiagonal_solve"), ("operators.py", "_periodic_convolve"))
+            ("integrator.py", "_cyclic_tridiagonal_solve"),
+            ("operators.py", "_periodic_convolve")) + tuple(
+                ("integrator.py", name) for name in PLAN_STEP)
 
 
 def functions(module: str) -> dict:
+    """Top-level functions by name, and methods of top-level classes as
+    ``Class.method``."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found.update((f"{cls.name}.{node.name}", node) for node in cls.body
+                         if isinstance(node, ast.FunctionDef))
+    return found
 
 
 @pytest.mark.parametrize("module,name", [(m, f) for m, names in HOT_PATH.items()
@@ -90,6 +102,8 @@ def test_step_path_builds_no_field(module, name):
 
 
 def test_step_reads_no_grid_spacing():
-    reads = [node.lineno for node in ast.walk(functions("integrator.py")["step"])
+    defs = functions("integrator.py")
+    reads = [(name, node.lineno) for name in ("step",) + PLAN_STEP
+             for node in ast.walk(defs[name])
              if isinstance(node, ast.Attribute) and node.attr == "h"]
-    assert reads == [], f"integrator.py:step reads a grid spacing at lines {reads}"
+    assert reads == [], f"grid spacing read in integrator.py at {reads}"

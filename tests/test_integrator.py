@@ -123,12 +123,12 @@ def test_cyclic_tridiagonal_solve_matches_dense_oracle(n, p):
     shift = 11.5
     b = np.random.default_rng(7 * n).standard_normal(n)
     x = integrator._cyclic_tridiagonal_solve(a, shift, b)
-    dense = np.column_stack([shift * e - diffusion_apply([a], e, grid)
+    dense = np.column_stack([shift * e - diffusion_apply([a], e)
                              for e in np.eye(n)])
     # normwise backward error: rounding in the residual itself is of
     # order eps |A| |x|, which the p = 1.2 coefficients (a/h^2 ~ 1e7)
     # make far larger than eps |b|
-    residual = shift * x - diffusion_apply([a], x, grid) - b
+    residual = shift * x - diffusion_apply([a], x) - b
     scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b))
     assert np.max(np.abs(residual)) <= 1e-12 * scale
     x_dense = np.linalg.solve(dense, b)
@@ -184,7 +184,7 @@ def _counted_pcg_system(n=8):
 
     def apply_a(x):
         calls["apply_a"] += 1
-        return shift * x - diffusion_apply(coeffs, x, domain)
+        return shift * x - diffusion_apply(coeffs, x)
 
     def precond(r):
         calls["precond"] += 1
@@ -254,7 +254,7 @@ def test_2d_constant_coefficient_step_solves_its_system_exactly():
     wave = np.cos(np.pi * domain.axis_coords() / 4.0)
     shape = 1.0 + 0.5 * wave[:, None] * wave[None, :]
     ones = [np.full(shape.shape, domain.h ** -2.0)] * 2     # unit face couplings
-    laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape), domain).ravel()
+    laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape)).ravel()
                                  for e in np.eye(shape.size)])
     for amplitude in (1.0, 1e-12):
         memory = L1Memory(amplitude * shape, params.alpha, config.dt, 100)
@@ -351,8 +351,8 @@ def test_2d_pcg_iterations_stay_flat_in_p(monkeypatch):
 def _dense_system(coeffs, shift, domain):
     """The frozen 2D matrix shift I - div(a grad), column by column."""
     eye = np.eye(domain.n ** 2)
-    div = np.column_stack([diffusion_apply(coeffs, e.reshape(domain.n, domain.n),
-                                           domain).ravel() for e in eye])
+    div = np.column_stack([diffusion_apply(coeffs, e.reshape(domain.n, domain.n)).ravel()
+                           for e in eye])
     return shift * eye - div
 
 
@@ -546,6 +546,67 @@ def test_blowup_is_detected_and_timed():
     assert report.sup_series[-1] >= cfg.blowup_threshold
 
 
+def _plan_case(path):
+    """A short march on each solve path: (u0, params, config, kernel)."""
+    domain = DomainSpec(half_width=4.0, n=16)
+    cfg = SolverConfig(dt=0.01, t_final=0.2)
+    if path == "tridiagonal":
+        kern = discretize_kernel("box", 0.5, 0.2, domain)
+        u0 = Field(0.3 + 0.1 * np.cos(np.pi * domain.axis_coords() / 4.0), domain)
+        return u0, ALLEE, cfg, kern
+    kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+    u0 = Field(np.full((16, 16), 0.4), domain)
+    u0.values[3:6, 4:9] = 0.7
+    p = 2.0 if path == "eigenbasis" else 1.8
+    return u0, ModelParameters(alpha=0.5, p=p, mu=1.0, k=1.0, gamma=0.2, dim=2), cfg, kern
+
+
+@pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
+def test_step_without_a_plan_matches_the_planned_steps(monkeypatch, path):
+    # each of run's steps is taken twice from the same memory: alone,
+    # with a plan of its own, and with run's plan
+    real, same = integrator.step, []
+
+    def both(memory, params, domain, config, kernel=None, plan=None):
+        alone = real(memory, params, domain, config, kernel)
+        planned = real(memory, params, domain, config, kernel, plan)
+        same.append(plan is not None and alone.tobytes() == planned.tobytes())
+        return planned
+
+    monkeypatch.setattr(integrator, "step", both)
+    u0, params, cfg, kern = _plan_case(path)
+    report = run(u0, params, cfg, kernel=kern)
+    assert report.status.completed and report.solve_path == path
+    assert same == [True] * report.steps == [True] * 20
+
+
+@pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
+def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
+    plans, iterations = [], []
+
+    class CountedPlan(integrator._SolvePlan):
+        def __init__(self, *args):
+            plans.append(None)
+            super().__init__(*args)
+
+    def counted_pcg(*args, _real=integrator._pcg, **kwargs):
+        x, it = _real(*args, **kwargs)
+        iterations.append(it)
+        return x, it
+
+    monkeypatch.setattr(integrator, "_SolvePlan", CountedPlan)
+    monkeypatch.setattr(integrator, "_pcg", counted_pcg)
+    u0, params, cfg, kern = _plan_case(path)
+    report = run(u0, params, cfg, kernel=kern)
+    assert report.steps == 20 and len(plans) == 1
+    assert len(iterations) == (20 if path == "pcg" else 0)
+    facts = (report.solve_path, report.cg_iterations, report.cg_iterations_max)
+    assert facts == (path, sum(iterations), max(iterations, default=0))
+    summary = summarize_run(report)
+    assert (summary["solve_path"], summary["cg_iterations"],
+            summary["cg_iterations_max"]) == facts
+
+
 def test_run_reaches_step_and_memory_term_through_the_module(monkeypatch):
     # the benchmark's host probe and tracer wrap these two module-level
     # names; each must be looked up there once per step
@@ -593,7 +654,7 @@ def test_first_starting_load_applies_the_march_operator(monkeypatch):
     u0 = np.random.default_rng(41).uniform(0.0, 1.0, domain.n)
     assert run(Field(u0, domain), params, SolverConfig(dt=0.01, t_final=0.1)).steps == 10
     coeffs = face_diffusivity(u0, domain, params.p, 1e-6, m=params.m)
-    g1 = (diffusion_apply(coeffs, u0, domain)
+    g1 = (diffusion_apply(coeffs, u0)
           + reaction(u0, global_mass(Field(u0, domain)), params))
     expected = layer_correction_weights(params.alpha, 10)[0] * g1
     np.testing.assert_allclose(loads[0], expected, rtol=1e-13,

@@ -247,7 +247,7 @@ def test_eigen_solve_matches_the_dense_5_point_system(n, shift, abar):
     coeffs = [np.full((n, n), abar * domain.h ** -2.0)] * 2    # couplings abar / h^2
     eye = np.eye(n * n)
     matrix = shift * eye - np.column_stack(
-        [diffusion_apply(coeffs, e.reshape(n, n), domain).ravel() for e in eye])
+        [diffusion_apply(coeffs, e.reshape(n, n)).ravel() for e in eye])
     exact = np.linalg.solve(matrix, b.ravel())
     assert np.linalg.norm(x.ravel() - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -268,7 +268,7 @@ def test_convolution_grid_guard():
 
 def flux_form(u, d, p, eps_reg=1e-6, m=1.0):
     """The march's Delta_p u^m: chain-form face coefficients applied to u."""
-    return diffusion_apply(face_diffusivity(u, d, p, eps_reg, m=m), u, d)
+    return diffusion_apply(face_diffusivity(u, d, p, eps_reg, m=m), u)
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
@@ -330,7 +330,7 @@ def test_diffusion_apply_never_returns_negative_zero(pattern, dim, buffers):
     kwargs = {}
     if buffers:
         kwargs = {"out": np.full(u.shape, -0.0), "work": np.full((2,) + u.shape, np.nan)}
-    got = diffusion_apply(coeffs, u, d, **kwargs)
+    got = diffusion_apply(coeffs, u, **kwargs)
     assert not buffers or got is kwargs["out"]
     assert np.all(got == 0.0) and not np.signbit(got).any()
 
