@@ -127,8 +127,9 @@ class L1Memory:
     """All the L1 state a march carries from step to step.
 
     It owns the sum-of-exponentials kernel ``soe_kernel(alpha, N)`` and
-    its K sums, the scale dt^(-alpha) / Gamma(2-alpha), the horizon N
-    past which the kernel loses its accuracy, and the starting loads.
+    its K = ``terms`` sums, the scale dt^(-alpha) / Gamma(2-alpha), the
+    horizon N past which the kernel loses its accuracy, and the starting
+    loads.
 
     With b_j = (1-alpha) int_j^{j+1} tau^(-alpha) dtau and tau^(-alpha)
     replaced by the kernel, the L1 history sum becomes the recurrence
@@ -164,6 +165,12 @@ class L1Memory:
     the last three slots alone, and the third append after it projects
     them.
 
+    The memory term and the load are linear in the states and the g's it
+    is given, so a memory of their images under one linear map returns
+    their images too.  ``eigenbasis`` records that they are the 2D
+    eigenbasis coordinates Q^T u Q the p = 2, m = 1 march keeps; the
+    march's solve plan checks it.
+
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
     weights of ``layer_correction_weights``.  There are no loads when g1
@@ -173,14 +180,16 @@ class L1Memory:
     """
 
     def __init__(self, u0: np.ndarray, alpha: float, dt: float, horizon: int,
-                 g1: Optional[np.ndarray] = None, g2: Optional[np.ndarray] = None):
+                 g1: Optional[np.ndarray] = None, g2: Optional[np.ndarray] = None,
+                 eigenbasis: bool = False):
         u0 = np.asarray(u0, dtype=np.float64)
+        self.eigenbasis = eigenbasis
         self.shape = u0.shape
         self.size = u0.size
         self.horizon = horizon
         self.scale = _l1_scale(alpha, dt)
         nodes, w = soe_kernel(alpha, horizon)
-        k = nodes.size
+        self.terms = k = nodes.size
         decay = np.exp(-nodes)
         beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
         powers = decay ** np.arange(_FOLD + 1.0)[:, None]      # d^0 .. d^R
@@ -212,6 +221,10 @@ class L1Memory:
         return self._data.shape[0]
 
     def append(self, u: np.ndarray) -> None:
+        """``_append`` behind a float64 conversion and a shape check, which
+        raises GridMismatchError: the checked entry point of the tests,
+        which build memories by hand.  ``run`` appends its own states
+        unchecked."""
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.shape:
             raise GridMismatchError(

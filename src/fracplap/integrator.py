@@ -8,16 +8,23 @@ with the diffusion taken implicitly at frozen (lagged) diffusivity, the
 death term implicitly and the growth term explicitly.  The frozen
 system is solved directly in 1D (cyclic tridiagonal: one LAPACK
 tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
-p = 2, m = 1, where its coefficients are constant and four dense
-products in the real eigenbasis of the periodic Laplacian invert it
-(``operators._eigen_product`` with ``np.divide``, the product the 2D
-kernel convolution makes).  Other 2D systems are solved by
+p = 2, m = 1, where its coefficients are constant and the system is
+diagonal in the real eigenbasis Q of the periodic Laplacian.  That
+march keeps its history in eigenbasis coordinates Q^T u Q (the history
+is linear in the states), so a step divides by the symbol and makes
+one inverse half-transform (``operators._from_eigenbasis``), two dense
+products, to get its grid state; kernel coupling adds a convolution
+from the held coordinates and the growth term's forward transform,
+six products in all.  Other 2D systems are solved by
 conjugate gradients, started from the cubic extrapolation of the last
-four states (``L1Memory.predict``) and preconditioned by that same
-solve at the mean face coupling, scaled on both sides by a diagonal
-that gives it the system's own diagonal (``_scaled_eigen_solve``).
-``run`` chooses the path once per march, in a private ``_SolvePlan``
-that also holds the path's constants, work arrays and CG counts.
+four states (``L1Memory.predict``) and preconditioned by the
+constant-coefficient solve at the mean face coupling, both
+half-transforms around the division (``operators._eigen_product``),
+scaled on both sides by a diagonal that gives it the system's own
+diagonal (``_scaled_eigen_solve``).  ``run`` chooses the path once per
+march, in a private ``_SolvePlan`` that also holds the coordinates of
+the memory, the last grid state, the path's constants, work arrays and
+CG counts.
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -43,8 +50,9 @@ from .fractional import L1Memory, memory_term, mittag_leffler
 from .model import (COUPLING_GLOBAL_MASS, COUPLING_KERNEL, DomainSpec, Field,
                     ModelParameters, reaction, validate_params)
 from .operators import (KernelGrid, _check_same_grid, _coupling_work, _eigen_product,
-                        _laplacian_axis, _laplacian_symbol, _periodic_convolve,
-                        _periodic_diff, diffusion_apply, face_diffusivity)
+                        _from_eigenbasis, _laplacian_axis, _laplacian_symbol,
+                        _periodic_convolve, _periodic_diff, _to_eigenbasis,
+                        diffusion_apply, face_diffusivity)
 
 _CG_TOL = 1e-10
 # A 2D PCG solve stops here: past it a direct solve is cheaper.  At
@@ -129,6 +137,7 @@ class RunReport:
     snapshots: List[Tuple[float, Field]] = dc_field(default_factory=list)
     warnings: List[str] = dc_field(default_factory=list)
     history_rows: int = 0           # state rows the L1 history held at its peak
+    soe_terms: int = 0              # K, the sum-of-exponentials terms among them
     worst_negative: float = 0.0     # lowest value of an accepted state, if below 0
     worst_negative_time: Optional[float] = None
     solve_path: str = ""            # "tridiagonal", "eigenbasis" or "pcg"
@@ -141,15 +150,21 @@ class RunReport:
 # --------------------------------------------------------------------------
 
 def _coupling_value(values: np.ndarray, params: ModelParameters,
-                    domain: DomainSpec, kernel: Optional[KernelGrid]):
+                    domain: DomainSpec, kernel: Optional[KernelGrid],
+                    coords: Optional[np.ndarray] = None):
     """The global mass sum(u) h^dim, or J * u as a new array; builds no
-    Field and leaves the kernel's grid to ``run``, which checks it once."""
+    Field and leaves the kernel's grid to ``run``, which checks it once.
+    ``coords``, the 2D eigenbasis coordinates of ``values`` where the
+    caller holds them, halve the convolution: J * u = Q (K c) Q^T with K
+    the kernel's eigenvalues, the inverse half-transform alone."""
     if params.coupling_mode == COUPLING_GLOBAL_MASS:
         return float(np.sum(values)) * domain.h ** values.ndim
     if params.k == 0.0 or params.mu == 0.0:
         return 0.0          # coupling multiplies k*mu; skip the convolution
     if kernel is None:
         raise HypothesisError("kernel coupling requested but no kernel supplied")
+    if coords is not None:
+        return _from_eigenbasis(np.multiply(coords, kernel.operator))
     return _periodic_convolve(values, kernel.operator)
 
 
@@ -167,7 +182,8 @@ def _dgtsv():
 
 
 def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float, b: np.ndarray,
-                              diag: Optional[np.ndarray] = None) -> np.ndarray:
+                              diag: Optional[np.ndarray] = None,
+                              off: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Solve (shift I - D(a)) x = b exactly for the 1D periodic operator.
 
     ``a`` holds the face couplings (``face_diffusivity``'s a / h^2),
@@ -183,8 +199,10 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float, b: np.ndarray,
     a[-1], gamma d_0, -b and -u): negation is exact and commutes with
     dgtsv's partial pivoting, so x keeps its bits.  Scalars are Python
     floats (``item``, ``tolist``), which round as numpy's do, but cheaper.
-    ``diag``, shaped like b, is overwritten (allocated when omitted); x
-    is a new array.
+    ``diag``, shaped like b, and the two arrays of ``off``, shaped
+    (n - 1,), are overwritten (allocated when omitted): dgtsv overwrites
+    all three diagonals, so ``off`` takes two copies of a[:-1], a is left
+    as it is and scipy copies nothing.  x is a new array.
     """
     n = b.size
     diag = np.subtract(-shift, a, diag)     # - roll(a, 1), by slices: np.roll costs ~10 us
@@ -197,7 +215,9 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float, b: np.ndarray,
     np.negative(b, rhs[0])
     rhs[1, 0] = gamma
     rhs[1, -1] = corner
-    _, _, _, yz, info = _dgtsv()(a[:-1], diag, a[:-1], rhs.T, 0, 1, 0, 1)   # overwrite d, b
+    lower, upper = np.empty((2, n - 1)) if off is None else off
+    lower[...] = upper[...] = a[:-1]
+    _, _, _, yz, info = _dgtsv()(lower, diag, upper, rhs.T, 1, 1, 1, 1)   # overwrite all
     if info != 0:
         raise SolverConvergenceError(
             f"frozen-diffusivity tridiagonal solve failed (LAPACK dgtsv info = {info})")
@@ -280,17 +300,28 @@ def _scaled_eigen_solve(coeffs, shift: float, domain: DomainSpec):
 
 
 class _SolvePlan:
-    """A march's solve, chosen once: the path, its constants and its
-    work arrays, which ``step`` would otherwise rebuild on every call.
+    """A march's solve, chosen once: the path, the coordinates of its
+    memory, its constants and its work arrays, which ``step`` would
+    otherwise rebuild on every call.
 
     ``path`` is "tridiagonal" in 1D, "eigenbasis" in 2D at p = 2, m = 1,
-    and "pcg" otherwise (see ``step``); the plan's method of that name
-    solves a step's system.  ``shift`` is scale + gamma, the diagonal
-    the implicit death term adds.  ``iterations`` and
-    ``iterations_max`` count the CG iterations of the steps solved so
-    far, their total and the most in one step.  A plan serves one
-    memory, grid, parameter set and solver config: ``run`` builds one
-    per march."""
+    and "pcg" otherwise (``path_for``; see ``step``); the plan's method
+    of that name solves a step's system.  On the eigenbasis path the
+    memory holds eigenbasis coordinates Q^T u Q
+    (``operators._to_eigenbasis``), in which that system is diagonal,
+    and b comes in those coordinates; ``run`` builds such a memory
+    (``eigenbasis=True``) from the transformed u^0, g1 and g2.  The other
+    paths keep grid states; a memory in the wrong ones raises
+    HypothesisError.
+    ``last`` is the grid state u^{n-1}: a view of the memory's last row,
+    or on the eigenbasis path Q c Q^T of it, built here once and then
+    taken from the solve that made the state.  ``accept`` appends an
+    accepted state to the memory in its coordinates.  ``shift`` is
+    scale + gamma, the diagonal the implicit death term adds.
+    ``iterations`` and ``iterations_max`` count the CG iterations of the
+    steps solved so far, their total and the most in one step.  A plan
+    serves one memory, grid, parameter set and solver config: ``run``
+    builds one per march."""
 
     def __init__(self, memory: L1Memory, params: ModelParameters, domain: DomainSpec,
                  config: SolverConfig):
@@ -298,28 +329,49 @@ class _SolvePlan:
         self.shift = memory.scale + params.gamma
         self.growth = np.empty_like(u)
         self.iterations = self.iterations_max = 0
-        if u.ndim == 2 and params.p == 2.0 and params.m == 1.0:
-            self.path = "eigenbasis"
+        self.path = self.path_for(u.ndim, params)
+        eigen = self.path == "eigenbasis"
+        if memory.eigenbasis != eigen:
+            raise HypothesisError(f"the {self.path} solve needs a memory of " + (
+                "eigenbasis coordinates, as run builds it" if eigen else "grid states"))
+        self.last = _from_eigenbasis(u) if eigen else u
+        if eigen:
             self.symbol = self.shift + _laplacian_symbol(domain)
+            self.coords = None      # of the last solve's state
         else:
             self.coupling_work = _coupling_work(domain, params.p, config.eps_reg,
                                                 params.m, u.shape)
-            if u.ndim == 1:
-                self.path, self.diag = "tridiagonal", np.empty_like(u)
+            if self.path == "tridiagonal":      # dgtsv's diagonal and two off-diagonals
+                self.diag, self.off = np.empty_like(u), tuple(np.empty((2, u.size - 1)))
             else:   # A x, div(a grad x) and diffusion_apply's two work arrays
-                self.path, self.work = "pcg", np.empty((4,) + u.shape)
+                self.work = np.empty((4,) + u.shape)
         self.solve = getattr(self, self.path)
 
+    @staticmethod
+    def path_for(ndim: int, params: ModelParameters) -> str:
+        if ndim == 1:
+            return "tridiagonal"
+        return "eigenbasis" if params.p == 2.0 and params.m == 1.0 else "pcg"
+
+    def accept(self, memory: L1Memory, u: np.ndarray) -> None:
+        """Append u^n, the state of the last solve, to ``memory``."""
+        if self.path == "eigenbasis":
+            memory._append(self.coords)
+            self.last = u
+        else:
+            memory._append(u)       # last is a view of the row this writes
+
     def eigenbasis(self, b, memory, params, domain, config) -> np.ndarray:
-        return _eigen_product(b, self.symbol, np.divide)
+        self.coords = np.divide(b, self.symbol, b)
+        return _from_eigenbasis(self.coords)
 
     def tridiagonal(self, b, memory, params, domain, config) -> np.ndarray:
-        coeffs = face_diffusivity(memory.last(), domain, params.p, config.eps_reg,
+        coeffs = face_diffusivity(self.last, domain, params.p, config.eps_reg,
                                   m=params.m, work=self.coupling_work)
-        return _cyclic_tridiagonal_solve(coeffs[0], self.shift, b, self.diag)
+        return _cyclic_tridiagonal_solve(coeffs[0], self.shift, b, self.diag, self.off)
 
     def pcg(self, b, memory, params, domain, config) -> np.ndarray:
-        coeffs = face_diffusivity(memory.last(), domain, params.p, config.eps_reg,
+        coeffs = face_diffusivity(self.last, domain, params.p, config.eps_reg,
                                   m=params.m, work=self.coupling_work)
         b_norm = float(np.linalg.norm(b.ravel()))
         if b_norm == 0.0:
@@ -344,26 +396,33 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
          plan: Optional[_SolvePlan] = None) -> np.ndarray:
     """Advance one step from the state ``memory`` holds; returns u^n.
 
-    The diffusivity is frozen at u^{n-1}, the nonlinear growth term is
-    explicit, and the diagonal death term gamma u is implicit (free,
-    and it keeps the temporal order at 2 - alpha instead of dropping
-    to 1).  The step solves the SPD system
+    The diffusivity is frozen at u^{n-1} (``plan.last``, the grid
+    state), the nonlinear growth term is explicit, and the diagonal
+    death term gamma u is implicit (free, and it keeps the temporal
+    order at 2 - alpha instead of dropping to 1).  The step solves the
+    SPD system
     ((scale + gamma) I - div(a grad)) u^n
         = scale memory + growth(u^{n-1}) + load
     by the path of ``plan``, built here when omitted (``run`` builds one
-    per march).
+    per march).  The path fixes the coordinates ``memory`` holds
+    (``_SolvePlan.path_for``), and ``run`` builds its memory in them.
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coupling is h^-2, so the matrix is
     (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
-    cos/sin eigenbasis Q of the periodic Laplacian:
-    ``_eigen_product(b, symbol, np.divide)`` (Q^T b Q, a division by the
-    symbol, Q (.) Q^T) solves it exactly, with no face coefficients,
-    guess or iteration.  Other 2D systems are
+    cos/sin eigenbasis Q of the periodic Laplacian.  There the memory
+    holds coordinates c = Q^T u Q, so b is formed in them: the memory
+    term and the load come that way, and the growth term is sent forward
+    (``_to_eigenbasis``), its kernel convolution taken as Q (K c^{n-1})
+    Q^T.  A division by the symbol solves the system exactly, with no
+    face coefficients, guess or iteration, and ``_from_eigenbasis``
+    returns the grid state: two dense n x n products a step at mu = 0,
+    six with kernel coupling.  Other 2D systems are
     solved by preconditioned conjugate gradients (residual 1e-10 |b|, at
     most ``_CG_MAXITER`` = 300 iterations, past which a direct solve
     would be cheaper; b = 0 returns zeros); the preconditioner is
-    the same solve with the mean face coupling, diagonally scaled to
+    the constant-coefficient solve at the mean face coupling, from and
+    back to the grid (``_eigen_product``), diagonally scaled to
     the system's diagonal (``_scaled_eigen_solve``), which keeps the
     iterations nearly flat as p falls and the couplings spread.  A
     solve of k iterations makes k + 1 operator products and k
@@ -382,15 +441,17 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     """
     if plan is None:
         plan = _SolvePlan(memory, params, domain, config)
-    u_prev = memory.last()
     b = memory_term(memory)
     np.multiply(b, memory.scale, b)
     if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
-        coupling = _coupling_value(u_prev, params, domain, kernel)
+        eigen = memory.eigenbasis
+        u_prev = plan.last
+        coupling = _coupling_value(u_prev, params, domain, kernel,
+                                   memory.last() if eigen else None)
         growth = np.square(u_prev, plan.growth)
         np.multiply(growth, params.mu, growth)
         np.multiply(growth, 1.0 - params.k * coupling, growth)
-        np.add(b, growth, b)
+        np.add(b, _to_eigenbasis(growth) if eigen else growth, b)
     load = memory.load()
     if load is not None:
         np.add(b, load, b)
@@ -455,7 +516,12 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     g2 = None
     if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
         g2 = diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
-    memory = L1Memory(u0.values, params.alpha, dt, n_steps, g1, g2)
+    history = u0.values
+    eigen = _SolvePlan.path_for(u0.dim, params) == "eigenbasis"
+    if eigen:       # that plan's memory holds eigenbasis coordinates
+        history, g1, g2 = (None if v is None else _to_eigenbasis(v)
+                           for v in (history, g1, g2))
+    memory = L1Memory(history, params.alpha, dt, n_steps, g1, g2, eigenbasis=eigen)
     plan = _SolvePlan(memory, params, domain, config)
 
     warnings = []
@@ -507,7 +573,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             record(t_n, u)
         if not status.completed:
             break           # a blowup report ends at the state past the threshold
-        memory._append(u)
+        plan.accept(memory, u)
         if n in taken:
             snapshots.append((t_n, Field(u.copy(), domain)))
     if steps_done % config.record_every:
@@ -529,6 +595,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         snapshots=snapshots,
         warnings=warnings,
         history_rows=len(memory),
+        soe_terms=memory.terms,
         worst_negative=worst_negative,
         worst_negative_time=worst_negative_t,
         solve_path=plan.path,

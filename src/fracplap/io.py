@@ -88,6 +88,7 @@ def summarize_run(report: RunReport) -> dict:
         "min_value_final": float(report.min_series[-1]) if n_rec else None,
         "warnings": list(report.warnings),
         "history_rows": report.history_rows,
+        "soe_terms": report.soe_terms,
         "worst_negative": report.worst_negative,
         "worst_negative_time": report.worst_negative_time,
         "solve_path": report.solve_path,

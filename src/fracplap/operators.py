@@ -1,8 +1,9 @@
 """Spatial operators on the periodic grid: competition-kernel
 discretization and convolution, the regularized p-Laplacian in flux
 form, windowed local integrals, and the real eigenbasis of the periodic
-Laplacian with its one dense product (``_eigen_product``), which serves
-the 2D convolution here and the integrator's 2D solves.
+Laplacian with its two half-transforms (``_to_eigenbasis``,
+``_from_eigenbasis``) and their composition ``_eigen_product``, which
+serve the 2D convolution here and the integrator's 2D solves.
 
 All operators work on 1D (n,) or 2D (n, n) samples of the periodic box
 (-L, L)^dim.  Fluxes live on faces (between cell i and i+1 along each
@@ -90,16 +91,30 @@ def _laplacian_symbol(domain: DomainSpec, unit: bool = False) -> np.ndarray:
     return symbol
 
 
+def _to_eigenbasis(values: np.ndarray) -> np.ndarray:
+    """Q^T v Q for Q = ``_laplacian_basis`` on both axes: the coordinates
+    of a 2D grid field in the eigenbasis, two dense n x n products."""
+    q = _laplacian_basis(values.shape[0])
+    return q.T @ values @ q
+
+
+def _from_eigenbasis(coords: np.ndarray) -> np.ndarray:
+    """Q c Q^T, the grid field of eigenbasis coordinates c: the inverse of
+    ``_to_eigenbasis`` (Q is orthonormal), two dense n x n products."""
+    q = _laplacian_basis(coords.shape[0])
+    return q @ coords @ q.T
+
+
 def _eigen_product(values: np.ndarray, diagonal: np.ndarray, op=np.multiply) -> np.ndarray:
     """Q op(Q^T v Q, diagonal) Q^T for Q = ``_laplacian_basis`` on both
     axes and ``diagonal`` in Q's column order: np.multiply applies the
     periodic operator with those eigenvalues (the 2D convolution),
     np.divide solves its system (the fast diagonalization method, Lynch,
-    Rice & Thomas, Numer. Math. 6, 1964).  Four dense n x n products,
-    O(n^3) against the FFT's O(n^2 log n), yet at n <= 64 about half the
-    time of numpy's rfftn/irfftn pair; they break even near n = 128 (README)."""
-    q = _laplacian_basis(values.shape[0])
-    return q @ op(q.T @ values @ q, diagonal) @ q.T
+    Rice & Thomas, Numer. Math. 6, 1964).  The two half-transforms, four
+    dense n x n products, O(n^3) against the FFT's O(n^2 log n), yet at
+    n <= 64 about half the time of numpy's rfftn/irfftn pair; they break
+    even near n = 128 (README)."""
+    return _from_eigenbasis(op(_to_eigenbasis(values), diagonal))
 
 
 def _convolution_operator(centered: np.ndarray, h: float) -> np.ndarray:

@@ -10,15 +10,17 @@ no ``np.fft`` call either: 2D solves and 2D convolutions are dense
 products in the Laplacian eigenbasis, and a 1D convolution is one
 product with the kernel's cached circulant (numpy's FFT call overhead
 outweighs the arithmetic of a 16-point convolution several times).
-Those dense products are one function, ``operators._eigen_product``;
-other modules reach the basis through it and ``_laplacian_symbol``,
-never through ``_laplacian_basis``.  Nor does the step wrap its arrays in
-``Field``s: a construction and its grid check cost ~1 us each, and the
-march checks its kernel's grid once per run instead.  Nor does it read
+Those dense products are two half-transforms,
+``operators._to_eigenbasis`` and ``_from_eigenbasis``, and their
+composition ``_eigen_product``; other modules reach the basis through
+them and ``_laplacian_symbol``, never through ``_laplacian_basis``.
+Nor does the step wrap its arrays in ``Field``s: a construction and its
+grid check cost ~1 us each, and the march checks its kernel's grid once
+per run instead.  Nor does it read
 the grid spacing: ``face_diffusivity`` returns the couplings a / h^2,
 so only ``operators`` knows how the face coefficients scale with h.
 The same holds for the methods of ``integrator._SolvePlan`` that solve a
-step's system, named ``Class.method`` below.
+step's system or append its state, named ``Class.method`` below.
 """
 import ast
 from pathlib import Path
@@ -28,11 +30,12 @@ import pytest
 import fracplap
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
-PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg")
+PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg",
+             "_SolvePlan.accept")
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",
-                     "_eigen_product"),
+                     "_eigen_product", "_to_eigenbasis", "_from_eigenbasis"),
     "integrator.py": ("step", "_pcg", "_scaled_eigen_solve", "_coupling_value",
                       "_cyclic_tridiagonal_solve") + PLAN_STEP,
 }
@@ -76,7 +79,8 @@ def test_integrator_hot_path_has_no_fft(name):
     assert ffts == [], f"np.fft in integrator.py:{name} at lines {ffts}"
 
 
-@pytest.mark.parametrize("name", ("convolve_kernel", "_periodic_convolve", "_eigen_product"))
+@pytest.mark.parametrize("name", ("convolve_kernel", "_periodic_convolve", "_eigen_product",
+                                  "_to_eigenbasis", "_from_eigenbasis"))
 def test_kernel_convolution_has_no_fft(name):
     ffts = fft_lines("operators.py", name)
     assert ffts == [], f"np.fft in operators.py:{name} at lines {ffts}"

@@ -12,7 +12,8 @@ from fracplap import integrator, operators
 from fracplap.config import build_initial, parse_config
 from fracplap.errors import (GridMismatchError, HypothesisError,
                              SolverConvergenceError)
-from fracplap.fractional import L1Memory, layer_correction_weights, mittag_leffler
+from fracplap.fractional import (L1Memory, layer_correction_weights, mittag_leffler,
+                                 soe_kernel)
 from fracplap.io import format_series, summarize_run
 from fracplap.integrator import (
     RunStatus,
@@ -244,9 +245,11 @@ def test_2d_solves_start_from_the_extrapolated_state(monkeypatch):
 def test_2d_constant_coefficient_step_solves_its_system_exactly():
     # p = 2, m = 1 with kernel competition, after three steps: the frozen
     # system ((scale + gamma) I - Laplacian_h) x = b is solved to rounding.
-    # At amplitude 1e-12 (a state near extinction) the guess already met
-    # CG's absolute floor of 1e-10 and was returned unsolved, a few
-    # percent off the solution
+    # The memory holds eigenbasis coordinates, as run's does, so the
+    # right-hand side is taken back to the grid to check the grid state
+    # x.  At amplitude 1e-12 (a state near extinction) an earlier CG
+    # solve met its absolute floor of 1e-10 at the guess and returned it
+    # unsolved, a few percent off the solution
     domain = DomainSpec(half_width=4.0, n=16)
     params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=2.0, gamma=0.3, dim=2)
     kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
@@ -257,18 +260,110 @@ def test_2d_constant_coefficient_step_solves_its_system_exactly():
     laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape)).ravel()
                                  for e in np.eye(shape.size)])
     for amplitude in (1.0, 1e-12):
-        memory = L1Memory(amplitude * shape, params.alpha, config.dt, 100)
+        memory = L1Memory(operators._to_eigenbasis(amplitude * shape), params.alpha,
+                          config.dt, 100, eigenbasis=True)
+        plan = integrator._SolvePlan(memory, params, domain, config)
+        assert plan.path == "eigenbasis"
         for _ in range(3):
-            memory.append(step(memory, params, domain, config, kern))
-        u = memory.last()
+            plan.accept(memory, step(memory, params, domain, config, kern, plan))
+        u = plan.last
+        assert np.allclose(u, operators._from_eigenbasis(memory.last()), rtol=0.0,
+                           atol=1e-14 * amplitude)
         coupling = convolve_kernel(Field(u, domain), kern).values
-        b = (memory.scale * integrator.memory_term(memory)
+        b = (memory.scale * operators._from_eigenbasis(integrator.memory_term(memory))
              + params.mu * u ** 2 * (1.0 - params.k * coupling)).ravel()
         matrix = (memory.scale + params.gamma) * np.eye(shape.size) - laplacian
         exact = np.linalg.solve(matrix, b)
-        x = step(memory, params, domain, config, kern).ravel()
+        x = step(memory, params, domain, config, kern, plan).ravel()
         assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
         assert np.linalg.norm(b - matrix @ x) <= 1e-12 * max(1.0, np.linalg.norm(b))
+
+
+def _grid_coordinate_march(u0, params, config, kernel=None):
+    """The 2D p = 2, m = 1 march with its history in grid coordinates,
+    each step one ``_eigen_product`` solve of the grid right-hand side:
+    a reference for the march that keeps eigenbasis coordinates."""
+    domain, values = u0.domain, u0.values
+    coupling0 = convolve_kernel(u0, kernel).values if params.mu else 0.0
+    coeffs0 = face_diffusivity(values, domain, 2.0, config.eps_reg)
+    g1 = diffusion_apply(coeffs0, values) + reaction(values, coupling0, params)
+    g2 = (diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
+          if params.mu == 0.0 else None)
+    n_steps = int(round(config.t_final / config.dt))
+    memory = L1Memory(values, params.alpha, config.dt, n_steps, g1, g2)
+    symbol = memory.scale + params.gamma + operators._laplacian_symbol(domain)
+    for _ in range(n_steps):
+        u = memory.last()
+        b = memory.scale * integrator.memory_term(memory) + memory.load()
+        if params.mu:
+            coupling = convolve_kernel(Field(u, domain), kernel).values
+            b += params.mu * u ** 2 * (1.0 - params.k * coupling)
+        memory.append(operators._eigen_product(b, symbol, np.divide))
+    return memory.last()
+
+
+@pytest.mark.parametrize("case", ["layer-two load", "kernel coupling"])
+def test_eigenbasis_march_matches_the_grid_coordinate_march(case):
+    domain = DomainSpec(half_width=4.0, n=16)
+    kern = None
+    if case == "layer-two load":    # alpha < 1/2 and mu = 0: loads g1 and g2
+        params = ModelParameters(alpha=0.4, p=2.0, mu=0.0, k=0.0, gamma=0.5, dim=2)
+    else:
+        params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=2.0, gamma=0.3, dim=2)
+        kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+    u0 = Field(np.random.default_rng(17).uniform(0.2, 1.0, (16, 16)), domain)
+    config = SolverConfig(dt=0.01, t_final=0.2)
+    report = run(u0, params, config, kernel=kern)
+    assert report.status.completed and report.solve_path == "eigenbasis"
+    expected = _grid_coordinate_march(u0, params, config, kern)
+    gap = np.max(np.abs(report.final.values - expected))
+    assert gap <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_step_rejects_a_memory_in_the_other_coordinates():
+    # the p = 2, m = 1 2D solve reads eigenbasis coordinates and every
+    # other path grid states: a memory built the other way would be
+    # marched silently wrong
+    domain = DomainSpec(half_width=4.0, n=16)
+    config = SolverConfig(dt=0.01, t_final=0.1)
+    u0 = np.full((16, 16), 0.4)
+    linear = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.3, dim=2)
+    with pytest.raises(HypothesisError, match="eigenbasis coordinates"):
+        step(L1Memory(u0, 0.5, config.dt, 10), linear, domain, config)
+    pcg = ModelParameters(alpha=0.5, p=1.8, mu=0.0, k=0.0, gamma=0.3, dim=2)
+    with pytest.raises(HypothesisError, match="grid states"):
+        step(L1Memory(u0, 0.5, config.dt, 10, eigenbasis=True), pcg, domain, config)
+
+
+@pytest.mark.parametrize("mu,products", [(0.0, 2), (1.0, 6)])
+def test_eigenbasis_step_counts_its_dense_products(monkeypatch, mu, products):
+    """A p = 2, m = 1 2D step takes its state back to the grid once (two
+    dense n x n products); with kernel coupling it also convolves from
+    the held coordinates (two) and sends the growth term forward (two).
+    Each half-transform is two products."""
+    halves, per_step = [0], []
+    for name in ("_to_eigenbasis", "_from_eigenbasis"):
+        def counted(values, _real=getattr(operators, name)):
+            halves[0] += 1
+            return _real(values)
+
+        monkeypatch.setattr(operators, name, counted)
+        monkeypatch.setattr(integrator, name, counted)
+
+    def counted_step(*args, _real=integrator.step, **kwargs):
+        before = halves[0]
+        out = _real(*args, **kwargs)
+        per_step.append(2 * (halves[0] - before))
+        return out
+
+    monkeypatch.setattr(integrator, "step", counted_step)
+    domain = DomainSpec(half_width=4.0, n=16)
+    kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=mu, k=2.0 * mu, gamma=0.3, dim=2)
+    u0 = Field(np.random.default_rng(19).uniform(0.2, 1.0, (16, 16)), domain)
+    report = run(u0, params, SolverConfig(dt=0.01, t_final=0.2), kernel=kern)
+    assert report.status.completed and report.solve_path == "eigenbasis"
+    assert per_step == [products] * 20
 
 
 def test_2d_solve_path_follows_p_and_m(monkeypatch):
@@ -413,7 +508,8 @@ def test_zero_2d_right_hand_side_gives_exact_zeros(monkeypatch):
     params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.0, gamma=0.3, dim=2)
     zeros = np.zeros((16, 16))
     memory = SimpleNamespace(last=lambda: zeros, scale=10.0, load=lambda: None,
-                             predict=lambda: np.random.default_rng(3).random((16, 16)))
+                             predict=lambda: np.random.default_rng(3).random((16, 16)),
+                             eigenbasis=False)
     monkeypatch.setattr(integrator, "memory_term", lambda memory: zeros.copy())
     x = step(memory, params, domain, SolverConfig(dt=0.01, t_final=1.0))
     assert np.array_equal(x, zeros)
@@ -470,7 +566,8 @@ def test_run_from_rest_stays_at_rest():
 
 def test_history_rows_do_not_grow_with_step_count():
     # the dense history held steps + 1 rows; the sum-of-exponentials one
-    # holds K + 1, with K growing only like log N
+    # holds the last state, a ring of 16 and the K sums, with K growing
+    # only like log N; the report gives K as soe_terms
     domain = DomainSpec(half_width=4.0, n=8)
     params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.5)
     u0 = Field(np.cos(np.pi * domain.axis_coords() / 4.0) + 1.0, domain)
@@ -479,6 +576,10 @@ def test_history_rows_do_not_grow_with_step_count():
         report = run(u0, params, SolverConfig(dt=0.01, t_final=t_final,
                                               record_every=10 ** 9))
         assert report.status.completed
+        steps = report.steps
+        assert report.soe_terms == soe_kernel(params.alpha, steps)[0].size
+        assert report.history_rows == 1 + 16 + report.soe_terms
+        assert summarize_run(report)["soe_terms"] == report.soe_terms
         rows.append(report.history_rows)
     assert 0 < rows[0] <= rows[1] <= 65
 

@@ -177,6 +177,7 @@ def test_summary_of_real_run_is_json_clean(tmp_path):
     assert loaded["status"] == "completed"
     assert loaded["steps"] == 10
     assert loaded["history_rows"] == rep.history_rows > 0
+    assert loaded["soe_terms"] == rep.soe_terms > 0
     assert abs(loaded["final_time"] - 0.1) < 1e-12
     assert 0.0 < loaded["sup_norm_final"] < 0.5
 
