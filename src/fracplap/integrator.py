@@ -30,10 +30,13 @@ The memory term is a convex combination of all past states.  One
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
 steps) and the up to 16 increments taken since those sums were last
 updated, which every 16th step folds into them and projects onto the
-memory-term weights of the next 16 steps, two matrix products.  A
-step's memory term reads at most 17 rows, the fold costs O(K size)
-work a step amortized, and the memory holds O((K + 16) size), whatever
-the step count; it also holds the scale and the starting loads.
+memory-term weights of the next 16 steps, two matrix products that
+read the sums once.  A step's memory term reads at most 17 rows, the
+fold costs O(K size) work a step amortized, and the memory holds
+O((K + 19) size), whatever the step count: the 16 increments and
+projections and a copy of the last 3 increments, which the predictor
+reads until 3 steps after a fold.  It also holds the scale and the
+starting loads.
 """
 from __future__ import annotations
 
@@ -143,6 +146,8 @@ class RunReport:
     solve_path: str = ""            # "tridiagonal", "eigenbasis" or "pcg"
     cg_iterations: int = 0          # CG iterations over all solved steps
     cg_iterations_max: int = 0      # and the most in one step
+    cg_residual_max: Optional[float] = None     # worst |r| / |b| a CG solve stopped at;
+                                                # None off the PCG path
 
 
 # --------------------------------------------------------------------------
@@ -230,10 +235,12 @@ def _cyclic_tridiagonal_solve(a: np.ndarray, shift: float, b: np.ndarray,
 
 def _pcg(apply_a, b: np.ndarray, x: np.ndarray, precond, tol_abs: float,
          maxiter: int):
-    """Preconditioned CG from x, updated in place; returns (x, iterations).
+    """Preconditioned CG from x, updated in place; returns (x, iterations,
+    residual).
 
     ``iterations`` counts the CG iterations after the initial residual,
-    one ``apply_a`` call each.  The residual norm is checked before
+    one ``apply_a`` call each; ``residual`` is the norm |r| of the
+    residual the solve stopped at.  The residual norm is checked before
     each preconditioner call, so a solve that stops after k iterations
     applies ``precond`` k times, one fewer than ``apply_a``, and not at
     all when x already meets ``tol_abs``.
@@ -242,8 +249,9 @@ def _pcg(apply_a, b: np.ndarray, x: np.ndarray, precond, tol_abs: float,
     r_flat = r.reshape(-1)      # a view: sqrt(r.r) is what np.linalg.norm computes for it
     step_p = np.empty_like(x)
     for it in range(maxiter + 1):
-        if math.sqrt(r_flat.dot(r_flat)) <= tol_abs:
-            return x, it
+        residual = math.sqrt(r_flat.dot(r_flat))
+        if residual <= tol_abs:
+            return x, it, residual
         if it == maxiter:
             break
         z = precond(r)
@@ -319,9 +327,10 @@ class _SolvePlan:
     accepted state to the memory in its coordinates.  ``shift`` is
     scale + gamma, the diagonal the implicit death term adds.
     ``iterations`` and ``iterations_max`` count the CG iterations of the
-    steps solved so far, their total and the most in one step.  A plan
-    serves one memory, grid, parameter set and solver config: ``run``
-    builds one per march."""
+    steps solved so far, their total and the most in one step;
+    ``residual_max`` is the worst relative residual |r| / |b| they
+    stopped at, None off the PCG path.  A plan serves one memory, grid,
+    parameter set and solver config: ``run`` builds one per march."""
 
     def __init__(self, memory: L1Memory, params: ModelParameters, domain: DomainSpec,
                  config: SolverConfig):
@@ -330,6 +339,7 @@ class _SolvePlan:
         self.growth = np.empty_like(u)
         self.iterations = self.iterations_max = 0
         self.path = self.path_for(u.ndim, params)
+        self.residual_max = 0.0 if self.path == "pcg" else None
         eigen = self.path == "eigenbasis"
         if memory.eigenbasis != eigen:
             raise HypothesisError(f"the {self.path} solve needs a memory of " + (
@@ -383,11 +393,12 @@ class _SolvePlan:
             diffusion_apply(coeffs, x, out=div, work=work)
             return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
 
-        x, iterations = _pcg(apply_a, b, memory.predict(),
-                             _scaled_eigen_solve(coeffs, shift, domain),
-                             _CG_TOL * b_norm, maxiter=_CG_MAXITER)
+        x, iterations, residual = _pcg(apply_a, b, memory.predict(),
+                                       _scaled_eigen_solve(coeffs, shift, domain),
+                                       _CG_TOL * b_norm, maxiter=_CG_MAXITER)
         self.iterations += iterations
         self.iterations_max = max(self.iterations_max, iterations)
+        self.residual_max = max(self.residual_max, residual / b_norm)
         return x
 
 
@@ -601,6 +612,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         solve_path=plan.path,
         cg_iterations=plan.iterations,
         cg_iterations_max=plan.iterations_max,
+        cg_residual_max=plan.residual_max,
     )
 
 

@@ -94,6 +94,7 @@ def summarize_run(report: RunReport) -> dict:
         "solve_path": report.solve_path,
         "cg_iterations": report.cg_iterations,
         "cg_iterations_max": report.cg_iterations_max,
+        "cg_residual_max": report.cg_residual_max,
     }
     if report.status.time is not None:
         summary["halt_time"] = report.status.time

@@ -297,6 +297,34 @@ def test_l1_memory_predict_right_after_a_fold(fold):
             assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
 
 
+@pytest.mark.parametrize("shape", [(7,), (16, 16)])
+def test_l1_memory_fold_projects_every_ring_slot(shape):
+    # the fold reads the sums once: right after it every ring slot holds
+    # its projection, the last three among them, and the appends after
+    # it write only u^{n-1} and their own slot
+    fold, recent = fractional._FOLD, fractional._RECENT
+    states = wandering_states(shape, 2 * fold + 4, 46)
+    memory = L1Memory(states[0], 0.6, 0.01, states.shape[0])
+    for n in range(1, states.shape[0]):
+        before = memory.matrix().copy()
+        memory.append(states[n])
+        rows = memory.matrix()
+        if n % fold == 0:
+            # bit for bit the products of the first 13 and of the last 3
+            # slots taken apart
+            sums = rows[-memory.terms:]
+            project = memory._fold_project
+            assert np.array_equal(rows[1:1 + fold - recent], project[:-recent] @ sums), n
+            assert np.array_equal(rows[1 + fold - recent:1 + fold],
+                                  project[-recent:] @ sums), n
+            increments = [np.subtract(states[i], states[i - 1]).ravel()
+                          for i in range(n - recent + 1, n + 1)]
+            assert np.array_equal(rows[1 + fold:1 + fold + recent], increments), n
+        elif n > fold:
+            changed = np.flatnonzero(np.any(rows != before, axis=1))
+            assert set(changed.tolist()) <= {0, n % fold}, (n, changed)
+
+
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])
 def test_l1_memory_predict_across_folds(shape):
     states = wandering_states(shape, 2 * fractional._FOLD + 4, 42)

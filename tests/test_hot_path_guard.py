@@ -20,7 +20,10 @@ per run instead.  Nor does it read
 the grid spacing: ``face_diffusivity`` returns the couplings a / h^2,
 so only ``operators`` knows how the face coefficients scale with h.
 The same holds for the methods of ``integrator._SolvePlan`` that solve a
-step's system or append its state, named ``Class.method`` below.
+step's system or append its state, named ``Class.method`` below.  The
+L1 memory's share of a step (``fractional.memory_term`` and the
+``L1Memory`` append, guess and load) builds no ``Field`` and makes no
+roll either: its ring wraps by indexing.
 """
 import ast
 from pathlib import Path
@@ -32,17 +35,20 @@ import fracplap
 PACKAGE = Path(fracplap.__file__).resolve().parent
 PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg",
              "_SolvePlan.accept")
+MEMORY_STEP = ("L1Memory._append", "L1Memory.predict", "L1Memory.load", "memory_term")
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",
                      "_eigen_product", "_to_eigenbasis", "_from_eigenbasis"),
     "integrator.py": ("step", "_pcg", "_scaled_eigen_solve", "_coupling_value",
                       "_cyclic_tridiagonal_solve") + PLAN_STEP,
+    "fractional.py": MEMORY_STEP,
 }
 NO_FIELD = (("integrator.py", "step"), ("integrator.py", "_coupling_value"),
             ("integrator.py", "_cyclic_tridiagonal_solve"),
             ("operators.py", "_periodic_convolve")) + tuple(
-                ("integrator.py", name) for name in PLAN_STEP)
+                ("integrator.py", name) for name in PLAN_STEP) + tuple(
+                ("fractional.py", name) for name in MEMORY_STEP)
 
 
 def functions(module: str) -> dict:

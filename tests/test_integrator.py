@@ -199,22 +199,22 @@ def test_pcg_applies_the_preconditioner_once_fewer_than_the_operator():
     apply_a, precond, b, calls = _counted_pcg_system()
     tol = 1e-10 * np.linalg.norm(b)
     start = np.zeros_like(b)
-    x, iterations = integrator._pcg(apply_a, b, start, precond, tol, 200)
+    x, iterations, residual = integrator._pcg(apply_a, b, start, precond, tol, 200)
     assert x is start       # the guess is updated in place, not copied
-    assert iterations > 2
+    assert iterations > 2 and 0.0 < residual <= tol
     assert calls == {"apply_a": iterations + 1, "precond": iterations}
     assert np.linalg.norm(b - apply_a(x)) <= tol
 
     # a start that already meets the tolerance is returned untouched
     calls.update(apply_a=0, precond=0)
-    x0, n0 = integrator._pcg(apply_a, b, x, precond, tol, 200)
-    assert n0 == 0 and np.array_equal(x0, x)
+    x0, n0, r0 = integrator._pcg(apply_a, b, x, precond, tol, 200)
+    assert n0 == 0 and np.array_equal(x0, x) and r0 <= tol
     assert calls == {"apply_a": 1, "precond": 0}
 
     # maxiter: exactly enough iterations gives the same bits, one fewer fails
-    x_max, n_max = integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol,
-                                   iterations)
-    assert n_max == iterations and x_max.tobytes() == x.tobytes()
+    x_max, n_max, r_max = integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol,
+                                          iterations)
+    assert n_max == iterations and x_max.tobytes() == x.tobytes() and r_max == residual
     with pytest.raises(SolverConvergenceError, match="missed residual"):
         integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol, iterations - 1)
 
@@ -425,9 +425,9 @@ def test_2d_pcg_iterations_stay_flat_in_p(monkeypatch):
     iterations = []
 
     def counted_pcg(*args, **kwargs):
-        x, it = real_pcg(*args, **kwargs)
+        x, it, residual = real_pcg(*args, **kwargs)
         iterations.append(it)
-        return x, it
+        return x, it, residual
 
     monkeypatch.setattr(integrator, "_pcg", counted_pcg)
     worst = {}
@@ -439,6 +439,8 @@ def test_2d_pcg_iterations_stay_flat_in_p(monkeypatch):
         iterations.clear()
         report = run(build_initial(manifest), manifest.model, manifest.solver, kernel=kern)
         assert report.status.completed and len(iterations) == report.steps == 20
+        # the worst relative residual a solve stopped at, under the 1e-10 it aims for
+        assert 0.0 < report.cg_residual_max <= 1e-10
         worst[p] = max(iterations)
     assert max(worst.values()) <= 100, worst
 
@@ -566,8 +568,9 @@ def test_run_from_rest_stays_at_rest():
 
 def test_history_rows_do_not_grow_with_step_count():
     # the dense history held steps + 1 rows; the sum-of-exponentials one
-    # holds the last state, a ring of 16 and the K sums, with K growing
-    # only like log N; the report gives K as soe_terms
+    # holds the last state, a ring of 16, the 3 increments the last fold
+    # projected over and the K sums, with K growing only like log N; the
+    # report gives K as soe_terms
     domain = DomainSpec(half_width=4.0, n=8)
     params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.5)
     u0 = Field(np.cos(np.pi * domain.axis_coords() / 4.0) + 1.0, domain)
@@ -578,7 +581,7 @@ def test_history_rows_do_not_grow_with_step_count():
         assert report.status.completed
         steps = report.steps
         assert report.soe_terms == soe_kernel(params.alpha, steps)[0].size
-        assert report.history_rows == 1 + 16 + report.soe_terms
+        assert report.history_rows == 1 + 16 + 3 + report.soe_terms
         assert summarize_run(report)["soe_terms"] == report.soe_terms
         rows.append(report.history_rows)
     assert 0 < rows[0] <= rows[1] <= 65
@@ -683,7 +686,7 @@ def test_step_without_a_plan_matches_the_planned_steps(monkeypatch, path):
 
 @pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
 def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
-    plans, iterations = [], []
+    plans, iterations, residuals = [], [], []
 
     class CountedPlan(integrator._SolvePlan):
         def __init__(self, *args):
@@ -691,9 +694,10 @@ def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
             super().__init__(*args)
 
     def counted_pcg(*args, _real=integrator._pcg, **kwargs):
-        x, it = _real(*args, **kwargs)
+        x, it, residual = _real(*args, **kwargs)
         iterations.append(it)
-        return x, it
+        residuals.append(residual / float(np.linalg.norm(args[1].ravel())))
+        return x, it, residual
 
     monkeypatch.setattr(integrator, "_SolvePlan", CountedPlan)
     monkeypatch.setattr(integrator, "_pcg", counted_pcg)
@@ -701,11 +705,13 @@ def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
     report = run(u0, params, cfg, kernel=kern)
     assert report.steps == 20 and len(plans) == 1
     assert len(iterations) == (20 if path == "pcg" else 0)
-    facts = (report.solve_path, report.cg_iterations, report.cg_iterations_max)
-    assert facts == (path, sum(iterations), max(iterations, default=0))
+    facts = (report.solve_path, report.cg_iterations, report.cg_iterations_max,
+             report.cg_residual_max)
+    assert facts == (path, sum(iterations), max(iterations, default=0),
+                     max(residuals) if path == "pcg" else None)
     summary = summarize_run(report)
     assert (summary["solve_path"], summary["cg_iterations"],
-            summary["cg_iterations_max"]) == facts
+            summary["cg_iterations_max"], summary["cg_residual_max"]) == facts
 
 
 def test_run_reaches_step_and_memory_term_through_the_module(monkeypatch):
