@@ -13,7 +13,7 @@ from .errors import (ConfigError, EvaluationRangeError, FracplapError,
 from .fractional import (caputo_series, memory_term, mittag_leffler,
                          power_inequality_check)
 from .integrator import (RunReport, RunStatus, SolverConfig,
-                         linear_spectral_reference, run, step)
+                         linear_spectral_reference, run)
 from .io import (format_series, read_snapshot, summarize_run,
                  write_report_json, write_series, write_snapshot)
 from .model import (AnalysisConstants, DomainSpec, EquilibriumRoots, Field,

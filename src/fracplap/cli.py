@@ -175,7 +175,7 @@ def _cmd_sweep(args) -> int:
             _set_pointer(variant, path, value)
         manifests.append((combo, parse_config(json.dumps(variant))))
 
-    base_dir = args.output_dir or (manifests[0][1].output_dir if manifests else "out")
+    base_dir = args.output_dir or manifests[0][1].output_dir
     os.makedirs(base_dir, exist_ok=True)
 
     results = []
@@ -207,7 +207,7 @@ def _cmd_sweep(args) -> int:
         assignments = ", ".join(f"{p}={v}" for p, v in zip(paths, combo))
         print(f"{run_id}  {assignments or '(no overrides)'}  {status}")
     print(f"verdict table: {table_path}")
-    return max((code for *_, code in results), default=EXIT_OK)
+    return max(code for *_, code in results)
 
 
 def _cmd_roots(args) -> int:

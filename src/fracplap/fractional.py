@@ -168,9 +168,8 @@ class L1Memory:
 
     The memory term and the load are linear in the states and the g's it
     is given, so a memory of their images under one linear map returns
-    their images too.  ``eigenbasis`` records that they are the 2D
-    eigenbasis coordinates Q^T u Q the p = 2, m = 1 march keeps; the
-    march's solve plan checks it.
+    their images too.  The march's solve plan builds its memory in the
+    coordinates its path solves in, and alone knows which they are.
 
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
@@ -181,10 +180,8 @@ class L1Memory:
     """
 
     def __init__(self, u0: np.ndarray, alpha: float, dt: float, horizon: int,
-                 g1: Optional[np.ndarray] = None, g2: Optional[np.ndarray] = None,
-                 eigenbasis: bool = False):
+                 g1: Optional[np.ndarray] = None, g2: Optional[np.ndarray] = None):
         u0 = np.asarray(u0, dtype=np.float64)
-        self.eigenbasis = eigenbasis
         self.shape = u0.shape
         self.size = u0.size
         self.horizon = horizon

@@ -21,10 +21,11 @@ four states (``L1Memory.predict``) and preconditioned by the
 constant-coefficient solve at the mean face coupling, both
 half-transforms around the division (``operators._eigen_product``),
 scaled on both sides by a diagonal that gives it the system's own
-diagonal (``_scaled_eigen_solve``).  ``run`` chooses the path once per
-march, in a private ``_SolvePlan`` that also holds the coordinates of
-the memory, the last grid state, the path's constants, work arrays and
-CG counts.
+diagonal (``_scaled_eigen_solve``).  A private ``_SolvePlan``, which
+``run`` builds once per march, owns the march's state: it chooses the
+path, builds the starting loads and the memory in that path's
+coordinates, and holds the last grid state, the path's constants, work
+arrays and CG counts; ``step`` takes the plan alone.
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
 exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
@@ -308,19 +309,19 @@ def _scaled_eigen_solve(coeffs, shift: float, domain: DomainSpec):
 
 
 class _SolvePlan:
-    """A march's solve, chosen once: the path, the coordinates of its
-    memory, its constants and its work arrays, which ``step`` would
-    otherwise rebuild on every call.
+    """A march's state and its solve, chosen once: the path, the L1
+    memory in that path's coordinates, the constants and the work
+    arrays, which ``step`` would otherwise rebuild on every call.
 
     ``path`` is "tridiagonal" in 1D, "eigenbasis" in 2D at p = 2, m = 1,
-    and "pcg" otherwise (``path_for``; see ``step``); the plan's method
-    of that name solves a step's system.  On the eigenbasis path the
-    memory holds eigenbasis coordinates Q^T u Q
-    (``operators._to_eigenbasis``), in which that system is diagonal,
-    and b comes in those coordinates; ``run`` builds such a memory
-    (``eigenbasis=True``) from the transformed u^0, g1 and g2.  The other
-    paths keep grid states; a memory in the wrong ones raises
-    HypothesisError.
+    and "pcg" otherwise (see ``step``); the plan's method of that name
+    solves a step's system from its right-hand side b.  The plan builds
+    the starting loads g1 = R(u^0) and g2 = R'(u^0)[R(u^0)], with the
+    march's own diffusion frozen at u^0, and from u^0 and them the
+    march's ``memory``.  On the eigenbasis path all three are taken to
+    eigenbasis coordinates Q^T u Q (``operators._to_eigenbasis``), in
+    which that system is diagonal, so the memory and b hold those
+    coordinates; the other paths keep grid states.
     ``last`` is the grid state u^{n-1}: a view of the memory's last row,
     or on the eigenbasis path Q c Q^T of it, built here once and then
     taken from the solve that made the state.  ``accept`` appends an
@@ -329,21 +330,33 @@ class _SolvePlan:
     ``iterations`` and ``iterations_max`` count the CG iterations of the
     steps solved so far, their total and the most in one step;
     ``residual_max`` is the worst relative residual |r| / |b| they
-    stopped at, None off the PCG path.  A plan serves one memory, grid,
-    parameter set and solver config: ``run`` builds one per march."""
+    stopped at, None off the PCG path.  ``run`` builds one plan per
+    march."""
 
-    def __init__(self, memory: L1Memory, params: ModelParameters, domain: DomainSpec,
-                 config: SolverConfig):
-        u = memory.last()
-        self.shift = memory.scale + params.gamma
+    def __init__(self, u0: np.ndarray, params: ModelParameters, domain: DomainSpec,
+                 config: SolverConfig, kernel: Optional[KernelGrid] = None):
+        self.params, self.domain, self.config, self.kernel = params, domain, config, kernel
+        # starting corrections for the t^alpha layer and, where R is exactly
+        # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer;
+        # both vanish at rest states.  coupling0 also rejects a missing kernel
+        coupling0 = _coupling_value(u0, params, domain, kernel)
+        coeffs0 = face_diffusivity(u0, domain, params.p, config.eps_reg, m=params.m)
+        g1 = diffusion_apply(coeffs0, u0) + reaction(u0, coupling0, params)
+        g2 = None
+        if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
+            g2 = diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
+        self.path = ("tridiagonal" if u0.ndim == 1 else
+                     "eigenbasis" if params.p == 2.0 and params.m == 1.0 else "pcg")
+        eigen = self.path == "eigenbasis"
+        if eigen:       # this path's memory holds eigenbasis coordinates
+            u0, g1, g2 = (None if v is None else _to_eigenbasis(v) for v in (u0, g1, g2))
+        self.memory = L1Memory(u0, params.alpha, config.dt,
+                               int(round(config.t_final / config.dt)), g1, g2)
+        u = self.memory.last()
+        self.shift = self.memory.scale + params.gamma
         self.growth = np.empty_like(u)
         self.iterations = self.iterations_max = 0
-        self.path = self.path_for(u.ndim, params)
         self.residual_max = 0.0 if self.path == "pcg" else None
-        eigen = self.path == "eigenbasis"
-        if memory.eigenbasis != eigen:
-            raise HypothesisError(f"the {self.path} solve needs a memory of " + (
-                "eigenbasis coordinates, as run builds it" if eigen else "grid states"))
         self.last = _from_eigenbasis(u) if eigen else u
         if eigen:
             self.symbol = self.shift + _laplacian_symbol(domain)
@@ -357,32 +370,26 @@ class _SolvePlan:
                 self.work = np.empty((4,) + u.shape)
         self.solve = getattr(self, self.path)
 
-    @staticmethod
-    def path_for(ndim: int, params: ModelParameters) -> str:
-        if ndim == 1:
-            return "tridiagonal"
-        return "eigenbasis" if params.p == 2.0 and params.m == 1.0 else "pcg"
-
-    def accept(self, memory: L1Memory, u: np.ndarray) -> None:
-        """Append u^n, the state of the last solve, to ``memory``."""
+    def accept(self, u: np.ndarray) -> None:
+        """Append u^n, the state of the last solve, to the memory."""
         if self.path == "eigenbasis":
-            memory._append(self.coords)
+            self.memory._append(self.coords)
             self.last = u
         else:
-            memory._append(u)       # last is a view of the row this writes
+            self.memory._append(u)      # last is a view of the row this writes
 
-    def eigenbasis(self, b, memory, params, domain, config) -> np.ndarray:
+    def eigenbasis(self, b: np.ndarray) -> np.ndarray:
         self.coords = np.divide(b, self.symbol, b)
         return _from_eigenbasis(self.coords)
 
-    def tridiagonal(self, b, memory, params, domain, config) -> np.ndarray:
-        coeffs = face_diffusivity(self.last, domain, params.p, config.eps_reg,
-                                  m=params.m, work=self.coupling_work)
+    def tridiagonal(self, b: np.ndarray) -> np.ndarray:
+        coeffs = face_diffusivity(self.last, self.domain, self.params.p, self.config.eps_reg,
+                                  m=self.params.m, work=self.coupling_work)
         return _cyclic_tridiagonal_solve(coeffs[0], self.shift, b, self.diag, self.off)
 
-    def pcg(self, b, memory, params, domain, config) -> np.ndarray:
-        coeffs = face_diffusivity(self.last, domain, params.p, config.eps_reg,
-                                  m=params.m, work=self.coupling_work)
+    def pcg(self, b: np.ndarray) -> np.ndarray:
+        coeffs = face_diffusivity(self.last, self.domain, self.params.p, self.config.eps_reg,
+                                  m=self.params.m, work=self.coupling_work)
         b_norm = float(np.linalg.norm(b.ravel()))
         if b_norm == 0.0:
             return np.zeros_like(b)
@@ -393,8 +400,8 @@ class _SolvePlan:
             diffusion_apply(coeffs, x, out=div, work=work)
             return np.subtract(np.multiply(x, shift, out=ax), div, out=ax)
 
-        x, iterations, residual = _pcg(apply_a, b, memory.predict(),
-                                       _scaled_eigen_solve(coeffs, shift, domain),
+        x, iterations, residual = _pcg(apply_a, b, self.memory.predict(),
+                                       _scaled_eigen_solve(coeffs, shift, self.domain),
                                        _CG_TOL * b_norm, maxiter=_CG_MAXITER)
         self.iterations += iterations
         self.iterations_max = max(self.iterations_max, iterations)
@@ -402,10 +409,8 @@ class _SolvePlan:
         return x
 
 
-def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
-         config: SolverConfig, kernel: Optional[KernelGrid] = None,
-         plan: Optional[_SolvePlan] = None) -> np.ndarray:
-    """Advance one step from the state ``memory`` holds; returns u^n.
+def step(plan: _SolvePlan) -> np.ndarray:
+    """Advance one step from the state ``plan.memory`` holds; returns u^n.
 
     The diffusivity is frozen at u^{n-1} (``plan.last``, the grid
     state), the nonlinear growth term is explicit, and the diagonal
@@ -414,9 +419,8 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     SPD system
     ((scale + gamma) I - div(a grad)) u^n
         = scale memory + growth(u^{n-1}) + load
-    by the path of ``plan``, built here when omitted (``run`` builds one
-    per march).  The path fixes the coordinates ``memory`` holds
-    (``_SolvePlan.path_for``), and ``run`` builds its memory in them.
+    by the path of ``plan``, which ``run`` builds once per march and
+    which holds the memory in that path's coordinates.
     In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coupling is h^-2, so the matrix is
@@ -442,7 +446,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     d_j the last increments (lower order over the first three steps):
     the states are smooth in time, so the guess leaves far less
     residual than u^{n-1} does.
-    ``memory`` supplies the memory term, the scale and the load, the
+    The memory supplies the memory term, the scale and the load, the
     starting correction s_n R(u^0): solutions leave t = 0 like
     t^alpha, which caps the uncorrected history quadrature at first
     order globally, and the correction makes the march exact on that
@@ -450,14 +454,13 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     unaffected (the load vanishes there).  For m != 1 the operator uses
     the lagged chain form div(a m u^{m-1} grad u).
     """
-    if plan is None:
-        plan = _SolvePlan(memory, params, domain, config)
+    memory, params = plan.memory, plan.params
     b = memory_term(memory)
     np.multiply(b, memory.scale, b)
     if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
-        eigen = memory.eigenbasis
+        eigen = plan.path == "eigenbasis"
         u_prev = plan.last
-        coupling = _coupling_value(u_prev, params, domain, kernel,
+        coupling = _coupling_value(u_prev, params, plan.domain, plan.kernel,
                                    memory.last() if eigen else None)
         growth = np.square(u_prev, plan.growth)
         np.multiply(growth, params.mu, growth)
@@ -466,7 +469,7 @@ def step(memory: L1Memory, params: ModelParameters, domain: DomainSpec,
     load = memory.load()
     if load is not None:
         np.add(b, load, b)
-    return plan.solve(b, memory, params, domain, config)
+    return plan.solve(b)
 
 
 # --------------------------------------------------------------------------
@@ -515,25 +518,8 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
 
     t_start = time.perf_counter()
     dt = config.dt
-    n_steps = int(round(config.t_final / dt))
-    # starting corrections for the t^alpha layer and, where R is exactly
-    # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer, with
-    # the march's own diffusion frozen at u0; both vanish at rest states.
-    # coupling0 also rejects a missing kernel
-    coupling0 = _coupling_value(u0.values, params, domain, kernel)
-    coeffs0 = face_diffusivity(u0.values, domain, params.p, config.eps_reg, m=params.m)
-    g1 = (diffusion_apply(coeffs0, u0.values)
-          + reaction(u0.values, coupling0, params))
-    g2 = None
-    if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
-        g2 = diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
-    history = u0.values
-    eigen = _SolvePlan.path_for(u0.dim, params) == "eigenbasis"
-    if eigen:       # that plan's memory holds eigenbasis coordinates
-        history, g1, g2 = (None if v is None else _to_eigenbasis(v)
-                           for v in (history, g1, g2))
-    memory = L1Memory(history, params.alpha, dt, n_steps, g1, g2, eigenbasis=eigen)
-    plan = _SolvePlan(memory, params, domain, config)
+    plan = _SolvePlan(u0.values, params, domain, config, kernel)
+    memory = plan.memory
 
     warnings = []
     taken = {}
@@ -561,10 +547,10 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     steps_done = 0
     threshold = config.blowup_threshold
 
-    for n in range(1, n_steps + 1):
+    for n in range(1, memory.horizon + 1):
         t_n = n * dt
         try:
-            u_next = step(memory, params, domain, config, kernel, plan)
+            u_next = step(plan)
         except SolverConvergenceError as exc:
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
             status = RunStatus("solver_failed", time=t_n)
@@ -584,7 +570,7 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             record(t_n, u)
         if not status.completed:
             break           # a blowup report ends at the state past the threshold
-        plan.accept(memory, u)
+        plan.accept(u)
         if n in taken:
             snapshots.append((t_n, Field(u.copy(), domain)))
     if steps_done % config.record_every:

@@ -23,7 +23,9 @@ The same holds for the methods of ``integrator._SolvePlan`` that solve a
 step's system or append its state, named ``Class.method`` below.  The
 L1 memory's share of a step (``fractional.memory_term`` and the
 ``L1Memory`` append, guess and load) builds no ``Field`` and makes no
-roll either: its ring wraps by indexing.
+roll either: its ring wraps by indexing.  Only the solve plan knows the
+coordinates the memory holds: ``fractional`` names no eigenbasis, and
+``integrator.run`` takes nothing to or from it.
 """
 import ast
 from pathlib import Path
@@ -100,6 +102,30 @@ def test_only_operators_references_the_laplacian_basis():
         or isinstance(node, ast.Attribute) and node.attr == "_laplacian_basis"
         or isinstance(node, ast.alias) and node.name == "_laplacian_basis")
     assert users == [], f"_laplacian_basis referenced outside operators.py: {users}"
+
+
+def identifiers(tree) -> list:
+    """(identifier, line) of every name, attribute, argument, keyword,
+    definition and import in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "arg", "name"):
+            value = getattr(node, attr, None)
+            if isinstance(value, str):
+                found.append((value, getattr(node, "lineno", None)))
+    return found
+
+
+def test_only_the_solve_plan_chooses_the_memory_coordinates():
+    # the solve plan builds the L1 memory in its path's coordinates: the
+    # memory does not know them, and run transforms nothing for it
+    tree = ast.parse((PACKAGE / "fractional.py").read_text(encoding="utf-8"))
+    named = [line for name, line in identifiers(tree) if "eigenbasis" in name]
+    assert named == [], f"fractional.py names the eigenbasis at lines {named}"
+    run = functions("integrator.py")["run"]
+    transforms = [(name, line) for name, line in identifiers(run)
+                  if name in ("_to_eigenbasis", "_from_eigenbasis")]
+    assert transforms == [], f"integrator.run transforms coordinates at {transforms}"
 
 
 @pytest.mark.parametrize("module,name", NO_FIELD)

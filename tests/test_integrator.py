@@ -87,8 +87,7 @@ def test_solver_config_rejects_bad_values(kw):
 def test_step_keeps_rest_state():
     domain, kern = allee_setup()
     cfg = SolverConfig(dt=0.01, t_final=1.0)
-    memory = L1Memory(np.zeros(domain.shape(1)), ALLEE.alpha, cfg.dt, 1)
-    u1 = step(memory, ALLEE, domain, cfg, kernel=kern)
+    u1 = step(integrator._SolvePlan(np.zeros(domain.shape(1)), ALLEE, domain, cfg, kern))
     assert np.allclose(u1, 0.0, atol=1e-12)
 
 
@@ -97,8 +96,8 @@ def test_step_keeps_equilibrium():
     roots = equilibrium_roots(ALLEE.mu, ALLEE.k, ALLEE.gamma)
     cfg = SolverConfig(dt=0.01, t_final=1.0)
     for val in (roots.lower, roots.upper):
-        memory = L1Memory(np.full(domain.shape(1), val), ALLEE.alpha, cfg.dt, 1)
-        u1 = step(memory, ALLEE, domain, cfg, kernel=kern)
+        plan = integrator._SolvePlan(np.full(domain.shape(1), val), ALLEE, domain, cfg, kern)
+        u1 = step(plan)
         assert np.max(np.abs(u1 - val)) < 1e-9
 
 
@@ -245,11 +244,11 @@ def test_2d_solves_start_from_the_extrapolated_state(monkeypatch):
 def test_2d_constant_coefficient_step_solves_its_system_exactly():
     # p = 2, m = 1 with kernel competition, after three steps: the frozen
     # system ((scale + gamma) I - Laplacian_h) x = b is solved to rounding.
-    # The memory holds eigenbasis coordinates, as run's does, so the
-    # right-hand side is taken back to the grid to check the grid state
-    # x.  At amplitude 1e-12 (a state near extinction) an earlier CG
-    # solve met its absolute floor of 1e-10 at the guess and returned it
-    # unsolved, a few percent off the solution
+    # The plan's memory holds eigenbasis coordinates, so the right-hand
+    # side, starting load included, is taken back to the grid to check
+    # the grid state x.  At amplitude 1e-12 (a state near extinction) an
+    # earlier CG solve met its absolute floor of 1e-10 at the guess and
+    # returned it unsolved, a few percent off the solution
     domain = DomainSpec(half_width=4.0, n=16)
     params = ModelParameters(alpha=0.5, p=2.0, mu=1.0, k=2.0, gamma=0.3, dim=2)
     kern = discretize_kernel("box", 0.5, 0.2, domain, dim=2)
@@ -260,21 +259,21 @@ def test_2d_constant_coefficient_step_solves_its_system_exactly():
     laplacian = np.column_stack([diffusion_apply(ones, e.reshape(shape.shape)).ravel()
                                  for e in np.eye(shape.size)])
     for amplitude in (1.0, 1e-12):
-        memory = L1Memory(operators._to_eigenbasis(amplitude * shape), params.alpha,
-                          config.dt, 100, eigenbasis=True)
-        plan = integrator._SolvePlan(memory, params, domain, config)
+        plan = integrator._SolvePlan(amplitude * shape, params, domain, config, kern)
+        memory = plan.memory
         assert plan.path == "eigenbasis"
         for _ in range(3):
-            plan.accept(memory, step(memory, params, domain, config, kern, plan))
+            plan.accept(step(plan))
         u = plan.last
         assert np.allclose(u, operators._from_eigenbasis(memory.last()), rtol=0.0,
                            atol=1e-14 * amplitude)
         coupling = convolve_kernel(Field(u, domain), kern).values
-        b = (memory.scale * operators._from_eigenbasis(integrator.memory_term(memory))
+        b = (operators._from_eigenbasis(memory.scale * integrator.memory_term(memory)
+                                        + memory.load())
              + params.mu * u ** 2 * (1.0 - params.k * coupling)).ravel()
         matrix = (memory.scale + params.gamma) * np.eye(shape.size) - laplacian
         exact = np.linalg.solve(matrix, b)
-        x = step(memory, params, domain, config, kern, plan).ravel()
+        x = step(plan).ravel()
         assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
         assert np.linalg.norm(b - matrix @ x) <= 1e-12 * max(1.0, np.linalg.norm(b))
 
@@ -318,21 +317,6 @@ def test_eigenbasis_march_matches_the_grid_coordinate_march(case):
     expected = _grid_coordinate_march(u0, params, config, kern)
     gap = np.max(np.abs(report.final.values - expected))
     assert gap <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_step_rejects_a_memory_in_the_other_coordinates():
-    # the p = 2, m = 1 2D solve reads eigenbasis coordinates and every
-    # other path grid states: a memory built the other way would be
-    # marched silently wrong
-    domain = DomainSpec(half_width=4.0, n=16)
-    config = SolverConfig(dt=0.01, t_final=0.1)
-    u0 = np.full((16, 16), 0.4)
-    linear = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.3, dim=2)
-    with pytest.raises(HypothesisError, match="eigenbasis coordinates"):
-        step(L1Memory(u0, 0.5, config.dt, 10), linear, domain, config)
-    pcg = ModelParameters(alpha=0.5, p=1.8, mu=0.0, k=0.0, gamma=0.3, dim=2)
-    with pytest.raises(HypothesisError, match="grid states"):
-        step(L1Memory(u0, 0.5, config.dt, 10, eigenbasis=True), pcg, domain, config)
 
 
 @pytest.mark.parametrize("mu,products", [(0.0, 2), (1.0, 6)])
@@ -492,14 +476,15 @@ def test_small_2d_state_is_solved_to_a_relative_tolerance():
     config = SolverConfig(dt=0.01, t_final=1.0)
     x = domain.axis_coords()
     u0 = 1e-8 * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 0.5)
-    memory = L1Memory(u0, params.alpha, config.dt, 100)
+    plan = integrator._SolvePlan(u0, params, domain, config, kern)
+    memory = plan.memory
     coeffs = face_diffusivity(u0, domain, params.p, config.eps_reg)
     coupling = convolve_kernel(Field(u0, domain), kern).values
     b = (memory.scale * integrator.memory_term(memory)
-         + params.mu * u0 ** 2 * (1.0 - params.k * coupling))
+         + params.mu * u0 ** 2 * (1.0 - params.k * coupling) + memory.load())
     exact = np.linalg.solve(_dense_system(coeffs, memory.scale + params.gamma, domain),
                             b.ravel())
-    got = step(memory, params, domain, config, kern).ravel()
+    got = step(plan).ravel()
     assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
 
 
@@ -509,11 +494,11 @@ def test_zero_2d_right_hand_side_gives_exact_zeros(monkeypatch):
     domain = DomainSpec(half_width=2.0, n=16)
     params = ModelParameters(alpha=0.5, p=1.8, mu=1.0, k=0.0, gamma=0.3, dim=2)
     zeros = np.zeros((16, 16))
-    memory = SimpleNamespace(last=lambda: zeros, scale=10.0, load=lambda: None,
-                             predict=lambda: np.random.default_rng(3).random((16, 16)),
-                             eigenbasis=False)
+    plan = integrator._SolvePlan(zeros, params, domain, SolverConfig(dt=0.01, t_final=1.0))
+    plan.memory = SimpleNamespace(last=lambda: zeros, scale=10.0, load=lambda: None,
+                                  predict=lambda: np.random.default_rng(3).random((16, 16)))
     monkeypatch.setattr(integrator, "memory_term", lambda memory: zeros.copy())
-    x = step(memory, params, domain, SolverConfig(dt=0.01, t_final=1.0))
+    x = step(plan)
     assert np.array_equal(x, zeros)
 
 
@@ -666,25 +651,6 @@ def _plan_case(path):
 
 
 @pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
-def test_step_without_a_plan_matches_the_planned_steps(monkeypatch, path):
-    # each of run's steps is taken twice from the same memory: alone,
-    # with a plan of its own, and with run's plan
-    real, same = integrator.step, []
-
-    def both(memory, params, domain, config, kernel=None, plan=None):
-        alone = real(memory, params, domain, config, kernel)
-        planned = real(memory, params, domain, config, kernel, plan)
-        same.append(plan is not None and alone.tobytes() == planned.tobytes())
-        return planned
-
-    monkeypatch.setattr(integrator, "step", both)
-    u0, params, cfg, kern = _plan_case(path)
-    report = run(u0, params, cfg, kernel=kern)
-    assert report.status.completed and report.solve_path == path
-    assert same == [True] * report.steps == [True] * 20
-
-
-@pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
 def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
     plans, iterations, residuals = [], [], []
 
@@ -750,9 +716,9 @@ def test_first_starting_load_applies_the_march_operator(monkeypatch):
     lagged chain form frozen at u0, not from a separate form of u0^m."""
     loads = []
 
-    def record_load(memory, *args, _real=integrator.step, **kwargs):
-        loads.append(memory.load())
-        return _real(memory, *args, **kwargs)
+    def record_load(plan, _real=integrator.step):
+        loads.append(plan.memory.load())
+        return _real(plan)
 
     monkeypatch.setattr(integrator, "step", record_load)
     domain = DomainSpec(half_width=4.0, n=16)
