@@ -651,6 +651,54 @@ def _plan_case(path):
 
 
 @pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
+def test_a_second_plan_from_the_same_start_takes_the_same_steps(monkeypatch, path):
+    # each of run's steps is taken twice: by run's plan, and by a second
+    # plan built from the same start and marched alongside it.  Two plans
+    # share no march state, so their steps agree bit for bit
+    u0, params, cfg, kern = _plan_case(path)
+    twin = integrator._SolvePlan(u0.values.copy(), params, u0.domain, cfg, kern)
+    real, same = integrator.step, []
+
+    def both(plan):
+        planned = real(plan)
+        alone = real(twin)
+        same.append(plan is not twin and alone.tobytes() == planned.tobytes())
+        twin.accept(alone)
+        return planned
+
+    monkeypatch.setattr(integrator, "step", both)
+    report = run(u0, params, cfg, kernel=kern)
+    assert report.status.completed and report.solve_path == twin.path == path
+    assert same == [True] * report.steps == [True] * 20
+
+
+@pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
+def test_the_plan_builds_its_memory_in_its_path_coordinates(path):
+    # the p = 2, m = 1 2D path marches eigenbasis coordinates Q^T u Q and
+    # every other path grid states; the plan alone makes that choice, so
+    # its memory's start and first starting load, taken back to the grid,
+    # are u0 and w1 R(u0), and ``last`` is the grid state u0
+    u0, params, cfg, kern = _plan_case(path)
+    domain = u0.domain
+    plan = integrator._SolvePlan(u0.values, params, domain, cfg, kern)
+    assert plan.path == path
+    coeffs = face_diffusivity(u0.values, domain, params.p, cfg.eps_reg, m=params.m)
+    g1 = (diffusion_apply(coeffs, u0.values)
+          + reaction(u0.values, convolve_kernel(u0, kern).values, params))
+    w1 = layer_correction_weights(params.alpha, plan.memory.horizon)[0]
+    if path == "eigenbasis":
+        assert np.array_equal(plan.memory.last(), operators._to_eigenbasis(u0.values))
+        start = operators._from_eigenbasis(plan.memory.last())
+        load = operators._from_eigenbasis(plan.memory.load())
+    else:
+        start, load = plan.memory.last(), plan.memory.load()
+        assert np.array_equal(start, u0.values)
+    assert np.allclose(start, u0.values, rtol=0.0, atol=1e-14)
+    assert np.allclose(plan.last, u0.values, rtol=0.0, atol=1e-14)
+    assert np.allclose(load, w1 * g1, rtol=0.0, atol=1e-12 * np.max(np.abs(g1)))
+
+
+@pytest.mark.parametrize("path", ["tridiagonal", "eigenbasis", "pcg"])
 def test_run_builds_one_plan_and_reports_its_solves(monkeypatch, path):
     plans, iterations, residuals = [], [], []
 
