@@ -114,13 +114,37 @@ def soe_kernel(alpha: float, n: int):
     return nodes, weights
 
 
-# coefficients of d1, d2, d3 in the extrapolation of order 0 .. 3:
-# (-1)^(j-1) binomial(order, j)
-_EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
-# increments predict reads at the highest order
-_RECENT = len(_EXTRAPOLATION) - 1
+# increments predict reads: the cubic extrapolation's order
+_RECENT = 3
 # increments an L1Memory holds before it folds them into its sums
 _FOLD = 16
+
+
+def _predictor_table(alpha: float, rows: int) -> np.ndarray:
+    """Row n - 1 holds the coefficients (c_1, c_2, c_3) of the guess
+    u^{n-1} + sum_j c_j d_j of u^n, for n = 1 .. rows, with d_j the
+    increment u^{n-j} - u^{n-j-1}: the polynomial in s = t^alpha through
+    the last min(n, 4) states, evaluated at s_n.
+
+    In units of dt^alpha the nodes are s_k = k^alpha, and the Lagrange
+    weights w_i of the states u^{n-i} at s_n give c_j = -sum_{i>j} w_i,
+    since u^{n-i} = u^{n-1} - d_1 - ... - d_{i-1} and the weights sum to
+    one.  Each weight is one product of node gaps over another, so at
+    alpha = 1 (integer nodes) the cubic's coefficients are exactly the
+    backward-difference ones (3, -3, 1).  Unused orders are zeros."""
+    table = np.zeros((max(rows, _RECENT + 1), _RECENT))
+    for order in range(1, _RECENT + 1):
+        # the predicted states of this order: n = order + 1, or every
+        # n > _RECENT at the highest order
+        n = np.arange(order + 1.0, order + 2.0 if order < _RECENT else rows + 1.0)
+        s = (n[:, None] - np.arange(order + 2.0)) ** alpha     # s_n, s_{n-1}, ...
+        nodes = s[:, 1:]
+        own = np.eye(order + 1, dtype=bool)
+        ahead = np.where(own, 1.0, (s[:, :1] - nodes)[:, None, :])
+        gaps = np.where(own, 1.0, nodes[:, :, None] - nodes[:, None, :])
+        w = np.prod(ahead, axis=2) / np.prod(gaps, axis=2)
+        table[n.astype(int) - 1, :order] = -np.cumsum(w[:, :0:-1], axis=1)[:, ::-1]
+    return table[:rows]
 
 
 class L1Memory:
@@ -158,13 +182,19 @@ class L1Memory:
     u^{n-1}, the ring of R slots, three recent increments and the K sums
     (``matrix``): an append writes O(size), and the sums are read,
     rewritten and projected once per R steps; memory is
-    O((K + R) size).
+    O((K + R) size).  The fold tables hold zeros where the term
+    beta_l e of an entry e of node l stays below 2^-52 SOE_TOL b_N,
+    b_N = (N+1)^(1-alpha) - N^(1-alpha) the smallest L1 weight: 2^-52
+    of the error the kernel itself may make on that weight.  So the SOE
+    accuracy is unchanged by construction, and the fold makes no
+    subnormal products (the fastest nodes leave entries down to 1e-303).
 
     The ring also gives the last three increments d1, d2, d3 (newest
-    first): ``predict`` extrapolates them to a guess of u^n, which the
-    2D step uses as the first iterate of its solve.  So the fold copies
-    the last three slots into the three recent rows before it projects
-    over them, and ``predict`` reads those copies until three appends on.
+    first): ``predict`` extrapolates them in s = t^alpha to a guess of
+    u^n, which the 2D PCG step uses as the first iterate of its solve.
+    So the fold copies the last three slots into the three recent rows
+    before it projects over them, and ``predict`` reads those copies
+    until three appends on.
 
     The memory term and the load are linear in the states and the g's it
     is given, so a memory of their images under one linear map returns
@@ -186,6 +216,8 @@ class L1Memory:
         self.size = u0.size
         self.horizon = horizon
         self.scale = _l1_scale(alpha, dt)
+        self._alpha = alpha
+        self._predictor = None      # predict's table, built on its first call
         nodes, w = soe_kernel(alpha, horizon)
         self.terms = k = nodes.size
         decay = np.exp(-nodes)
@@ -197,9 +229,13 @@ class L1Memory:
         self._coefficients = tuple(
             np.concatenate(([1.0], -decayed[:r][::-1], [-1.0]))
             for r in range(_FOLD))
+        reach = beta * powers                                   # row k: beta d^k
+        unseen = reach < np.finfo(np.float64).eps * SOE_TOL * (
+            (horizon + 1.0) ** (1.0 - alpha) - horizon ** (1.0 - alpha))
+        powers[unseen] = reach[unseen] = 0.0
         self._fold_decay = powers[_FOLD][:, None]
         self._fold_gather = powers[_FOLD - 1::-1].T
-        self._fold_project = beta * powers[:_FOLD]            # row r: beta d^r
+        self._fold_project = reach[:_FOLD]
         self._data = np.zeros((1 + _FOLD + _RECENT + k, self.size), dtype=np.float64)
         self._data[0] = u0.ravel()
         self._ring = self._data[1:1 + _FOLD]
@@ -253,14 +289,25 @@ class L1Memory:
             self._pending = 0
 
     def predict(self) -> np.ndarray:
-        """A guess of the next state: the backward-difference extrapolation
-        u^{n-1} + nabla + nabla^2 + nabla^3 = u^{n-1} + 3 d1 - 3 d2 + d3,
-        exact on states cubic in n.  With fewer increments it drops to
-        the order they allow: u^{n-1}, then u^{n-1} + d1, then
-        u^{n-1} + 2 d1 - d2.  Returns a new array."""
+        """A guess of the next state u^n, n inside the horizon: the cubic
+        in s = t^alpha through the last four states, evaluated at s_n,
+        u^{n-1} + c1 d1 + c2 d2 + c3 d3.  Solutions leave t = 0 like
+        u^0 + c t^alpha, which is smooth in s and not in n; the guess is
+        exact on states cubic in t^alpha, and at alpha = 1 it would be
+        u^{n-1} + 3 d1 - 3 d2 + d3.  With fewer increments it drops to
+        the order they allow: u^{n-1}, then the line and the parabola
+        in s.  The coefficients come from ``_predictor_table``, built on
+        the first call, so only a march that predicts builds it.
+        Returns a new array."""
+        if self._states > self.horizon:
+            raise HypothesisError(
+                f"step index {self._states} outside the kernel horizon {self.horizon}")
+        if self._predictor is None:
+            self._predictor = _predictor_table(self._alpha, self.horizon)
         guess = self._data[0].copy()
-        for i, c in enumerate(_EXTRAPOLATION[min(self._states - 1, _RECENT)]):
-            guess += c * self._window[self._pending - 1 - i]   # wraps below 0
+        coefficients = self._predictor[self._states - 1]
+        for i in range(min(self._states - 1, _RECENT)):
+            guess += coefficients[i] * self._window[self._pending - 1 - i]   # wraps below 0
         return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:

@@ -16,8 +16,9 @@ one inverse half-transform (``operators._from_eigenbasis``), two dense
 products, to get its grid state; kernel coupling adds a convolution
 from the held coordinates and the growth term's forward transform,
 six products in all.  Other 2D systems are solved by
-conjugate gradients, started from the cubic extrapolation of the last
-four states (``L1Memory.predict``) and preconditioned by the
+conjugate gradients to a residual of 1e-9 |b|, started from the cubic
+extrapolation in t^alpha of the last four states
+(``L1Memory.predict``), and preconditioned by the
 constant-coefficient solve at the mean face coupling, both
 half-transforms around the division (``operators._eigen_product``),
 scaled on both sides by a diagonal that gives it the system's own
@@ -58,7 +59,14 @@ from .operators import (KernelGrid, _check_same_grid, _coupling_work, _eigen_pro
                         _periodic_convolve, _periodic_diff, _to_eigenbasis,
                         diffusion_apply, face_diffusivity)
 
-_CG_TOL = 1e-10
+# A 2D PCG solve stops at residual |r| <= _CG_TOL |b|.  The frozen
+# matrix A = (scale + gamma) I - div(a grad) has A >= (scale + gamma) I,
+# so |x - x*| <= |r| / (scale + gamma); b is mostly scale times the
+# memory term, near scale x*, so the step's relative 2-norm error stays
+# at most about _CG_TOL.  That is some six orders of magnitude below the
+# march's own time-discretization error (dt against dt / 2: 3.5e-6 on the
+# bounded-2d manifest).
+_CG_TOL = 1e-9
 # A 2D PCG solve stops here: past it a direct solve is cheaper.  At
 # n = 64 one iteration (an operator product, a preconditioner call and
 # the vector updates) took 63-102 us and a sparse LU of the frozen
@@ -433,7 +441,7 @@ def step(plan: _SolvePlan) -> np.ndarray:
     face coefficients, guess or iteration, and ``_from_eigenbasis``
     returns the grid state: two dense n x n products a step at mu = 0,
     six with kernel coupling.  Other 2D systems are
-    solved by preconditioned conjugate gradients (residual 1e-10 |b|, at
+    solved by preconditioned conjugate gradients (residual 1e-9 |b|, at
     most ``_CG_MAXITER`` = 300 iterations, past which a direct solve
     would be cheaper; b = 0 returns zeros); the preconditioner is
     the constant-coefficient solve at the mean face coupling, from and
@@ -442,10 +450,11 @@ def step(plan: _SolvePlan) -> np.ndarray:
     iterations nearly flat as p falls and the couplings spread.  A
     solve of k iterations makes k + 1 operator products and k
     preconditioner calls.
-    CG starts from ``memory.predict()``, u^{n-1} + 3 d1 - 3 d2 + d3 with
-    d_j the last increments (lower order over the first three steps):
-    the states are smooth in time, so the guess leaves far less
-    residual than u^{n-1} does.
+    CG starts from ``memory.predict()``, the cubic in s = t^alpha through
+    the last four states (lower order over the first three steps):
+    solutions leave t = 0 like u^0 + c t^alpha and are smooth in s, so
+    the guess leaves far less residual than u^{n-1} or a cubic in the
+    step index does.
     The memory supplies the memory term, the scale and the load, the
     starting correction s_n R(u^0): solutions leave t = 0 like
     t^alpha, which caps the uncorrected history quadrature at first

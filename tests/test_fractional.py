@@ -282,6 +282,16 @@ def test_memory_term_reads_two_plus_pending_rows_whatever_k(alpha, horizon):
         memory.append(np.full(3, float(n)))
 
 
+def predicted_from_the_table(states, n, alpha, horizon):
+    """The guess of u^{n+1} from the states u^0 .. u^n by the predictor
+    table's row n + 1 and the increments taken apart."""
+    c = fractional._predictor_table(alpha, horizon)[n]
+    guess = states[n].copy()
+    for j in range(min(n, fractional._RECENT)):
+        guess += c[j] * (states[n - j] - states[n - j - 1])
+    return guess
+
+
 @pytest.mark.parametrize("fold", [1, 2])
 def test_l1_memory_predict_right_after_a_fold(fold):
     # the fold must leave the three increments predict reads until the
@@ -292,9 +302,30 @@ def test_l1_memory_predict_right_after_a_fold(fold):
     for n in range(1, states.shape[0]):
         memory.append(states[n])
         if n >= fold * fractional._FOLD:
-            d1, d2, d3 = (states[n - i] - states[n - i - 1] for i in range(3))
-            expected = states[n] + 3.0 * d1 - 3.0 * d2 + d3
+            expected = predicted_from_the_table(states, n, 0.6, states.shape[0])
             assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
+
+
+@pytest.mark.parametrize("alpha,horizon", [(0.3, 100), (0.5, 3000), (0.8, 20000)])
+def test_l1_memory_fold_tables_drop_terms_below_the_kernel_accuracy(alpha, horizon):
+    # an entry e of node l is zero exactly where its term beta_l e is
+    # below 2^-52 SOE_TOL b_N, b_N the smallest L1 weight; every other
+    # entry keeps its bits.  The projection's entries are the terms
+    fold = fractional._FOLD
+    memory = L1Memory(np.zeros(3), alpha, 0.01, horizon)
+    nodes, w = soe_kernel(alpha, horizon)
+    decay = np.exp(-nodes)
+    beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
+    powers = decay ** np.arange(fold + 1.0)[:, None]
+    cut = 2.0 ** -52 * SOE_TOL * ((horizon + 1.0) ** (1.0 - alpha) - horizon ** (1.0 - alpha))
+    gather = powers[fold - 1::-1].T
+    tables = ((memory._fold_decay, powers[fold][:, None], beta[:, None] * powers[fold][:, None]),
+              (memory._fold_gather, gather, beta[:, None] * gather),
+              (memory._fold_project, beta * powers[:fold], beta * powers[:fold]))
+    for table, entries, terms in tables:
+        assert np.array_equal(table, np.where(terms < cut, 0.0, entries))
+        if alpha == 0.5:    # the fastest nodes lose entries in every table
+            assert np.count_nonzero(terms < cut) > 0
 
 
 @pytest.mark.parametrize("shape", [(7,), (16, 16)])
@@ -328,14 +359,36 @@ def test_l1_memory_fold_projects_every_ring_slot(shape):
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])
 def test_l1_memory_predict_across_folds(shape):
     states = wandering_states(shape, 2 * fractional._FOLD + 4, 42)
-    memory = L1Memory(states[0], 0.6, 0.01, states.shape[0])
-    for n in range(1, states.shape[0]):
-        memory.append(states[n])
-        if n >= 3:
-            d1, d2, d3 = (states[n - i] - states[n - i - 1] for i in range(3))
-            expected = states[n] + 3.0 * d1 - 3.0 * d2 + d3
-            # a few roundings of numbers of order one
-            assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
+    memory = L1Memory(states[0], 0.3, 0.01, states.shape[0])
+    for n in range(states.shape[0] - 1):
+        # a few roundings of numbers of order one
+        expected = predicted_from_the_table(states, n, 0.3, states.shape[0])
+        assert np.allclose(memory.predict(), expected, rtol=0.0, atol=1e-14), n
+        memory.append(states[n + 1])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+def test_predictor_table_is_the_lagrange_extrapolation_in_t_alpha(alpha):
+    # row by row against the Lagrange weights w_i of u^{n-i} at s_n = n^alpha,
+    # c_j = -sum_{i>j} w_i, out to the horizons a march reaches; the node
+    # gaps n^alpha - (n-1)^alpha carry a relative rounding of about
+    # eps n / alpha, so both sides may differ by a few eps n
+    rows = 20000
+    table = fractional._predictor_table(alpha, rows)
+    for n in list(range(1, 40)) + [999, 3000, rows]:
+        nodes = [(n - i) ** alpha for i in range(1, min(n, 4) + 1)]
+        w = [math.prod((n ** alpha - b) / (a - b) for b in nodes if b != a) for a in nodes]
+        expected = [-math.fsum(w[j:]) for j in range(1, len(w))]
+        expected += [0.0] * (3 - len(expected))
+        assert np.allclose(table[n - 1], expected, rtol=0.0, atol=1e-13 * n), n
+
+
+def test_predictor_table_at_alpha_one_is_the_backward_difference():
+    # integer nodes: the guesses u^0, u^1 + d1, u^2 + 2 d1 - d2, then
+    # u^{n-1} + 3 d1 - 3 d2 + d3, to the bit
+    table = fractional._predictor_table(1.0, 40)
+    assert np.array_equal(table[:3], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, -1.0, 0.0]])
+    assert np.array_equal(table[3:], np.tile([3.0, -3.0, 1.0], (37, 1)))
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])
@@ -344,41 +397,53 @@ def test_l1_memory_horizon_guard_off_the_fold_grid(shape):
     memory = L1Memory(states[0], 0.6, 0.01, BLOCKED_HORIZON)
     for n in range(1, BLOCKED_HORIZON + 1):
         memory_term(memory)             # step n is inside the horizon
+        memory.predict()
         memory.append(states[n])
     with pytest.raises(HypothesisError):
         memory_term(memory)             # step horizon + 1 is not
+    with pytest.raises(HypothesisError):
+        memory.predict()
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])
 def test_l1_memory_predict_extrapolates_low_order_at_the_start(shape):
+    # in s = t^alpha, dt^alpha units, the states sit at s = 0, 1, 2^alpha
+    # and the guesses at 2^alpha and 3^alpha: the line through the first
+    # two, then the parabola through all three
     rng = np.random.default_rng(31)
     u0, u1, u2 = rng.uniform(0.2, 1.0, (3,) + shape)
-    memory = L1Memory(u0, 0.5, 0.1, 10)
+    alpha = 0.5
+    s2, s3 = 2.0 ** alpha, 3.0 ** alpha
+    memory = L1Memory(u0, alpha, 0.1, 10)
     guess = memory.predict()
     assert guess.shape == shape and np.array_equal(guess, u0)
     # the states are at most 1: a few roundings of numbers below 8
     memory.append(u1)
-    assert np.allclose(memory.predict(), 2.0 * u1 - u0, rtol=0.0, atol=1e-14)
+    assert np.allclose(memory.predict(), u1 + (s2 - 1.0) * (u1 - u0), rtol=0.0, atol=1e-14)
     memory.append(u2)
-    assert np.allclose(memory.predict(), 3.0 * u2 - 3.0 * u1 + u0,
-                       rtol=0.0, atol=1e-14)
+    parabola = (u0 * (s3 - 1.0) * (s3 - s2) / s2
+                + u1 * s3 * (s3 - s2) / (1.0 - s2)
+                + u2 * s3 * (s3 - 1.0) / (s2 * (s2 - 1.0)))
+    assert np.allclose(memory.predict(), parabola, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(6,), (4, 5)])
 def test_l1_memory_predict_is_exact_on_cubics(shape):
+    # states cubic in s = t^alpha, as solutions leave t = 0 like
+    # u^0 + c t^alpha, over two folds
     rng = np.random.default_rng(32)
     c0, c1, c2, c3 = rng.uniform(-1.0, 1.0, (4,) + shape)
+    for alpha in (0.3, 0.5, 0.8):
+        def state(n):
+            s = (0.1 * n) ** alpha
+            return c0 + s * (c1 + s * (c2 + s * c3))
 
-    def state(n):
-        t = 0.1 * n
-        return c0 + t * (c1 + t * (c2 + t * c3))
-
-    memory = L1Memory(state(0), 0.5, 0.1, 20)
-    for n in range(1, 12):
-        memory.append(state(n))
-        if n >= 3:
-            guess = memory.predict()
-            assert np.max(np.abs(guess - state(n + 1))) <= 1e-12 * np.max(np.abs(state(n + 1)))
+        memory = L1Memory(state(0), alpha, 0.1, 40)
+        for n in range(1, 2 * fractional._FOLD + 4):
+            memory.append(state(n))
+            if n >= 3:
+                gap = np.max(np.abs(memory.predict() - state(n + 1)))
+                assert gap <= 1e-12 * np.max(np.abs(state(n + 1))), (alpha, n)
 
 
 def test_l1_memory_predict_returns_a_new_array():

@@ -129,6 +129,19 @@ every operator, convolution, weight, ``caputo_series``,
 inequality-margin, spectral-reference and Mittag-Leffler digest is
 unchanged.
 
+The two PCG march digests (2D global mass at m = 2.5, 2D kernel at
+p = 1.5) were re-pinned when the solve's guess became the cubic in
+s = t^alpha through the last four states, instead of the cubic in the
+step index, and CG began to stop at 1e-9 |b| instead of 1e-10 |b|.  CG
+stops at another iterate inside the looser tolerance: the final states
+moved by 3.6e-9 (global mass) and 4.3e-10 (kernel) relative to their
+sup norm, and the iterations over the two 20-step marches fell from 98
+to 75 and from 342 to 295.  Zeroing the L1 fold-table entries whose
+terms fall 2^-52 below the kernel's accuracy moved no bit.  Every 1D
+march, the 2D layer-two load march (the direct p = 2 solve), and every
+operator, convolution, weight, ``caputo_series``, inequality-margin,
+spectral-reference and Mittag-Leffler digest is unchanged.
+
 The ``caputo_series``, inequality-margin and spectral-reference digests
 were taken while the L1 weights still had their own public builder,
 the m = 2 inequality its own checker, and the reference its own copy
@@ -167,7 +180,7 @@ def sample(dim: int, seed: int, lo: float = 0.2, hi: float = 1.0) -> Field:
 
 MARCHES = {
     1: "c2f1e670ea14a2de",
-    2: "c2b4c958effb4296",
+    2: "80bcbec3541520de",
 }
 
 
@@ -184,7 +197,7 @@ def test_global_mass_march_bits(dim):
 KERNEL_MARCHES = {
     # dim: (grid points per axis, dt, t_final, digest of the final state)
     1: (16, 0.01, 2.0, "5c70e0ceda4f5c39"),
-    2: (32, 0.01, 0.2, "5d4472b15f32a0c8"),
+    2: (32, 0.01, 0.2, "db86ba23ad4d883f"),
 }
 
 
