@@ -204,9 +204,8 @@ class L1Memory:
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
     weights of ``layer_correction_weights``.  There are no loads when g1
-    vanishes, and g2 is used only below alpha = 1/2: t^(2 alpha) is
-    singular only there, above it its uncorrected rate already meets the
-    smooth cap and the extra load would only perturb stiff modes.
+    vanishes; otherwise both loads given apply.  Whether g2 is given is
+    the solve plan's choice.
     """
 
     def __init__(self, u0: np.ndarray, alpha: float, dt: float, horizon: int,
@@ -250,7 +249,7 @@ class L1Memory:
         if g1 is not None and np.any(g1 != 0.0):
             self._g1 = g1
             self._w1 = layer_correction_weights(alpha, horizon)
-            if g2 is not None and 2.0 * alpha < 1.0:
+            if g2 is not None:
                 self._g2 = g2
                 self._w2 = dt ** alpha * layer_correction_weights(alpha, horizon, layer=2)
 
@@ -258,19 +257,11 @@ class L1Memory:
         return self._data.shape[0]
 
     def append(self, u: np.ndarray) -> None:
-        """``_append`` behind a float64 conversion and a shape check, which
-        raises GridMismatchError: the checked entry point of the tests,
-        which build memories by hand.  ``run`` appends its own states
-        unchecked."""
-        u = np.asarray(u, dtype=np.float64)
+        """Take in the state u^n, a float64 array of the history's shape;
+        another shape raises GridMismatchError."""
         if u.shape != self.shape:
             raise GridMismatchError(
                 f"snapshot shape {u.shape} does not match history shape {self.shape}")
-        self._append(u)
-
-    def _append(self, u: np.ndarray) -> None:
-        """``append`` for a float64 array of the history's shape, unchecked:
-        the march's own states."""
         flat = u.ravel()
         last = self._data[0]
         np.subtract(flat, last, out=self._ring[self._pending])
@@ -299,14 +290,12 @@ class L1Memory:
         in s.  The coefficients come from ``_predictor_table``, built on
         the first call, so only a march that predicts builds it.
         Returns a new array."""
-        if self._states > self.horizon:
-            raise HypothesisError(
-                f"step index {self._states} outside the kernel horizon {self.horizon}")
+        n = self._next_step()
         if self._predictor is None:
             self._predictor = _predictor_table(self._alpha, self.horizon)
         guess = self._data[0].copy()
-        coefficients = self._predictor[self._states - 1]
-        for i in range(min(self._states - 1, _RECENT)):
+        coefficients = self._predictor[n - 1]
+        for i in range(min(n - 1, _RECENT)):
             guess += coefficients[i] * self._window[self._pending - 1 - i]   # wraps below 0
         return guess.reshape(self.shape)
 
@@ -322,10 +311,15 @@ class L1Memory:
     def last(self) -> np.ndarray:
         return self._last
 
-    def coefficients(self) -> np.ndarray:
+    def _next_step(self) -> int:
+        """The index n of the next step, which must lie inside the horizon."""
         if self._states > self.horizon:
             raise HypothesisError(
                 f"step index {self._states} outside the kernel horizon {self.horizon}")
+        return self._states
+
+    def coefficients(self) -> np.ndarray:
+        self._next_step()
         return self._coefficients[self._pending]
 
     def load(self) -> Optional[np.ndarray]:

@@ -13,9 +13,9 @@ diagonal in the real eigenbasis Q of the periodic Laplacian.  That
 march keeps its history in eigenbasis coordinates Q^T u Q (the history
 is linear in the states), so a step divides by the symbol and makes
 one inverse half-transform (``operators._from_eigenbasis``), two dense
-products, to get its grid state; kernel coupling adds a convolution
-from the held coordinates and the growth term's forward transform,
-six products in all.  Other 2D systems are solved by
+products, to get its grid state; kernel coupling adds the convolution
+of that state (four) and the growth term's forward transform (two),
+eight products in all.  Other 2D systems are solved by
 conjugate gradients to a residual of 1e-9 |b|, started from the cubic
 extrapolation in t^alpha of the last four states
 (``L1Memory.predict``), and preconditioned by the
@@ -164,21 +164,16 @@ class RunReport:
 # --------------------------------------------------------------------------
 
 def _coupling_value(values: np.ndarray, params: ModelParameters,
-                    domain: DomainSpec, kernel: Optional[KernelGrid],
-                    coords: Optional[np.ndarray] = None):
-    """The global mass sum(u) h^dim, or J * u as a new array; builds no
-    Field and leaves the kernel's grid to ``run``, which checks it once.
-    ``coords``, the 2D eigenbasis coordinates of ``values`` where the
-    caller holds them, halve the convolution: J * u = Q (K c) Q^T with K
-    the kernel's eigenvalues, the inverse half-transform alone."""
+                    domain: DomainSpec, kernel: Optional[KernelGrid]):
+    """The global mass sum(u) h^dim, or J * u of the grid state ``values``
+    as a new array; builds no Field and leaves the kernel's grid to
+    ``run``, which checks it once."""
     if params.coupling_mode == COUPLING_GLOBAL_MASS:
         return float(np.sum(values)) * domain.h ** values.ndim
     if params.k == 0.0 or params.mu == 0.0:
         return 0.0          # coupling multiplies k*mu; skip the convolution
     if kernel is None:
         raise HypothesisError("kernel coupling requested but no kernel supplied")
-    if coords is not None:
-        return _from_eigenbasis(np.multiply(coords, kernel.operator))
     return _periodic_convolve(values, kernel.operator)
 
 
@@ -324,12 +319,15 @@ class _SolvePlan:
     ``path`` is "tridiagonal" in 1D, "eigenbasis" in 2D at p = 2, m = 1,
     and "pcg" otherwise (see ``step``); the plan's method of that name
     solves a step's system from its right-hand side b.  The plan builds
-    the starting loads g1 = R(u^0) and g2 = R'(u^0)[R(u^0)], with the
-    march's own diffusion frozen at u^0, and from u^0 and them the
-    march's ``memory``.  On the eigenbasis path all three are taken to
-    eigenbasis coordinates Q^T u Q (``operators._to_eigenbasis``), in
-    which that system is diagonal, so the memory and b hold those
-    coordinates; the other paths keep grid states.
+    the starting loads, R taking the march's own diffusion frozen at
+    u^0: g1 = R(u^0) and, where R is exactly linear (p = 2, mu = 0,
+    m = 1) and alpha < 1/2, g2 = R'(u^0)[R(u^0)] = R(R(u^0)).
+    t^(2 alpha) is singular only below 1/2; above it the uncorrected
+    rate already meets the smooth cap and g2 would only perturb stiff
+    modes.  From u^0 and the loads it builds the march's ``memory``, on
+    the eigenbasis path in eigenbasis coordinates Q^T u Q
+    (``operators._to_eigenbasis``), in which that system is diagonal;
+    ``to_coordinates`` takes a grid term of b there (None elsewhere).
     ``last`` is the grid state u^{n-1}: a view of the memory's last row,
     or on the eigenbasis path Q c Q^T of it, built here once and then
     taken from the solve that made the state.  ``accept`` appends an
@@ -344,18 +342,19 @@ class _SolvePlan:
     def __init__(self, u0: np.ndarray, params: ModelParameters, domain: DomainSpec,
                  config: SolverConfig, kernel: Optional[KernelGrid] = None):
         self.params, self.domain, self.config, self.kernel = params, domain, config, kernel
-        # starting corrections for the t^alpha layer and, where R is exactly
-        # linear so that R'(u0)[R(u0)] = R(R(u0)), the t^{2 alpha} layer;
-        # both vanish at rest states.  coupling0 also rejects a missing kernel
+        # the starting loads vanish at rest states; coupling0 also rejects
+        # a missing kernel
         coupling0 = _coupling_value(u0, params, domain, kernel)
         coeffs0 = face_diffusivity(u0, domain, params.p, config.eps_reg, m=params.m)
         g1 = diffusion_apply(coeffs0, u0) + reaction(u0, coupling0, params)
         g2 = None
-        if params.p == 2.0 and params.mu == 0.0 and params.m == 1.0:
+        if (params.p == 2.0 and params.mu == 0.0 and params.m == 1.0
+                and 2.0 * params.alpha < 1.0):
             g2 = diffusion_apply(coeffs0, g1) + reaction(g1, 0.0, params)
         self.path = ("tridiagonal" if u0.ndim == 1 else
                      "eigenbasis" if params.p == 2.0 and params.m == 1.0 else "pcg")
         eigen = self.path == "eigenbasis"
+        self.to_coordinates = _to_eigenbasis if eigen else None
         if eigen:       # this path's memory holds eigenbasis coordinates
             u0, g1, g2 = (None if v is None else _to_eigenbasis(v) for v in (u0, g1, g2))
         self.memory = L1Memory(u0, params.alpha, config.dt,
@@ -381,23 +380,26 @@ class _SolvePlan:
     def accept(self, u: np.ndarray) -> None:
         """Append u^n, the state of the last solve, to the memory."""
         if self.path == "eigenbasis":
-            self.memory._append(self.coords)
+            self.memory.append(self.coords)
             self.last = u
         else:
-            self.memory._append(u)      # last is a view of the row this writes
+            self.memory.append(u)       # last is a view of the row this writes
 
     def eigenbasis(self, b: np.ndarray) -> np.ndarray:
         self.coords = np.divide(b, self.symbol, b)
         return _from_eigenbasis(self.coords)
 
+    def couplings(self):
+        """``face_diffusivity``'s couplings a / h^2, frozen at ``last``."""
+        return face_diffusivity(self.last, self.domain, self.params.p, self.config.eps_reg,
+                                m=self.params.m, work=self.coupling_work)
+
     def tridiagonal(self, b: np.ndarray) -> np.ndarray:
-        coeffs = face_diffusivity(self.last, self.domain, self.params.p, self.config.eps_reg,
-                                  m=self.params.m, work=self.coupling_work)
-        return _cyclic_tridiagonal_solve(coeffs[0], self.shift, b, self.diag, self.off)
+        return _cyclic_tridiagonal_solve(self.couplings()[0], self.shift, b, self.diag,
+                                         self.off)
 
     def pcg(self, b: np.ndarray) -> np.ndarray:
-        coeffs = face_diffusivity(self.last, self.domain, self.params.p, self.config.eps_reg,
-                                  m=self.params.m, work=self.coupling_work)
+        coeffs = self.couplings()
         b_norm = float(np.linalg.norm(b.ravel()))
         if b_norm == 0.0:
             return np.zeros_like(b)
@@ -428,20 +430,19 @@ def step(plan: _SolvePlan) -> np.ndarray:
     ((scale + gamma) I - div(a grad)) u^n
         = scale memory + growth(u^{n-1}) + load
     by the path of ``plan``, which ``run`` builds once per march and
-    which holds the memory in that path's coordinates.
-    In 1D the matrix is cyclic tridiagonal and
+    which holds the memory in that path's coordinates.  b is formed in
+    them: the growth term, on the grid, is taken there by the plan's
+    ``to_coordinates``.  In 1D the matrix is cyclic tridiagonal and
     ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
     p = 2, m = 1 every face coupling is h^-2, so the matrix is
     (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
     cos/sin eigenbasis Q of the periodic Laplacian.  There the memory
-    holds coordinates c = Q^T u Q, so b is formed in them: the memory
-    term and the load come that way, and the growth term is sent forward
-    (``_to_eigenbasis``), its kernel convolution taken as Q (K c^{n-1})
-    Q^T.  A division by the symbol solves the system exactly, with no
-    face coefficients, guess or iteration, and ``_from_eigenbasis``
-    returns the grid state: two dense n x n products a step at mu = 0,
-    six with kernel coupling.  Other 2D systems are
-    solved by preconditioned conjugate gradients (residual 1e-9 |b|, at
+    holds coordinates c = Q^T u Q, and a division by the symbol solves
+    the system exactly, with no face coefficients, guess or iteration;
+    the inverse half-transform returns the grid state: two dense n x n
+    products a step at mu = 0, eight with kernel coupling (the
+    convolution four, the growth term's forward transform two).  Other
+    2D systems are solved by preconditioned CG (residual 1e-9 |b|, at
     most ``_CG_MAXITER`` = 300 iterations, past which a direct solve
     would be cheaper; b = 0 returns zeros); the preconditioner is
     the constant-coefficient solve at the mean face coupling, from and
@@ -467,14 +468,13 @@ def step(plan: _SolvePlan) -> np.ndarray:
     b = memory_term(memory)
     np.multiply(b, memory.scale, b)
     if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
-        eigen = plan.path == "eigenbasis"
         u_prev = plan.last
-        coupling = _coupling_value(u_prev, params, plan.domain, plan.kernel,
-                                   memory.last() if eigen else None)
+        coupling = _coupling_value(u_prev, params, plan.domain, plan.kernel)
         growth = np.square(u_prev, plan.growth)
         np.multiply(growth, params.mu, growth)
         np.multiply(growth, 1.0 - params.k * coupling, growth)
-        np.add(b, _to_eigenbasis(growth) if eigen else growth, b)
+        to_coordinates = plan.to_coordinates
+        np.add(b, growth if to_coordinates is None else to_coordinates(growth), b)
     load = memory.load()
     if load is not None:
         np.add(b, load, b)
@@ -625,9 +625,7 @@ def linear_spectral_reference(u0: Field, params: ModelParameters, times):
         raise HypothesisError(
             f"spectral reference is valid only for p = 2, mu = 0; got "
             f"p={params.p}, mu={params.mu}")
-    alpha = params.alpha
-    if not (0.0 < alpha < 1.0 or alpha == 1.0):
-        raise HypothesisError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = params.alpha       # mittag_leffler rejects one outside (0, 1]
     symbol = _laplacian_axis(u0.domain)
     if u0.dim == 2:
         symbol = symbol[:, None] + symbol[None, :]

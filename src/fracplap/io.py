@@ -76,16 +76,17 @@ def read_snapshot(path: str) -> Field:
 
 
 def summarize_run(report: RunReport) -> dict:
-    """Deterministic JSON-ready summary of a run (no wall-clock entries)."""
-    n_rec = len(report.times)
+    """Deterministic JSON-ready summary of a run (no wall-clock entries);
+    the report's series hold at least the t = 0 row, as every ``run``
+    report does."""
     summary = {
         "status": report.status.kind,
         "steps": report.steps,
-        "final_time": float(report.times[-1]) if n_rec else 0.0,
-        "sup_norm_final": float(report.sup_series[-1]) if n_rec else None,
-        "sup_norm_peak": float(np.max(report.sup_series)) if n_rec else None,
-        "l2_norm_final": float(report.l2_series[-1]) if n_rec else None,
-        "min_value_final": float(report.min_series[-1]) if n_rec else None,
+        "final_time": float(report.times[-1]),
+        "sup_norm_final": float(report.sup_series[-1]),
+        "sup_norm_peak": float(np.max(report.sup_series)),
+        "l2_norm_final": float(report.l2_series[-1]),
+        "min_value_final": float(report.min_series[-1]),
         "warnings": list(report.warnings),
         "history_rows": report.history_rows,
         "soe_terms": report.soe_terms,

@@ -421,6 +421,18 @@ def test_sweep_rejects_empty_ranges(tmp_path, capsys):
     assert "/sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "error: sweep config must be a JSON object\n"),
+    ("{not json", "error: cannot read sweep config: Expecting property name"),
+])
+def test_sweep_rejects_a_config_that_is_no_json_object(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+
+
 def test_sweep_rejects_invalid_variant(tmp_path, capsys):
     manifest = json.loads(write_manifest(tmp_path).read_text())
     manifest["sweep"] = {"/model/alpha": [0.5, 1.5]}

@@ -190,6 +190,12 @@ def test_initial_validation():
     assert err_path({**MINIMAL, "initial": {"kind": "file"}}) == "/initial/path"
 
 
+def test_initial_without_a_kind_is_pinpointed():
+    with pytest.raises(ConfigError) as info:
+        parse({**MINIMAL, "initial": {"value": 0.2}})
+    assert (info.value.path, info.value.message) == ("/initial/kind", "required key missing")
+
+
 def test_round_trip_kernel_manifest():
     src = {
         **MINIMAL,

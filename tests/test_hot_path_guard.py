@@ -20,12 +20,14 @@ per run instead.  Nor does it read
 the grid spacing: ``face_diffusivity`` returns the couplings a / h^2,
 so only ``operators`` knows how the face coefficients scale with h.
 The same holds for the methods of ``integrator._SolvePlan`` that solve a
-step's system or append its state, named ``Class.method`` below.  The
-L1 memory's share of a step (``fractional.memory_term`` and the
-``L1Memory`` append, guess and load) builds no ``Field`` and makes no
-roll either: its ring wraps by indexing.  Only the solve plan knows the
-coordinates the memory holds: ``fractional`` names no eigenbasis, and
-``integrator.run`` takes nothing to or from it.
+step's system, freeze its couplings or append its state, named
+``Class.method`` below.  The L1 memory's share of a step
+(``fractional.memory_term`` and the ``L1Memory`` append, guess and
+load) builds no ``Field`` and makes no roll either: its ring wraps by
+indexing.  Only the solve plan knows the coordinates the memory holds:
+``fractional`` names no eigenbasis, ``integrator.run`` takes nothing to
+or from it, and ``integrator.step`` names no transform and convolves
+from the grid state alone.
 """
 import ast
 from pathlib import Path
@@ -36,8 +38,8 @@ import fracplap
 
 PACKAGE = Path(fracplap.__file__).resolve().parent
 PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg",
-             "_SolvePlan.accept")
-MEMORY_STEP = ("L1Memory._append", "L1Memory.predict", "L1Memory.load", "memory_term")
+             "_SolvePlan.couplings", "_SolvePlan.accept")
+MEMORY_STEP = ("L1Memory.append", "L1Memory.predict", "L1Memory.load", "memory_term")
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",
@@ -122,10 +124,18 @@ def test_only_the_solve_plan_chooses_the_memory_coordinates():
     tree = ast.parse((PACKAGE / "fractional.py").read_text(encoding="utf-8"))
     named = [line for name, line in identifiers(tree) if "eigenbasis" in name]
     assert named == [], f"fractional.py names the eigenbasis at lines {named}"
-    run = functions("integrator.py")["run"]
-    transforms = [(name, line) for name, line in identifiers(run)
+    defs = functions("integrator.py")
+    transforms = [(name, line) for name, line in identifiers(defs["run"])
                   if name in ("_to_eigenbasis", "_from_eigenbasis")]
     assert transforms == [], f"integrator.run transforms coordinates at {transforms}"
+    # step forms its right-hand side in whatever coordinates the plan
+    # holds: it names no transform and reads no path, and the coupling
+    # is convolved from the grid state alone
+    named = [(name, line) for name, line in identifiers(defs["step"])
+             if "eigenbasis" in name or name == "path"]
+    assert named == [], f"integrator.step names the eigenbasis or the path at {named}"
+    params = [arg.arg for arg in defs["_coupling_value"].args.args]
+    assert params == ["values", "params", "domain", "kernel"], params
 
 
 @pytest.mark.parametrize("module,name", NO_FIELD)

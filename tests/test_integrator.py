@@ -218,6 +218,19 @@ def test_pcg_applies_the_preconditioner_once_fewer_than_the_operator():
         integrator._pcg(apply_a, b, np.zeros_like(b), precond, tol, iterations - 1)
 
 
+@pytest.mark.parametrize("apply_a", [np.negative, np.zeros_like], ids=["negative", "zero"])
+def test_pcg_breaks_down_on_a_direction_without_positive_curvature(apply_a):
+    """A search direction with p.Ap <= 0 stops CG with SolverConvergenceError
+    at once, before any update of x, which ``run`` turns into a
+    ``solver_failed`` halt."""
+    b = np.linspace(1.0, 2.0, 8)
+    x = np.zeros_like(b)
+    with pytest.raises(SolverConvergenceError,
+                       match=r"conjugate gradients broke down \(p\.Ap = .*\) after 0 iterations"):
+        integrator._pcg(apply_a, b, x, np.copy, 1e-10, 50)
+    assert not x.any()
+
+
 def _bounded_2d_march(dt: float):
     """The bounded-2d parameters on a 32 x 32 grid to t = 3."""
     domain = DomainSpec(half_width=4.0, n=32)
@@ -336,12 +349,12 @@ def test_eigenbasis_march_matches_the_grid_coordinate_march(case):
     assert gap <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("mu,products", [(0.0, 2), (1.0, 6)])
+@pytest.mark.parametrize("mu,products", [(0.0, 2), (1.0, 8)])
 def test_eigenbasis_step_counts_its_dense_products(monkeypatch, mu, products):
     """A p = 2, m = 1 2D step takes its state back to the grid once (two
-    dense n x n products); with kernel coupling it also convolves from
-    the held coordinates (two) and sends the growth term forward (two).
-    Each half-transform is two products."""
+    dense n x n products); with kernel coupling it also convolves the
+    grid state as every 2D path does (four) and sends the growth term
+    forward (two).  Each half-transform is two products."""
     halves, per_step = [0], []
     for name in ("_to_eigenbasis", "_from_eigenbasis"):
         def counted(values, _real=getattr(operators, name)):
@@ -365,6 +378,43 @@ def test_eigenbasis_step_counts_its_dense_products(monkeypatch, mu, products):
     report = run(u0, params, SolverConfig(dt=0.01, t_final=0.2), kernel=kern)
     assert report.status.completed and report.solve_path == "eigenbasis"
     assert per_step == [products] * 20
+
+
+@pytest.mark.parametrize("dim,alpha,p,mu,m,loaded", [
+    (2, 0.4, 2.0, 0.0, 1.0, True),
+    (1, 0.4, 2.0, 0.0, 1.0, True),
+    (2, 0.5, 2.0, 0.0, 1.0, False),     # 2 alpha = 1: t^(2 alpha) is smooth
+    (2, 0.6, 2.0, 0.0, 1.0, False),
+    (1, 0.6, 2.0, 0.0, 1.0, False),
+    (2, 0.4, 1.8, 0.0, 1.0, False),
+    (2, 0.4, 2.0, 1.0, 1.0, False),
+    (2, 0.4, 2.0, 0.0, 2.0, False),
+])
+def test_only_the_solve_plan_decides_the_layer_two_load(monkeypatch, dim, alpha, p, mu,
+                                                        m, loaded):
+    """g2 = R'(u0)[R(u0)] reaches the memory only where R is exactly
+    linear (p = 2, mu = 0, m = 1) and t^(2 alpha) is singular (alpha <
+    1/2); the memory applies whatever loads it is given."""
+    given = []
+
+    class Recording(L1Memory):
+        def __init__(self, u0, alpha, dt, horizon, g1=None, g2=None):
+            given.append((g1, g2))
+            super().__init__(u0, alpha, dt, horizon, g1, g2)
+
+    monkeypatch.setattr(integrator, "L1Memory", Recording)
+    domain = DomainSpec(half_width=4.0, n=8)
+    params = ModelParameters(alpha=alpha, p=p, mu=mu, k=mu, gamma=0.3, m=m, dim=dim,
+                             coupling_mode=COUPLING_GLOBAL_MASS)
+    u0 = np.random.default_rng(23).uniform(0.2, 1.0, domain.shape(dim))
+    config = SolverConfig(dt=0.01, t_final=0.05)
+    plan = integrator._SolvePlan(u0, params, domain, config)
+    (g1, g2), = given
+    assert (g2 is not None) == loaded
+    load = layer_correction_weights(alpha, 5)[0] * g1
+    if loaded:
+        load = load + config.dt ** alpha * layer_correction_weights(alpha, 5, layer=2)[0] * g2
+    assert np.array_equal(plan.memory.load(), load)
 
 
 def test_2d_solve_path_follows_p_and_m(monkeypatch):

@@ -92,3 +92,20 @@ def test_a_verdict_check_passes_only_on_a_passing_verdict_and_premise(status, pr
     verdict = verify.Verdict(status, 1.0, 2.0, "figures")
     check = verify._verdict_check("name", verdict, "detail", premise=premise)
     assert check == verify.Check("name", passed, "detail")
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(KeyError, match=r"unknown suite 'nope'; choose from \['allee', "):
+        verify.run_suite("nope")
+
+
+def test_allee_suite_returns_its_four_parts_checks_in_order(monkeypatch):
+    parts = ("verify_allee_dichotomy", "verify_decay_envelope",
+             "verify_lyapunov_monotonicity", "verify_determinism")
+    for name in parts:
+        monkeypatch.setattr(verify, name, lambda name=name: [
+            verify.Check(name, True, "first"), verify.Check(name, False, "second")])
+    checks = verify.run_suite("allee")
+    assert [(c.name, c.passed, c.detail) for c in checks] == [
+        (name, passed, detail) for name in parts
+        for passed, detail in ((True, "first"), (False, "second"))]
