@@ -14,7 +14,9 @@ on smooth data.  ``caputo_series`` evaluates the sum densely for a
 scalar series; the march keeps it in sum-of-exponentials form
 (``L1Memory``), whose K sums are projected once every 16 steps so that
 each step's memory term reads only the last state, the increments
-since and one projection.
+since and one projection.  ``memory_term`` returns a step's whole L1
+part, the scale times that memory term plus the starting load, from one
+matrix-vector product over those rows and the load rows.
 """
 from __future__ import annotations
 
@@ -179,13 +181,13 @@ class L1Memory:
     which the fold has just emptied and the r-th append overwrites with
     delta_r.  The memory term thus reads 2 + r rows, u^{n-1},
     delta_0 .. delta_{r-1} and P_r, whatever K.  The rows held are
-    u^{n-1}, the ring of R slots, three recent increments and the K sums
-    (``matrix``): an append writes O(size), and the sums are read,
-    rewritten and projected once per R steps; memory is
-    O((K + R) size).  The fold tables hold zeros where the term
-    beta_l e of an entry e of node l stays below 2^-52 SOE_TOL b_N,
-    b_N = (N+1)^(1-alpha) - N^(1-alpha) the smallest L1 weight: 2^-52
-    of the error the kernel itself may make on that weight.  So the SOE
+    u^{n-1}, the ring of R slots, three recent increments and the K sums:
+    an append writes O(size), and the sums are read, rewritten and
+    projected once per R steps; memory is O((K + R) size).  The fold
+    tables hold zeros where the term beta_l e of an entry e of node l
+    stays below 2^-52 SOE_TOL b_N, b_N = (N+1)^(1-alpha) - N^(1-alpha)
+    the smallest L1 weight: 2^-52 of the error the kernel itself may
+    make on that weight.  So the SOE
     accuracy is unchanged by construction, and the fold makes no
     subnormal products (the fastest nodes leave entries down to 1e-303).
 
@@ -196,16 +198,22 @@ class L1Memory:
     before it projects over them, and ``predict`` reads those copies
     until three appends on.
 
-    The memory term and the load are linear in the states and the g's it
-    is given, so a memory of their images under one linear map returns
-    their images too.  The march's solve plan builds its memory in the
-    coordinates its path solves in, and alone knows which they are.
-
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
     weights of ``layer_correction_weights``.  There are no loads when g1
     vanishes; otherwise both loads given apply.  Whether g2 is given is
-    the solve plan's choice.
+    the solve plan's choice.  The loads are rows of their own just above
+    u^{n-1} (``matrix``, not counted in ``len``), and the coefficient
+    vector of each pending count r holds the scale times the memory-term
+    coefficients behind a head that ``coefficients`` fills with step n's
+    load weights.  So ``memory_term`` returns the whole L1 part of the
+    step's right-hand side, scale * memory term + load, from one
+    matrix-vector product over loads + 2 + r rows.
+
+    That part is linear in the states and the g's the memory is given,
+    so a memory of their images under one linear map returns their
+    images too.  The march's solve plan builds its memory in the
+    coordinates its path solves in, and alone knows which they are.
     """
 
     def __init__(self, u0: np.ndarray, alpha: float, dt: float, horizon: int,
@@ -214,19 +222,30 @@ class L1Memory:
         self.shape = u0.shape
         self.size = u0.size
         self.horizon = horizon
-        self.scale = _l1_scale(alpha, dt)
+        self.scale = scale = _l1_scale(alpha, dt)
         self._alpha = alpha
         self._predictor = None      # predict's table, built on its first call
+        loads, weights = [], []
+        if g1 is not None and np.any(g1 != 0.0):
+            loads.append(g1)
+            weights.append(layer_correction_weights(alpha, horizon))
+            if g2 is not None:
+                loads.append(g2)
+                weights.append(dt ** alpha * layer_correction_weights(alpha, horizon, layer=2))
+        self._loads = len(loads)
+        self._load_weights = np.stack(weights, axis=1) if loads else None
         nodes, w = soe_kernel(alpha, horizon)
         self.terms = k = nodes.size
         decay = np.exp(-nodes)
         beta = w * (1.0 - alpha) * decay * -np.expm1(-nodes) / nodes
         powers = decay ** np.arange(_FOLD + 1.0)[:, None]      # d^0 .. d^R
-        # with r increments pending: 1, -beta . d^(r-1-j) for increment
-        # j < r, then -1 for P_r
+        # with r increments pending: the load weights (written by
+        # coefficients), then the scale times 1, -beta . d^(r-1-j) for
+        # increment j < r and -1 for P_r
         decayed = powers[:_FOLD - 1] @ beta
         self._coefficients = tuple(
-            np.concatenate(([1.0], -decayed[:r][::-1], [-1.0]))
+            np.concatenate((np.zeros(self._loads), [scale], -scale * decayed[:r][::-1],
+                            [-scale]))
             for r in range(_FOLD))
         reach = beta * powers                                   # row k: beta d^k
         unseen = reach < np.finfo(np.float64).eps * SOE_TOL * (
@@ -235,7 +254,11 @@ class L1Memory:
         self._fold_decay = powers[_FOLD][:, None]
         self._fold_gather = powers[_FOLD - 1::-1].T
         self._fold_project = reach[:_FOLD]
-        self._data = np.zeros((1 + _FOLD + _RECENT + k, self.size), dtype=np.float64)
+        self._rows = np.zeros((self._loads + 1 + _FOLD + _RECENT + k, self.size),
+                              dtype=np.float64)
+        for row, g in zip(self._rows, loads):
+            row[...] = g.ravel()
+        self._data = self._rows[self._loads:]
         self._data[0] = u0.ravel()
         self._ring = self._data[1:1 + _FOLD]
         # the ring, then its last _RECENT slots as the last fold found
@@ -245,13 +268,6 @@ class L1Memory:
         self._last = self._data[0].reshape(self.shape)     # a view: appends update it
         self._pending = 0
         self._states = 1
-        self._g1 = self._g2 = None
-        if g1 is not None and np.any(g1 != 0.0):
-            self._g1 = g1
-            self._w1 = layer_correction_weights(alpha, horizon)
-            if g2 is not None:
-                self._g2 = g2
-                self._w2 = dt ** alpha * layer_correction_weights(alpha, horizon, layer=2)
 
     def __len__(self) -> int:
         return self._data.shape[0]
@@ -300,13 +316,14 @@ class L1Memory:
         return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:
-        """Rows u^{n-1}, the ring of R slots, the last three increments
-        the last fold took in, then A_1 .. A_K at that fold, shape
-        (1 + R + 3 + K, size).  With r increments pending, ring slots
-        0 .. r-1 hold them and slot r holds the projection P_r; only
-        these first ``coefficients().size`` = 2 + r rows enter the
-        memory term."""
-        return self._data
+        """The loads g1 (and g2) when the memory has any, then rows
+        u^{n-1}, the ring of R slots, the last three increments the last
+        fold took in, and A_1 .. A_K at that fold: shape (loads + 1 + R +
+        3 + K, size).  With r increments pending, ring slots 0 .. r-1
+        hold them and slot r holds the projection P_r; only the first
+        ``coefficients().size`` = loads + 2 + r rows enter the memory
+        term."""
+        return self._rows
 
     def last(self) -> np.ndarray:
         return self._last
@@ -319,26 +336,26 @@ class L1Memory:
         return self._states
 
     def coefficients(self) -> np.ndarray:
-        self._next_step()
-        return self._coefficients[self._pending]
-
-    def load(self) -> Optional[np.ndarray]:
-        """Starting load of the next step, or None when there is none."""
-        if self._g1 is None:
-            return None
-        n = self._states
-        load = self._w1[n - 1] * self._g1
-        if self._g2 is not None:
-            load = load + self._w2[n - 1] * self._g2
-        return load
+        """The weights of the leading rows of ``matrix`` in step n's L1
+        part: the load weights s_n (and dt^alpha s2_n), then the scale
+        times the memory-term coefficients of r pending increments.  The
+        vector is held, one per r, and its head rewritten each call."""
+        n = self._next_step()
+        coefficients = self._coefficients[self._pending]
+        if self._loads:
+            coefficients[:self._loads] = self._load_weights[n - 1]
+        return coefficients
 
 
 def memory_term(memory) -> np.ndarray:
-    """Past part of the L1 update: the memory's coefficients applied to
-    the leading rows it holds (2 + r rows of an ``L1Memory`` with r
-    increments pending, whatever its K), so that the L1 value at step n
-    is scale * (u^n - memory_term).  ``dot`` computes what ``@`` does, by
-    the same BLAS call, at half its call overhead."""
+    """The memory's coefficients applied to the leading rows it holds, in
+    one BLAS call.  For an ``L1Memory`` that is the whole L1 part of step
+    n's right-hand side, scale * past + s_n g1 (+ dt^alpha s2_n g2), with
+    past the memory term u^{n-1} - beta . A (loads + 2 + r rows with r
+    increments pending, whatever its K), so that step n's equation is
+    scale * u^n = memory_term + the rest of its right-hand side.  ``dot``
+    computes what ``@`` does, by the same BLAS call, at half its call
+    overhead."""
     coefficients = memory.coefficients()
     return coefficients.dot(memory.matrix()[:coefficients.size]).reshape(memory.shape)
 

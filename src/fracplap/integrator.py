@@ -7,7 +7,9 @@ Each step solves the L1 discretization
 with the diffusion taken implicitly at frozen (lagged) diffusivity, the
 death term implicitly and the growth term explicitly.  The frozen
 system is solved directly in 1D (cyclic tridiagonal: one LAPACK
-tridiagonal solve plus a Sherman-Morrison correction) and in 2D at
+tridiagonal solve plus a Sherman-Morrison correction, after one
+product for the L1 part of b, the face couplings and, with kernel
+coupling, one circulant product) and in 2D at
 p = 2, m = 1, where its coefficients are constant and the system is
 diagonal in the real eigenbasis Q of the periodic Laplacian.  That
 march keeps its history in eigenbasis coordinates Q^T u Q (the history
@@ -38,12 +40,13 @@ fold costs O(K size) work a step amortized, and the memory holds
 O((K + 19) size), whatever the step count: the 16 increments and
 projections and a copy of the last 3 increments, which the predictor
 reads until 3 steps after a fold.  It also holds the scale and the
-starting loads.
+starting loads, as rows beside the history, so that ``memory_term``
+returns the whole L1 part of b, scale * memory term + load, from one
+matrix-vector product over at most 17 rows and the loads.
 """
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -145,7 +148,6 @@ class RunReport:
     min_series: np.ndarray
     final: Field
     steps: int
-    wall_time: float
     snapshots: List[Tuple[float, Field]] = dc_field(default_factory=list)
     warnings: List[str] = dc_field(default_factory=list)
     history_rows: int = 0           # state rows the L1 history held at its peak
@@ -428,12 +430,15 @@ def step(plan: _SolvePlan) -> np.ndarray:
     order at 2 - alpha instead of dropping to 1).  The step solves the
     SPD system
     ((scale + gamma) I - div(a grad)) u^n
-        = scale memory + growth(u^{n-1}) + load
+        = scale memory + load + growth(u^{n-1})
     by the path of ``plan``, which ``run`` builds once per march and
     which holds the memory in that path's coordinates.  b is formed in
-    them: the growth term, on the grid, is taken there by the plan's
-    ``to_coordinates``.  In 1D the matrix is cyclic tridiagonal and
-    ``_cyclic_tridiagonal_solve`` solves it directly in O(N).  In 2D at
+    them: ``memory_term`` gives its L1 part, scale memory + load, in one
+    product, and the growth term, on the grid, is taken there by the
+    plan's ``to_coordinates``.  In 1D the matrix is cyclic tridiagonal and
+    ``_cyclic_tridiagonal_solve`` solves it directly in O(N): a step is
+    that product, the growth term (with kernel coupling one circulant
+    product), the face couplings and one dgtsv call.  In 2D at
     p = 2, m = 1 every face coupling is h^-2, so the matrix is
     (scale + gamma) I minus the 5-point Laplacian, diagonal in the real
     cos/sin eigenbasis Q of the periodic Laplacian.  There the memory
@@ -456,17 +461,15 @@ def step(plan: _SolvePlan) -> np.ndarray:
     solutions leave t = 0 like u^0 + c t^alpha and are smooth in s, so
     the guess leaves far less residual than u^{n-1} or a cubic in the
     step index does.
-    The memory supplies the memory term, the scale and the load, the
-    starting correction s_n R(u^0): solutions leave t = 0 like
-    t^alpha, which caps the uncorrected history quadrature at first
-    order globally, and the correction makes the march exact on that
-    layer (see ``layer_correction_weights``).  Equilibria are
+    The memory's load is the starting correction s_n R(u^0): solutions
+    leave t = 0 like t^alpha, which caps the uncorrected history
+    quadrature at first order globally, and the correction makes the
+    march exact on that layer (see ``layer_correction_weights``).  Equilibria are
     unaffected (the load vanishes there).  For m != 1 the operator uses
     the lagged chain form div(a m u^{m-1} grad u).
     """
-    memory, params = plan.memory, plan.params
-    b = memory_term(memory)
-    np.multiply(b, memory.scale, b)
+    params = plan.params
+    b = memory_term(plan.memory)
     if params.mu != 0.0:        # else the growth term is zero: skip it and the coupling
         u_prev = plan.last
         coupling = _coupling_value(u_prev, params, plan.domain, plan.kernel)
@@ -475,9 +478,6 @@ def step(plan: _SolvePlan) -> np.ndarray:
         np.multiply(growth, 1.0 - params.k * coupling, growth)
         to_coordinates = plan.to_coordinates
         np.add(b, growth if to_coordinates is None else to_coordinates(growth), b)
-    load = memory.load()
-    if load is not None:
-        np.add(b, load, b)
     return plan.solve(b)
 
 
@@ -525,7 +525,6 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
     if kernel is not None and params.coupling_mode == COUPLING_KERNEL:
         _check_same_grid(domain, kernel.domain, u0.values.shape, kernel.values.shape)
 
-    t_start = time.perf_counter()
     dt = config.dt
     plan = _SolvePlan(u0.values, params, domain, config, kernel)
     memory = plan.memory
@@ -564,7 +563,8 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
             warnings.append(f"step {n} (t = {t_n:.6g}) failed: {exc}")
             status = RunStatus("solver_failed", time=t_n)
             break
-        low, high = u_next.min(), u_next.max()
+        # min() and max() over every axis, at less call overhead
+        low, high = np.minimum.reduce(u_next, None), np.maximum.reduce(u_next, None)
         if not (-threshold <= low and high <= threshold):      # a NaN fails both
             if not np.isfinite(u_next).all():
                 status = RunStatus("nonfinite", time=t_n)
@@ -597,7 +597,6 @@ def run(u0: Field, params: ModelParameters, config: SolverConfig,
         l1_series=arr[:, 3], min_series=arr[:, 4],
         final=Field(u, domain),
         steps=steps_done,
-        wall_time=time.perf_counter() - t_start,
         snapshots=snapshots,
         warnings=warnings,
         history_rows=len(memory),

@@ -281,8 +281,10 @@ def _face_gradient_norm_sq(values: np.ndarray, out=None):
     """
     if out is None:
         out = [np.empty_like(values) for _ in range(values.ndim)]
-    if values.ndim == 1:        # the normal difference alone
-        g2 = _periodic_diff(values, 0, out[0])
+    if values.ndim == 1:        # the normal difference alone, as _periodic_diff forms it
+        g2 = out[0]
+        np.subtract(values[1:], values[:-1], g2[:-1])
+        g2[-1] = values.item(0) - values.item(-1)
         return [np.square(g2, g2)]
     norm_sq = [_periodic_diff(values, ax, o) for ax, o in enumerate(out)]
     centered, *transverse = np.empty((3,) + values.shape)

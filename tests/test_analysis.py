@@ -43,7 +43,7 @@ def fake_report(sup_values, status_kind="completed", status_time=None,
         status=RunStatus(status_kind, time=status_time),
         times=times, sup_series=sup, l2_series=sup.copy(),
         l1_series=sup.copy(), min_series=np.zeros_like(sup),
-        final=final, steps=len(sup), wall_time=0.0,
+        final=final, steps=len(sup),
         snapshots=list(snapshots))
 
 

@@ -39,7 +39,7 @@ def _report(sup_values):
         status=RunStatus("completed"), times=np.arange(len(sup), dtype=np.float64),
         sup_series=sup, l2_series=sup, l1_series=sup, min_series=np.zeros_like(sup),
         final=Field.constant(DomainSpec(half_width=4.0, n=16), float(sup[-1])),
-        steps=len(sup), wall_time=0.0)
+        steps=len(sup))
 
 
 def _march(bench, name):

@@ -200,8 +200,9 @@ def test_soe_memory_term_matches_dense(alpha):
         soe.append(states[k])
         variation += float(np.max(np.abs(states[k] - states[k - 1])))
         if k % 199 == 0 or k == n_steps - 1:
-            gap = np.max(np.abs(memory_term(soe) - memory_term(dense)))
-            assert gap <= 1e-10 * variation
+            # the soe memory's term comes scaled
+            gap = np.max(np.abs(memory_term(soe) - soe.scale * memory_term(dense)))
+            assert gap <= 1e-10 * soe.scale * variation
     assert np.array_equal(soe.last(), dense.last())
     assert len(soe) == soe.matrix().shape[0] <= 65
 
@@ -209,7 +210,7 @@ def test_soe_memory_term_matches_dense(alpha):
 def test_soe_memory_term_of_constant_history_is_exact():
     hist = L1Memory(np.full((4, 4), 0.4), 0.5, 0.1, 50)
     for _ in range(49):
-        assert np.array_equal(memory_term(hist), np.full((4, 4), 0.4))
+        assert np.array_equal(memory_term(hist), np.full((4, 4), hist.scale * 0.4))
         hist.append(np.full((4, 4), 0.4))
 
 
@@ -243,7 +244,7 @@ def test_blocked_memory_term_matches_the_step_by_step_recurrence(shape):
     # step n finds (n - 1) mod R increments pending: every count from 0
     # to R - 1, before and after each of the three folds
     for n in range(1, BLOCKED_HORIZON + 1):
-        expected = memory_term(reference)
+        expected = blocked.scale * memory_term(reference)
         gap = np.max(np.abs(memory_term(blocked) - expected))
         assert gap <= 1e-13 * np.max(np.abs(expected)), n
         if n < BLOCKED_HORIZON:
@@ -262,9 +263,9 @@ def test_memory_term_matches_the_recurrence_at_every_step_of_four_folds(alpha):
     constant = L1Memory(np.full(5, 0.4), alpha, 0.01, horizon)
     variation = 0.0
     for n in range(1, horizon + 1):
-        gap = np.max(np.abs(memory_term(blocked) - memory_term(reference)))
-        assert gap <= 1e-10 * variation, n
-        assert np.array_equal(memory_term(constant), np.full(5, 0.4)), n
+        gap = np.max(np.abs(memory_term(blocked) - blocked.scale * memory_term(reference)))
+        assert gap <= 1e-10 * blocked.scale * variation, n
+        assert np.array_equal(memory_term(constant), np.full(5, constant.scale * 0.4)), n
         if n < horizon:
             blocked.append(states[n])
             reference.append(states[n])
@@ -464,16 +465,20 @@ def test_l1_memory_scale_and_starting_loads(alpha):
     dt, horizon = 0.01, 5
     g1, g2 = np.array([1.0, -2.0]), np.array([0.5, 3.0])
     assert L1Memory(g1, alpha, dt, horizon).scale == unit_jump_response(alpha, dt, 1)[0]
-    # no load without R(u0), nor when R(u0) vanishes
-    assert L1Memory(g1, alpha, dt, horizon, g2=g2).load() is None
-    assert L1Memory(g1, alpha, dt, horizon, np.zeros(2), g2).load() is None
+    # no load without R(u0), nor when R(u0) vanishes: the L1 part of a
+    # constant history is the scale times the constant
+    for unloaded in (L1Memory(g1, alpha, dt, horizon, g2=g2),
+                     L1Memory(g1, alpha, dt, horizon, np.zeros(2), g2)):
+        assert np.array_equal(memory_term(unloaded), unloaded.scale * g1)
     w1 = layer_correction_weights(alpha, horizon)
     w2 = dt ** alpha * layer_correction_weights(alpha, horizon, layer=2)
     memory = L1Memory(g1, alpha, dt, horizon, g1, g2)
     for n in range(1, horizon + 1):
         # the memory applies the loads it is given: the solve plan alone
         # decides whether g2 applies
-        assert np.array_equal(memory.load(), w1[n - 1] * g1 + w2[n - 1] * g2)
+        expected = memory.scale * g1 + w1[n - 1] * g1 + w2[n - 1] * g2
+        gap = np.max(np.abs(memory_term(memory) - expected))
+        assert gap <= 1e-14 * np.max(np.abs(expected)), n
         memory.append(g1)
 
 

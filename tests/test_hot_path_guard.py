@@ -23,7 +23,7 @@ The same holds for the methods of ``integrator._SolvePlan`` that solve a
 step's system, freeze its couplings or append its state, named
 ``Class.method`` below.  The L1 memory's share of a step
 (``fractional.memory_term`` and the ``L1Memory`` append, guess and
-load) builds no ``Field`` and makes no roll either: its ring wraps by
+coefficients) builds no ``Field`` and makes no roll either: its ring wraps by
 indexing.  Only the solve plan knows the coordinates the memory holds:
 ``fractional`` names no eigenbasis, ``integrator.run`` takes nothing to
 or from it, and ``integrator.step`` names no transform and convolves
@@ -39,7 +39,7 @@ import fracplap
 PACKAGE = Path(fracplap.__file__).resolve().parent
 PLAN_STEP = ("_SolvePlan.eigenbasis", "_SolvePlan.tridiagonal", "_SolvePlan.pcg",
              "_SolvePlan.couplings", "_SolvePlan.accept")
-MEMORY_STEP = ("L1Memory.append", "L1Memory.predict", "L1Memory.load", "memory_term")
+MEMORY_STEP = ("L1Memory.append", "L1Memory.predict", "L1Memory.coefficients", "memory_term")
 HOT_PATH = {
     "operators.py": ("face_diffusivity", "_face_gradient_norm_sq", "diffusion_apply",
                      "_periodic_diff", "convolve_kernel", "_periodic_convolve",

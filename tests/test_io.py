@@ -28,7 +28,7 @@ def small_report(n_records=3, status=RunStatus("completed")):
                      l2_series=0.5 * sup, l1_series=0.25 * sup,
                      min_series=np.zeros_like(t),
                      final=Field.constant(d, float(sup[-1])),
-                     steps=n_records - 1, wall_time=0.123)
+                     steps=n_records - 1)
 
 
 # ---------------------------------------------------------------------------
