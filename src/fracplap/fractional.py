@@ -116,36 +116,59 @@ def soe_kernel(alpha: float, n: int):
     return nodes, weights
 
 
-# increments predict reads: the cubic extrapolation's order
-_RECENT = 3
+# increments predict reads: the states its least-squares cubic fits, less one
+_RECENT = 7
 # increments an L1Memory holds before it folds them into its sums
 _FOLD = 16
 
 
 def _predictor_table(alpha: float, rows: int) -> np.ndarray:
-    """Row n - 1 holds the coefficients (c_1, c_2, c_3) of the guess
+    """Row n - 1 holds the coefficients (c_1 .. c_7) of the guess
     u^{n-1} + sum_j c_j d_j of u^n, for n = 1 .. rows, with d_j the
-    increment u^{n-j} - u^{n-j-1}: the polynomial in s = t^alpha through
-    the last min(n, 4) states, evaluated at s_n.
+    increment u^{n-j} - u^{n-j-1}: the least-squares cubic in
+    s = t^alpha through the last m = min(n, 8) states, evaluated at s_n.
+    With m <= 4 states it is the polynomial through them, and on states
+    cubic in s the guess is exact.
 
-    In units of dt^alpha the nodes are s_k = k^alpha, and the Lagrange
-    weights w_i of the states u^{n-i} at s_n give c_j = -sum_{i>j} w_i,
-    since u^{n-i} = u^{n-1} - d_1 - ... - d_{i-1} and the weights sum to
-    one.  Each weight is one product of node gaps over another, so at
-    alpha = 1 (integer nodes) the cubic's coefficients are exactly the
-    backward-difference ones (3, -3, 1).  Unused orders are zeros."""
-    table = np.zeros((max(rows, _RECENT + 1), _RECENT))
-    for order in range(1, _RECENT + 1):
-        # the predicted states of this order: n = order + 1, or every
-        # n > _RECENT at the highest order
-        n = np.arange(order + 1.0, order + 2.0 if order < _RECENT else rows + 1.0)
-        s = (n[:, None] - np.arange(order + 2.0)) ** alpha     # s_n, s_{n-1}, ...
-        nodes = s[:, 1:]
-        own = np.eye(order + 1, dtype=bool)
-        ahead = np.where(own, 1.0, (s[:, :1] - nodes)[:, None, :])
-        gaps = np.where(own, 1.0, nodes[:, :, None] - nodes[:, None, :])
-        w = np.prod(ahead, axis=2) / np.prod(gaps, axis=2)
-        table[n.astype(int) - 1, :order] = -np.cumsum(w[:, :0:-1], axis=1)[:, ::-1]
+    A state's error enters the guess times its weight.  At alpha = 1
+    the cubic through four states has weights (4, -6, 4, -1), sum |w| = 15;
+    the fit over eight has (2, -1/7, -6/7, -9/14, 0, 4/7, 4/7, -1/2) on
+    u^{n-1} .. u^{n-8}, sum |w| = 37/7, so the error each solve leaves
+    in a state is amplified about 5.3x instead of 15x.
+
+    The fit runs in the node variable x_i = (s_n - s_{n-i}) / (s_n -
+    s_{n-1}), x_1 = 1 and x_i ~ i far from t = 0, evaluating at x = 0.
+    Each gap is n^alpha (1 - (1 - i/n)^alpha) by expm1 and log1p, which
+    keeps its relative accuracy where n^alpha - (n-i)^alpha would lose
+    log10(n / alpha) digits.  The polynomials p_0 .. p_3 orthogonal on
+    the nodes come from the Stieltjes recurrence p_{k+1} = (x - a_k) p_k
+    - b_k p_{k-1} (Gautschi, Orthogonal Polynomials, 2004, sec. 2.2),
+    elementwise over all rows at once, and the fit's value at 0 has the
+    weights w_i = sum_k p_k(0) p_k(x_i) / |p_k|^2 on u^{n-i}.  Then
+    c_j = -sum_{i>j} w_i, since u^{n-i} = u^{n-1} - d_1 - ... - d_{i-1}
+    and the weights sum to one.  Unused orders are zeros."""
+    states = _RECENT + 1
+    table = np.zeros((max(rows, states), _RECENT))
+    for m in range(2, states + 1):
+        # the predicted states fitted from m states: n = m, or every
+        # n >= m at the most states; node i on axis 0, n on axis 1
+        n = np.arange(m, m + 1 if m < states else rows + 1, dtype=np.float64)
+        with np.errstate(divide="ignore"):      # log1p(-1) = -inf at s_0 = 0
+            gaps = -np.expm1(alpha * np.log1p(-np.arange(1.0, m + 1.0)[:, None] / n))
+        x = gaps / gaps[0]
+        # p_k on the nodes, p_k(0) and |p_k|^2, from p_{-1} = 0, p_0 = 1
+        p, p_prev = np.ones_like(x), 0.0
+        at_zero, at_zero_prev = 1.0, 0.0
+        norm, b = float(m), 0.0
+        w = np.full_like(x, 1.0 / m)
+        for _ in range(min(3, m - 1)):
+            a = np.einsum("ir,ir,ir->r", x, p, p) / norm
+            p, p_prev = (x - a) * p - b * p_prev, p
+            at_zero, at_zero_prev = -a * at_zero - b * at_zero_prev, at_zero
+            norm_prev, norm = norm, np.einsum("ir,ir->r", p, p)
+            b = norm / norm_prev
+            w += at_zero / norm * p
+        table[m - 1:m - 1 + n.size, :m - 1] = -np.cumsum(w[:0:-1], axis=0)[::-1].T
     return table[:rows]
 
 
@@ -181,7 +204,7 @@ class L1Memory:
     which the fold has just emptied and the r-th append overwrites with
     delta_r.  The memory term thus reads 2 + r rows, u^{n-1},
     delta_0 .. delta_{r-1} and P_r, whatever K.  The rows held are
-    u^{n-1}, the ring of R slots, three recent increments and the K sums:
+    u^{n-1}, the ring of R slots, seven recent increments and the K sums:
     an append writes O(size), and the sums are read, rewritten and
     projected once per R steps; memory is O((K + R) size).  The fold
     tables hold zeros where the term beta_l e of an entry e of node l
@@ -191,12 +214,12 @@ class L1Memory:
     accuracy is unchanged by construction, and the fold makes no
     subnormal products (the fastest nodes leave entries down to 1e-303).
 
-    The ring also gives the last three increments d1, d2, d3 (newest
-    first): ``predict`` extrapolates them in s = t^alpha to a guess of
-    u^n, which the 2D PCG step uses as the first iterate of its solve.
-    So the fold copies the last three slots into the three recent rows
+    The ring also gives the last seven increments d1 .. d7 (newest
+    first): ``predict`` fits them in s = t^alpha to a guess of u^n,
+    which the 2D PCG step uses as the first iterate of its solve.  So
+    the fold copies the last seven slots into the seven recent rows
     before it projects over them, and ``predict`` reads those copies
-    until three appends on.
+    until seven appends on.
 
     ``g1 = R(u^0)`` and ``g2 = R'(u^0)[R(u^0)]`` (either may be None)
     give the starting load of step n, s_n g1 + dt^alpha s2_n g2 with the
@@ -261,9 +284,8 @@ class L1Memory:
         self._data = self._rows[self._loads:]
         self._data[0] = u0.ravel()
         self._ring = self._data[1:1 + _FOLD]
-        # the ring, then its last _RECENT slots as the last fold found
-        # them: predict's index wraps below 0 into those copies
-        self._window = self._data[1:1 + _FOLD + _RECENT]
+        # the ring's last _RECENT slots as the last fold found them
+        self._recent = self._data[1 + _FOLD:1 + _FOLD + _RECENT]
         self._sums = self._data[1 + _FOLD + _RECENT:]
         self._last = self._data[0].reshape(self.shape)     # a view: appends update it
         self._pending = 0
@@ -291,35 +313,44 @@ class L1Memory:
             gathered = self._fold_gather @ self._ring
             self._sums *= self._fold_decay
             self._sums += gathered
-            self._window[_FOLD:] = self._ring[-_RECENT:]
+            self._recent[...] = self._ring[-_RECENT:]
             np.matmul(self._fold_project, self._sums, out=self._ring)
             self._pending = 0
 
     def predict(self) -> np.ndarray:
-        """A guess of the next state u^n, n inside the horizon: the cubic
-        in s = t^alpha through the last four states, evaluated at s_n,
-        u^{n-1} + c1 d1 + c2 d2 + c3 d3.  Solutions leave t = 0 like
-        u^0 + c t^alpha, which is smooth in s and not in n; the guess is
-        exact on states cubic in t^alpha, and at alpha = 1 it would be
-        u^{n-1} + 3 d1 - 3 d2 + d3.  With fewer increments it drops to
-        the order they allow: u^{n-1}, then the line and the parabola
-        in s.  The coefficients come from ``_predictor_table``, built on
-        the first call, so only a march that predicts builds it.
+        """A guess of the next state u^n, n inside the horizon: the
+        least-squares cubic in s = t^alpha through the last eight states,
+        evaluated at s_n, u^{n-1} + c1 d1 + ... + c7 d7.  Solutions leave
+        t = 0 like u^0 + c t^alpha, which is smooth in s and not in n; the
+        guess is exact on states cubic in t^alpha.  Over the first steps
+        it fits the states there are: u^0, then the line, the parabola and
+        the cubic through them, then the cubic fitted to five to seven.
+        The coefficients come from ``_predictor_table``, built on the
+        first call, so only a march that predicts builds it.  The guess
+        takes at most two products: one over u^{n-1} and the pending
+        increments, rows next to each other, and one over the recent
+        copies where the increments reach back past the last fold.
         Returns a new array."""
         n = self._next_step()
         if self._predictor is None:
             self._predictor = _predictor_table(self._alpha, self.horizon)
-        guess = self._data[0].copy()
-        coefficients = self._predictor[n - 1]
-        for i in range(min(n - 1, _RECENT)):
-            guess += coefficients[i] * self._window[self._pending - 1 - i]   # wraps below 0
+        used = min(n - 1, _RECENT)
+        newest_first = self._predictor[n - 1, :used]
+        pending = self._pending
+        if pending >= used:         # ring slots pending - used .. pending - 1
+            guess = newest_first[::-1].dot(self._ring[pending - used:pending])
+            guess += self._data[0]
+        else:       # u^{n-1}, ring slots 0 .. pending - 1 and the last recent rows
+            head = np.concatenate(([1.0], newest_first[:pending][::-1]))
+            guess = head.dot(self._data[:1 + pending])
+            guess += newest_first[pending:][::-1].dot(self._recent[_RECENT + pending - used:])
         return guess.reshape(self.shape)
 
     def matrix(self) -> np.ndarray:
         """The loads g1 (and g2) when the memory has any, then rows
-        u^{n-1}, the ring of R slots, the last three increments the last
+        u^{n-1}, the ring of R slots, the last seven increments the last
         fold took in, and A_1 .. A_K at that fold: shape (loads + 1 + R +
-        3 + K, size).  With r increments pending, ring slots 0 .. r-1
+        7 + K, size).  With r increments pending, ring slots 0 .. r-1
         hold them and slot r holds the projection P_r; only the first
         ``coefficients().size`` = loads + 2 + r rows enter the memory
         term."""

@@ -18,9 +18,9 @@ one inverse half-transform (``operators._from_eigenbasis``), two dense
 products, to get its grid state; kernel coupling adds the convolution
 of that state (four) and the growth term's forward transform (two),
 eight products in all.  Other 2D systems are solved by
-conjugate gradients to a residual of 1e-9 |b|, started from the cubic
-extrapolation in t^alpha of the last four states
-(``L1Memory.predict``), and preconditioned by the
+conjugate gradients to a residual of 1e-7 |b|, the march's error budget
+(``_CG_TOL``), started from the least-squares cubic in t^alpha over the
+last eight states (``L1Memory.predict``), and preconditioned by the
 constant-coefficient solve at the mean face coupling, both
 half-transforms around the division (``operators._eigen_product``),
 scaled on both sides by a diagonal that gives it the system's own
@@ -37,9 +37,9 @@ updated, which every 16th step folds into them and projects onto the
 memory-term weights of the next 16 steps, two matrix products that
 read the sums once.  A step's memory term reads at most 17 rows, the
 fold costs O(K size) work a step amortized, and the memory holds
-O((K + 19) size), whatever the step count: the 16 increments and
-projections and a copy of the last 3 increments, which the predictor
-reads until 3 steps after a fold.  It also holds the scale and the
+O((K + 23) size), whatever the step count: the 16 increments and
+projections and a copy of the last 7 increments, which the predictor
+reads until 7 steps after a fold.  It also holds the scale and the
 starting loads, as rows beside the history, so that ``memory_term``
 returns the whole L1 part of b, scale * memory term + load, from one
 matrix-vector product over at most 17 rows and the loads.
@@ -66,10 +66,14 @@ from .operators import (KernelGrid, _check_same_grid, _coupling_work, _eigen_pro
 # matrix A = (scale + gamma) I - div(a grad) has A >= (scale + gamma) I,
 # so |x - x*| <= |r| / (scale + gamma); b is mostly scale times the
 # memory term, near scale x*, so the step's relative 2-norm error stays
-# at most about _CG_TOL.  That is some six orders of magnitude below the
-# march's own time-discretization error (dt against dt / 2: 3.5e-6 on the
-# bounded-2d manifest).
-_CG_TOL = 1e-9
+# at most about _CG_TOL.  The stop is set from the march's own error, as
+# Arioli (Numer. Math. 97, 2004) argues for CG: it may move the final
+# state by at most 1e-3 of what halving dt moves it.  Over the scan in
+# BENCH_cg_budget.json (the 1000-step bounded-2d march, and 200 steps at
+# n = 64 for p in {1.8, 1.5, 1.2} x alpha in {0.3, 0.5, 0.8}), with
+# ``L1Memory.predict``'s start 1e-7 moved it by at most 4.1e-5 of that
+# difference, and 1e-6 by up to 9.6e-4, at the budget's edge.
+_CG_TOL = 1e-7
 # A 2D PCG solve stops here: past it a direct solve is cheaper.  At
 # n = 64 one iteration (an operator product, a preconditioner call and
 # the vector updates) took 63-102 us and a sparse LU of the frozen
@@ -77,9 +81,10 @@ _CG_TOL = 1e-9
 # crossover at 277-299 iterations in five processes (350-437 at
 # n = 128).  Frozen couplings 40 steps into the bounded-2d manifest
 # (p = 1.8), the minimum of 7 repeats, on a 2-vCPU Xeon KVM guest.  No
-# step measured comes near the cap: 75 iterations at worst over 100
-# steps of that manifest at n = 128, p = 1.2, and 83 in the test suite
-# and ``fracplap verify``.
+# step measured comes near the cap: 59 iterations at worst over 100
+# steps of that manifest at n = 128, p = 1.2, and 61 in the test suite
+# and ``fracplap verify`` (66 and 76 with the 1e-9 stop and the cubic
+# start through four states).
 _CG_MAXITER = 300
 _NEGATIVE_WARN = -1e-8
 # t_final / dt may miss an integer by this much (relative) and still
@@ -447,7 +452,7 @@ def step(plan: _SolvePlan) -> np.ndarray:
     the inverse half-transform returns the grid state: two dense n x n
     products a step at mu = 0, eight with kernel coupling (the
     convolution four, the growth term's forward transform two).  Other
-    2D systems are solved by preconditioned CG (residual 1e-9 |b|, at
+    2D systems are solved by preconditioned CG (residual 1e-7 |b|, at
     most ``_CG_MAXITER`` = 300 iterations, past which a direct solve
     would be cheaper; b = 0 returns zeros); the preconditioner is
     the constant-coefficient solve at the mean face coupling, from and
@@ -456,11 +461,13 @@ def step(plan: _SolvePlan) -> np.ndarray:
     iterations nearly flat as p falls and the couplings spread.  A
     solve of k iterations makes k + 1 operator products and k
     preconditioner calls.
-    CG starts from ``memory.predict()``, the cubic in s = t^alpha through
-    the last four states (lower order over the first three steps):
-    solutions leave t = 0 like u^0 + c t^alpha and are smooth in s, so
-    the guess leaves far less residual than u^{n-1} or a cubic in the
-    step index does.
+    CG starts from ``memory.predict()``, the least-squares cubic in
+    s = t^alpha over the last eight states (through the fewer there are
+    over the first steps): solutions leave t = 0 like u^0 + c t^alpha and
+    are smooth in s, so the guess leaves far less residual than u^{n-1}
+    or a cubic in the step index does, and the fit amplifies the error
+    each solve leaves in a state 5.3x where the cubic through four
+    states amplified it 15x.
     The memory's load is the starting correction s_n R(u^0): solutions
     leave t = 0 like t^alpha, which caps the uncorrected history
     quadrature at first order globally, and the correction makes the

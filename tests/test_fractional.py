@@ -295,11 +295,12 @@ def predicted_from_the_table(states, n, alpha, horizon):
 
 @pytest.mark.parametrize("fold", [1, 2])
 def test_l1_memory_predict_right_after_a_fold(fold):
-    # the fold must leave the three increments predict reads until the
-    # third append after it
-    states = wandering_states((6,), fold * fractional._FOLD + 4, 45)
+    # the fold must leave the seven increments predict reads until the
+    # seventh append after it
+    recent = fractional._RECENT
+    states = wandering_states((6,), fold * fractional._FOLD + recent + 1, 45)
     memory = L1Memory(states[0], 0.6, 0.01, states.shape[0])
-    # the last four appends leave 0, 1, 2 and 3 increments pending
+    # the last eight appends leave 0 .. 7 increments pending
     for n in range(1, states.shape[0]):
         memory.append(states[n])
         if n >= fold * fractional._FOLD:
@@ -332,7 +333,7 @@ def test_l1_memory_fold_tables_drop_terms_below_the_kernel_accuracy(alpha, horiz
 @pytest.mark.parametrize("shape", [(7,), (16, 16)])
 def test_l1_memory_fold_projects_every_ring_slot(shape):
     # the fold reads the sums once: right after it every ring slot holds
-    # its projection, the last three among them, and the appends after
+    # its projection, the last seven among them, and the appends after
     # it write only u^{n-1} and their own slot
     fold, recent = fractional._FOLD, fractional._RECENT
     states = wandering_states(shape, 2 * fold + 4, 46)
@@ -342,7 +343,7 @@ def test_l1_memory_fold_projects_every_ring_slot(shape):
         memory.append(states[n])
         rows = memory.matrix()
         if n % fold == 0:
-            # bit for bit the products of the first 13 and of the last 3
+            # bit for bit the products of the first 9 and of the last 7
             # slots taken apart
             sums = rows[-memory.terms:]
             project = memory._fold_project
@@ -368,28 +369,88 @@ def test_l1_memory_predict_across_folds(shape):
         memory.append(states[n + 1])
 
 
+def least_squares_row(alpha, n):
+    """Row n of the predictor table by a per-row least-squares solve:
+    the cubic (or lower, with fewer states) in s through the last
+    min(n, 8) states, in Legendre polynomials of the nodes mapped onto
+    [-1, 1], evaluated at s_n.  The gaps s_n - s_{n-i} are taken as
+    n^alpha (1 - (1 - i/n)^alpha), which keeps their relative accuracy
+    at large n."""
+    states = fractional._RECENT + 1
+    m = min(n, states)
+    x = np.array([1.0 if i == n else -math.expm1(alpha * math.log1p(-i / n))
+                  for i in range(1, m + 1)])
+    x /= x[0]
+    lo, hi = x[0], x[-1]
+    mapped = (2.0 * x - lo - hi) / (hi - lo) if m > 1 else x - x
+    at_s_n = -(lo + hi) / (hi - lo) if m > 1 else 0.0
+    degree = min(3, m - 1)
+    fit = np.linalg.lstsq(np.polynomial.legendre.legvander(mapped, degree), np.eye(m),
+                          rcond=None)[0]
+    w = np.polynomial.legendre.legvander(np.array([at_s_n]), degree)[0] @ fit
+    c = [-math.fsum(w[j:]) for j in range(1, m)]
+    return np.array(c + [0.0] * (states - m))
+
+
+def state_weights(table):
+    """The weights w_1 .. w_8 of u^{n-1} .. u^{n-8} in each row's guess:
+    c_j = -sum_{i>j} w_i and the weights sum to one."""
+    weights = np.diff(np.pad(table, ((0, 0), (1, 1))), axis=1)
+    weights[:, 0] += 1.0
+    return weights
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.8])
-def test_predictor_table_is_the_lagrange_extrapolation_in_t_alpha(alpha):
-    # row by row against the Lagrange weights w_i of u^{n-i} at s_n = n^alpha,
-    # c_j = -sum_{i>j} w_i, out to the horizons a march reaches; the node
-    # gaps n^alpha - (n-1)^alpha carry a relative rounding of about
-    # eps n / alpha, so both sides may differ by a few eps n
+def test_predictor_table_is_the_least_squares_cubic_in_t_alpha(alpha):
+    # row by row against a least-squares solve, out to the horizons a
+    # march reaches; both keep about 14 digits of the O(1) coefficients
     rows = 20000
     table = fractional._predictor_table(alpha, rows)
-    for n in list(range(1, 40)) + [999, 3000, rows]:
-        nodes = [(n - i) ** alpha for i in range(1, min(n, 4) + 1)]
-        w = [math.prod((n ** alpha - b) / (a - b) for b in nodes if b != a) for a in nodes]
-        expected = [-math.fsum(w[j:]) for j in range(1, len(w))]
-        expected += [0.0] * (3 - len(expected))
-        assert np.allclose(table[n - 1], expected, rtol=0.0, atol=1e-13 * n), n
+    assert table.shape == (rows, fractional._RECENT)
+    for n in list(range(1, 40)) + [999, 3000, 12345, rows]:
+        assert np.allclose(table[n - 1], least_squares_row(alpha, n), rtol=0.0,
+                           atol=1e-13), n
 
 
-def test_predictor_table_at_alpha_one_is_the_backward_difference():
-    # integer nodes: the guesses u^0, u^1 + d1, u^2 + 2 d1 - d2, then
-    # u^{n-1} + 3 d1 - 3 d2 + d3, to the bit
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_predictor_amplifies_the_states_errors_at_most_5_3_times(alpha):
+    # an error e in each state enters the guess as sum_i w_i e: the
+    # cubic through four states has sum |w| = 15 at alpha = 1 and the fit
+    # over eight 37/7 = 5.29
+    weights = state_weights(fractional._predictor_table(alpha, 20000))
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(weights[7:]).sum(axis=1)) <= 5.3
+
+
+def exact_fit_weights(m):
+    """The weights of the least-squares cubic through the states at the
+    integer nodes 1 .. m, at 0, in exact rational arithmetic."""
+    moments = [sum(Fraction(x) ** k for x in range(1, m + 1)) for k in range(7)]
+    gram = [[moments[j + k] for k in range(4)] + [Fraction(j == 0)] for j in range(4)]
+    for j in range(4):      # Gauss-Jordan on the SPD normal equations
+        gram[j] = [v / gram[j][j] for v in gram[j]]
+        for i in range(4):
+            if i != j:
+                gram[i] = [a - gram[i][j] * b for a, b in zip(gram[i], gram[j])]
+    coeffs = [row[4] for row in gram]
+    return [sum(c * Fraction(x) ** k for k, c in enumerate(coeffs)) for x in range(1, m + 1)]
+
+
+def test_predictor_table_at_alpha_one_has_the_exact_weights():
+    # integer nodes: the guesses u^0, u^1 + d1, u^2 + 2 d1 - d2 and
+    # u^3 + 3 d1 - 3 d2 + d3 through the states, then the least-squares
+    # cubics over five to seven, then over eight states, to the table's
+    # 1e-13 (its weights of up to 6 in size cancel)
     table = fractional._predictor_table(1.0, 40)
-    assert np.array_equal(table[:3], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, -1.0, 0.0]])
-    assert np.array_equal(table[3:], np.tile([3.0, -3.0, 1.0], (37, 1)))
+    weights = state_weights(table)
+    through = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, -1.0, 0.0], [3.0, -3.0, 1.0]]
+    assert np.allclose(table[:4], np.pad(through, ((0, 0), (0, 4))), rtol=0.0, atol=1e-13)
+    for m in (5, 6, 7):
+        exact = [float(w) for w in exact_fit_weights(m)] + [0.0] * (8 - m)
+        assert np.allclose(weights[m - 1], exact, rtol=0.0, atol=1e-13), m
+    eight = [2.0, -1 / 7, -6 / 7, -9 / 14, 0.0, 4 / 7, 4 / 7, -1 / 2]
+    assert [float(w) for w in exact_fit_weights(8)] == eight
+    assert np.allclose(weights[7:], eight, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 5)])

@@ -155,6 +155,18 @@ conjugate-gradient iterations), 2.0e-16 (layer-two load, 1D) and
 ``caputo_series``, inequality-margin, spectral-reference and
 Mittag-Leffler digest is unchanged.
 
+The two PCG march digests (2D global mass at m = 2.5, 2D kernel at
+p = 1.5) were re-pinned when the solve's guess became the least-squares
+cubic in s = t^alpha over the last eight states, instead of the cubic
+through the last four, and CG began to stop at 1e-7 |b| instead of
+1e-9 |b|.  CG stops at another iterate inside the looser tolerance: the
+final states moved by 5.3e-8 (global mass) and 4.7e-8 (kernel) relative
+to their sup norm, and the iterations over the two 20-step marches fell
+from 75 to 72 and from 295 to 249.  Every 1D march, the 2D layer-two
+load march (the direct p = 2 solve), and every operator, convolution,
+weight, ``caputo_series``, inequality-margin, spectral-reference and
+Mittag-Leffler digest is unchanged.
+
 The ``caputo_series``, inequality-margin and spectral-reference digests
 were taken while the L1 weights still had their own public builder,
 the m = 2 inequality its own checker, and the reference its own copy
@@ -193,7 +205,7 @@ def sample(dim: int, seed: int, lo: float = 0.2, hi: float = 1.0) -> Field:
 
 MARCHES = {
     1: "22c932e7f557fa82",
-    2: "70abc3036aa6d385",
+    2: "29da2ef08a5ecc0a",
 }
 
 
@@ -210,7 +222,7 @@ def test_global_mass_march_bits(dim):
 KERNEL_MARCHES = {
     # dim: (grid points per axis, dt, t_final, digest of the final state)
     1: (16, 0.01, 2.0, "fc8c0e9b5701c6b9"),
-    2: (32, 0.01, 0.2, "1e81b01ee05df94a"),
+    2: (32, 0.01, 0.2, "7783b7fae97ce123"),
 }
 
 
