@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -272,16 +273,9 @@ def build_initial(manifest: RunManifest) -> Field:
         return Field.constant(domain, init.value, dim=dim)
     if init.kind == "gaussian_bump":
         center = init.center if init.center else (0.0,) * dim
-        x = domain.axis_coords()
-        l2 = 2.0 * domain.half_width
-        dists = []
-        for c in center:
-            d = np.mod(x - c + domain.half_width, l2) - domain.half_width
-            dists.append(d ** 2)
-        if dim == 1:
-            r2 = dists[0]
-        else:
-            r2 = dists[0][:, None] + dists[1][None, :]
+        x, half = domain.axis_coords(), domain.half_width
+        r2 = reduce(np.add.outer, [(np.mod(x - c + half, 2.0 * half) - half) ** 2
+                                   for c in center])      # squared periodic distance
         return Field(init.height * np.exp(-r2 / (2.0 * init.width ** 2)), domain)
     if init.kind == "random":
         seed = manifest.seed if init.seed is None else init.seed

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -631,13 +631,15 @@ def linear_spectral_reference(u0: Field, params: ModelParameters, times):
         raise HypothesisError(
             f"spectral reference is valid only for p = 2, mu = 0; got "
             f"p={params.p}, mu={params.mu}")
+    times = [float(t) for t in np.atleast_1d(times)]
+    for t in times:
+        if not 0.0 <= t < math.inf:
+            raise HypothesisError(f"reference times must be finite and >= 0, got {t}")
     alpha = params.alpha       # mittag_leffler rejects one outside (0, 1]
-    symbol = _laplacian_axis(u0.domain)
-    if u0.dim == 2:
-        symbol = symbol[:, None] + symbol[None, :]
+    symbol = reduce(np.add.outer, (_laplacian_axis(u0.domain),) * u0.dim)
     spec0 = np.fft.fftn(u0.values)
     out = []
-    for t in np.atleast_1d(times):
-        mult = mittag_leffler(alpha, (-symbol - params.gamma) * float(t) ** alpha)
+    for t in times:
+        mult = mittag_leffler(alpha, (-symbol - params.gamma) * t ** alpha)
         out.append(Field(np.fft.ifftn(spec0 * mult).real, u0.domain))
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -140,25 +140,20 @@ def _convolution_operator(centered: np.ndarray, h: float) -> np.ndarray:
     return op
 
 
-def _centered_coords(domain: DomainSpec, dim: int):
-    """Per-axis coordinates of the centered grid, origin at index n//2."""
-    x = domain.axis_coords()
-    if dim == 1:
-        return (x,)
-    return np.meshgrid(x, x, indexing="ij")
+def _box_weights(domain: DomainSpec, radius: float, dim: int) -> np.ndarray:
+    """Indicator of ||x||_inf <= radius on the centered grid, with half
+    weight on each axis's exact edge: one axis's trapezoid weights
+    multiplied out over ``dim`` axes.
 
-
-def _axis_trapezoid_weights(x: np.ndarray, radius: float) -> np.ndarray:
-    """Indicator of |x| <= radius with half weight on the exact edge.
-
-    The half-weighted edge makes the row sum of weights times h equal
+    The half-weighted edge makes the axis sum of weights times h equal
     2*radius exactly whenever radius is a grid multiple, which keeps
     constant-field windowed integrals exact.
     """
+    x = np.abs(domain.axis_coords())
     tol = _EDGE_TOL * max(1.0, radius)
-    w = np.where(np.abs(x) < radius - tol, 1.0, 0.0)
-    w = np.where(np.abs(np.abs(x) - radius) <= tol, 0.5, w)
-    return w
+    w = np.where(x < radius - tol, 1.0, 0.0)
+    w = np.where(np.abs(x - radius) <= tol, 0.5, w)
+    return reduce(np.multiply.outer, (w,) * dim)
 
 
 def discretize_kernel(shape: str, delta0: float, eta: float,
@@ -185,16 +180,14 @@ def discretize_kernel(shape: str, delta0: float, eta: float,
     if dim not in (1, 2):
         raise KernelAdmissibilityError(f"dim must be 1 or 2, got {dim}")
 
-    coords = _centered_coords(domain, dim)
-    rinf = np.abs(coords[0]) if dim == 1 else np.maximum(np.abs(coords[0]),
-                                                         np.abs(coords[1]))
+    mesh = np.ix_(*(domain.axis_coords(),) * dim)      # origin at index n//2
+    rinf = reduce(np.maximum, map(np.abs, mesh))
     if shape == "box":
-        w = _axis_trapezoid_weights(domain.axis_coords(), 2.0 * delta0)
-        vals = w if dim == 1 else np.multiply.outer(w, w)
+        vals = _box_weights(domain, 2.0 * delta0, dim)
     elif shape == "triangle":
         vals = np.maximum(0.0, 1.0 - rinf / (2.0 * delta0))
     else:
-        r2 = coords[0] ** 2 if dim == 1 else coords[0] ** 2 + coords[1] ** 2
+        r2 = sum(x ** 2 for x in mesh)
         vals = np.exp(-r2 / (2.0 * delta0 ** 2))
         vals = np.where(r2 > (6.0 * delta0) ** 2, 0.0, vals)
 
@@ -302,6 +295,8 @@ def _coupling_work(domain: DomainSpec, p: float, eps_reg: float, m: float, shape
     (exponent (p - 2) / 2, (eps h)^2, h^-p, one output array per axis
     for states of ``shape``).  A march builds it once and passes it to
     every call."""
+    if len(shape) not in (1, 2):
+        raise GridMismatchError(f"face couplings need a 1D or 2D state, got shape {shape}")
     if not (1.0 < p <= 2.0):
         raise HypothesisError(f"p must lie in (1, 2], got {p}")
     if not (0.0 <= eps_reg and eps_reg * eps_reg < math.inf) or (eps_reg == 0 and p < 2.0):
@@ -398,7 +393,6 @@ def box_window_integral(field: Field, delta: float) -> Field:
         raise HypothesisError(
             f"window radius must lie in (0, L/2], got {delta} with "
             f"L = {domain.half_width}")
-    w = _axis_trapezoid_weights(domain.axis_coords(), delta)
-    window = w if field.dim == 1 else np.multiply.outer(w, w)
+    window = _box_weights(domain, delta, field.dim)
     return Field(_periodic_convolve(field.values, _convolution_operator(window, domain.h)),
                  domain)

@@ -5,7 +5,10 @@
 ``boundedness_check``.  These tests call those gates, through the same
 module namespace ``perfbench/run.py`` builds, on hand-made reports, so a
 change to a verdict's fields fails here rather than in every benchmark
-rep.  Nothing under ``perfbench/`` is written.
+rep.  The traced run wraps each workload's trace targets by name and
+skips a name that does not resolve, which zeroes its per-layer metric;
+a test pins which names do not.  Nothing under ``perfbench/`` is
+written.
 """
 import importlib.util
 import json
@@ -65,3 +68,22 @@ def test_bounded_gate_reads_the_boundedness_verdict(bench):
     assert ok.name == "bounded" and ok.passed
     (bad,) = march.check_reports([_report([0.5, 50.0])])
     assert not bad.passed
+
+
+# trace targets that name nothing in src, so the metrics they feed read 0
+# (ROADMAP item 3 resolves them and empties this set)
+UNRESOLVED_TRACE_TARGETS = {
+    "integrator.convolve_kernel", "integrator.detect_blowup", "integrator.l1_weights",
+    "integrator.layer_correction_weights", "fractional._ml_asymptotic",
+    "fractional._ml_mpmath", "fractional._ml_series_float", "fractional._ml_series_positive",
+}
+
+
+def test_only_the_known_trace_targets_are_unresolved(bench):
+    # a rename in src that drops a traced name fails here, not as a zero metric
+    workloads, fp = bench
+    unresolved = {f"{owner.__name__.rpartition('.')[2]}.{attr}"
+                  for march in workloads.WORKLOADS.values()
+                  for owner, attr, _, _ in march.trace_targets(fp)
+                  if getattr(owner, attr, None) is None}
+    assert unresolved == UNRESOLVED_TRACE_TARGETS

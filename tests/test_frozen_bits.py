@@ -167,6 +167,12 @@ load march (the direct p = 2 solve), and every operator, convolution,
 weight, ``caputo_series``, inequality-margin, spectral-reference and
 Mittag-Leffler digest is unchanged.
 
+The kernel-sampling and Gaussian-bump digests were taken while the
+grid geometry still branched on the dimension: a meshgrid of the axis
+coordinates for 2D kernels, one trapezoid-weight helper whose 2D window
+was its own outer product, and a bump whose 2D squared distance was
+added through broadcasting.
+
 The ``caputo_series``, inequality-margin and spectral-reference digests
 were taken while the L1 weights still had their own public builder,
 the m = 2 inequality its own checker, and the reference its own copy
@@ -180,10 +186,13 @@ x86-64 with numpy 2.x.
 """
 import hashlib
 
+import json
+
 import numpy as np
 import pytest
 
 from fracplap import operators
+from fracplap.config import build_initial, parse_config
 from fracplap.fractional import (caputo_series, layer_correction_weights,
                                  mittag_leffler, power_inequality_check)
 from fracplap.integrator import SolverConfig, linear_spectral_reference, run
@@ -293,6 +302,40 @@ def test_periodic_convolution_bits(which, dim):
     else:
         out = operators.box_window_integral(field, 1.0)
     assert digest(out.values) == CONVOLUTIONS[which, dim]
+
+
+KERNELS = {
+    ("box", 1): "e29349d2eb5e9a8f",
+    ("box", 2): "9d69584ffd59e150",
+    ("gaussian", 1): "9a0fb4dbc6651e9d",
+    ("gaussian", 2): "d48385b468cfadd8",
+    ("triangle", 1): "45ad3e0db70c8325",
+    ("triangle", 2): "2609097b728882aa",
+}
+
+
+@pytest.mark.parametrize("shape,dim", sorted(KERNELS))
+def test_kernel_sampling_bits(shape, dim):
+    # h = 0.5: the box edge 2 delta0 and the Gaussian cut 6 delta0 fall on grid points
+    kernel = operators.discretize_kernel(shape, 0.5, 0.05, DOMAIN, dim=dim)
+    assert digest(kernel.values) == KERNELS[shape, dim]
+
+
+GAUSSIAN_BUMPS = {
+    1: "b791a8fed7a11f4e",
+    2: "168035b53d0f372a",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(GAUSSIAN_BUMPS))
+def test_gaussian_bump_bits(dim):
+    # the centre 3.75 sits 0.25 below the seam at L = 4, so the bump wraps
+    manifest = parse_config(json.dumps({
+        "model": {"alpha": 0.5, "p": 1.5, "mu": 1.0, "k": 1.0, "gamma": 0.1, "dim": dim},
+        "domain": {"half_width": DOMAIN.half_width, "n": DOMAIN.n},
+        "initial": {"kind": "gaussian_bump", "center": [3.75, -1.5][:dim],
+                    "width": 0.5, "height": 2.0}}))
+    assert digest(build_initial(manifest).values) == GAUSSIAN_BUMPS[dim]
 
 
 LAYER_WEIGHTS = {

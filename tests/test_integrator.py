@@ -1271,6 +1271,16 @@ def test_spectral_reference_classical_heat_limit():
                        rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_spectral_reference_rejects_a_time_outside_0_inf(t):
+    # (-1)^alpha is complex: mittag_leffler used to reject the complex z
+    # instead, without naming the time
+    domain = DomainSpec(half_width=1.0, n=8)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.0)
+    with pytest.raises(HypothesisError, match=f"reference times .* got {t}$"):
+        linear_spectral_reference(Field.constant(domain, 0.5), params, [1.0, t])
+
+
 def test_spectral_reference_rejects_nonlinear_sets():
     domain = DomainSpec(half_width=1.0, n=8)
     u0 = Field.constant(domain, 0.5)

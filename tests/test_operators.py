@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracplap import operators
-from fracplap.errors import HypothesisError, KernelAdmissibilityError
+from fracplap.errors import GridMismatchError, HypothesisError, KernelAdmissibilityError
 from fracplap.model import DomainSpec, Field
 from fracplap.operators import (
     KERNEL_SHAPES,
@@ -373,6 +373,16 @@ def test_face_diffusivity_rejects_porous_exponent_below_one(m, p):
     u[10:20] = 0.5
     with pytest.raises(HypothesisError, match="porous-medium exponent"):
         face_diffusivity(u, d, p, 1e-6, m=m)
+
+
+def test_face_diffusivity_rejects_a_3d_state():
+    # the face gradients pair each axis with one transverse axis: a third
+    # axis went unsquared into the negative power, NaN couplings with
+    # only a RuntimeWarning
+    d = DomainSpec(half_width=4.0, n=8)
+    u = np.random.default_rng(5).uniform(0.2, 1.0, d.shape(3))
+    with pytest.raises(GridMismatchError, match=r"1D or 2D state, got shape \(8, 8, 8\)"):
+        face_diffusivity(u, d, 1.5, 1e-6)
 
 
 def _dense_couplings(u, d, p, eps, m):
