@@ -31,11 +31,12 @@ coordinates, and holds the last grid state, the path's constants, work
 arrays and CG counts; ``step`` takes the plan alone.
 The memory term is a convex combination of all past states.  One
 ``L1Memory`` keeps it in sum-of-exponentials form: the last state, K
-exponentially weighted sums of increments (K = 18-48 for 1 to 2e4
-steps) and the up to 16 increments taken since those sums were last
-updated, which every 16th step folds into them and projects onto the
-memory-term weights of the next 16 steps, two matrix products that
-read the sums once.  A step's memory term reads at most 17 rows, the
+exponentially weighted sums of increments (K = 13-34 for 1 to 2e4
+steps at the kernel's tolerance ``fractional.SOE_TOL``, which shares
+the march's error budget with ``_CG_TOL``) and the up to 16 increments
+taken since those sums were last updated, which every 16th step folds
+into them and projects onto the memory-term weights of the next 16
+steps, two matrix products that read the sums once.  A step's memory term reads at most 17 rows, the
 fold costs O(K size) work a step amortized, and the memory holds
 O((K + 23) size), whatever the step count: the 16 increments and
 projections and a copy of the last 7 increments, which the predictor
@@ -68,7 +69,8 @@ from .operators import (KernelGrid, _check_same_grid, _coupling_work, _eigen_pro
 # memory term, near scale x*, so the step's relative 2-norm error stays
 # at most about _CG_TOL.  The stop is set from the march's own error, as
 # Arioli (Numer. Math. 97, 2004) argues for CG: it may move the final
-# state by at most 1e-3 of what halving dt moves it.  Over the scan in
+# state by at most 1e-3 of what halving dt moves it, a budget it shares
+# with the L1 kernel's tolerance ``fractional.SOE_TOL``.  Over the scan in
 # BENCH_cg_budget.json (the 1000-step bounded-2d march, and 200 steps at
 # n = 64 for p in {1.8, 1.5, 1.2} x alpha in {0.3, 0.5, 0.8}), with
 # ``L1Memory.predict``'s start 1e-7 moved it by at most 4.1e-5 of that
@@ -625,12 +627,17 @@ def linear_spectral_reference(u0: Field, params: ModelParameters, times):
     from ``params`` and lambda_k the exact symbol of the centered
     3/5-point Laplacian stencil.  Only spatially semi-discrete dynamics
     are referenced, so comparing a time march against it isolates the
-    temporal error.  Returns one Field per requested time.
+    temporal error.  Returns one Field per requested time.  A field of
+    another dimension than ``params.dim`` raises GridMismatchError, as
+    ``run`` does.
     """
     if params.p != 2.0 or params.mu != 0.0:
         raise HypothesisError(
             f"spectral reference is valid only for p = 2, mu = 0; got "
             f"p={params.p}, mu={params.mu}")
+    if u0.dim != params.dim:
+        raise GridMismatchError(
+            f"initial field is {u0.dim}D but params.dim = {params.dim}")
     times = [float(t) for t in np.atleast_1d(times)]
     for t in times:
         if not 0.0 <= t < math.inf:

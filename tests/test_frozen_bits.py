@@ -167,6 +167,18 @@ load march (the direct p = 2 solve), and every operator, convolution,
 weight, ``caputo_series``, inequality-margin, spectral-reference and
 Mittag-Leffler digest is unchanged.
 
+All six march digests were re-pinned when the L1 history's
+sum-of-exponentials kernel went from a relative tolerance of 5e-11 to
+1e-7 (``fractional.SOE_TOL``), set from the march's own time error: K
+fell from 27 to 20 (33 to 25 in the 200-step 1D kernel march) and the
+kernel's error grew.  The final states moved by 1.9e-10 relative to
+their sup norm (global mass, 1D), 9.7e-10 (global mass, 2D, with the
+same 72 conjugate-gradient iterations), 2.0e-11 (kernel, 1D), 4.8e-11
+(kernel, 2D, with the same 249), 3.8e-10 (layer-two load, 1D) and
+4.1e-10 (layer-two load, 2D).  Every operator, convolution, weight,
+``caputo_series``, inequality-margin, spectral-reference and
+Mittag-Leffler digest is unchanged.
+
 The kernel-sampling and Gaussian-bump digests were taken while the
 grid geometry still branched on the dimension: a meshgrid of the axis
 coordinates for 2D kernels, one trapezoid-weight helper whose 2D window
@@ -213,8 +225,8 @@ def sample(dim: int, seed: int, lo: float = 0.2, hi: float = 1.0) -> Field:
 
 
 MARCHES = {
-    1: "22c932e7f557fa82",
-    2: "29da2ef08a5ecc0a",
+    1: "cf03ab925116a2d7",
+    2: "b56217f1ffdbbce9",
 }
 
 
@@ -230,8 +242,8 @@ def test_global_mass_march_bits(dim):
 
 KERNEL_MARCHES = {
     # dim: (grid points per axis, dt, t_final, digest of the final state)
-    1: (16, 0.01, 2.0, "fc8c0e9b5701c6b9"),
-    2: (32, 0.01, 0.2, "7783b7fae97ce123"),
+    1: (16, 0.01, 2.0, "15e77689803cfb13"),
+    2: (32, 0.01, 0.2, "10b6c2bc8c09eff8"),
 }
 
 
@@ -253,8 +265,8 @@ def test_kernel_march_bits(dim):
 
 
 LAYER_TWO_MARCHES = {
-    1: "479fb9b26da7e519",
-    2: "09ecc5befd31fd1e",
+    1: "5c1529053f57137b",
+    2: "e52d296ae8f108ec",
 }
 
 

@@ -276,6 +276,35 @@ def test_cg_tolerance_stays_far_below_the_time_step_error(monkeypatch):
     assert np.max(np.abs(loose - tight)) <= 1e-3 * np.max(np.abs(loose - half))
 
 
+def _linear_oracle_march(dt: float) -> np.ndarray:
+    """The linear oracle's Gaussian on a 1D grid of 16, marched to t = 10."""
+    domain = DomainSpec(half_width=1.0, n=16)
+    x = domain.axis_coords()
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.5)
+    report = run(Field(np.exp(-x ** 2 / (2 * 0.15 ** 2)), domain), params,
+                 SolverConfig(dt=dt, t_final=10.0, record_every=10 ** 9))
+    assert report.status.completed
+    return report.final.values
+
+
+def test_soe_tolerance_stays_far_below_the_time_step_error(monkeypatch):
+    # the history's kernel at SOE_TOL instead of 5e-11 moves the final
+    # state of 1000 linear steps by at most 1e-3 of what halving dt moves
+    # it: 9.6e-6 of it at 1e-7, 1.2e-4 at 1e-6, 9.1e-4 at 1e-5 and 4.9e-3
+    # at 1e-4.  The kernels are cached per (alpha, N), so the cache is
+    # emptied around the patched tolerance
+    loose = _linear_oracle_march(0.01)
+    with monkeypatch.context() as patched:
+        patched.setattr(fractional, "SOE_TOL", 5e-11)
+        soe_kernel.cache_clear()
+        try:
+            tight = _linear_oracle_march(0.01)
+            half = _linear_oracle_march(0.005)
+        finally:
+            soe_kernel.cache_clear()
+    assert np.max(np.abs(loose - tight)) <= 1e-3 * np.max(np.abs(tight - half))
+
+
 def test_2d_constant_coefficient_step_solves_its_system_exactly():
     # p = 2, m = 1 with kernel competition, after three steps: the frozen
     # system ((scale + gamma) I - Laplacian_h) x = b is solved to rounding.
@@ -632,8 +661,8 @@ def test_run_from_rest_stays_at_rest():
 def test_history_rows_do_not_grow_with_step_count():
     # the dense history held steps + 1 rows; the sum-of-exponentials one
     # holds the last state, a ring of 16, the 7 increments the last fold
-    # projected over and the K sums, with K growing only like log N (45
-    # at 10 000 steps); the report gives K as soe_terms
+    # projected over and the K sums, with K growing only like log N (32
+    # at 10 000 steps at SOE_TOL = 1e-7); the report gives K as soe_terms
     domain = DomainSpec(half_width=4.0, n=8)
     params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.5)
     u0 = Field(np.cos(np.pi * domain.axis_coords() / 4.0) + 1.0, domain)
@@ -1279,6 +1308,17 @@ def test_spectral_reference_rejects_a_time_outside_0_inf(t):
     params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.0)
     with pytest.raises(HypothesisError, match=f"reference times .* got {t}$"):
         linear_spectral_reference(Field.constant(domain, 0.5), params, [1.0, t])
+
+
+def test_spectral_reference_rejects_a_field_of_another_dimension():
+    # a 2D field under dim = 1 parameters, which run rejects too
+    domain = DomainSpec(half_width=1.0, n=8)
+    u0 = Field(np.full(domain.shape(2), 0.5), domain)
+    params = ModelParameters(alpha=0.5, p=2.0, mu=0.0, k=0.0, gamma=0.0)
+    with pytest.raises(GridMismatchError, match=r"initial field is 2D but params.dim = 1"):
+        linear_spectral_reference(u0, params, [1.0])
+    with pytest.raises(GridMismatchError):
+        run(u0, params, SolverConfig(dt=0.1, t_final=1.0))
 
 
 def test_spectral_reference_rejects_nonlinear_sets():
